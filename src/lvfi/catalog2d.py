@@ -28,11 +28,11 @@ from .detection import Candidate, Detection, Match, Rule, run_rules
 from .linalg import rank, solve_constrained
 from .model import LVSystem, Permutation, make_system, permute_system
 from .oracle import _f_laurent
-from .poly import Laurent
-from .potential import GenPoly
+from .poly import GenPoly
 
 
 def _q(rng: random.Random, nonzero=False, num=6, den=3) -> Fraction:
+    """Small random rational; the draw shared by the 2D and 3D samplers."""
     while True:
         v = Fraction(rng.randint(-num, num), rng.randint(1, den))
         if not nonzero or v != 0:
@@ -221,9 +221,9 @@ def _lie_zero_e(s: LVSystem) -> bool:
     b, A, e = s.b, s.A, s.e
     f1 = _f_laurent(2, b, A, e, 0)
     f2 = _f_laurent(2, b, A, e, 1)
-    P = Laurent(2, {(0, 0): e[0], (1, 1): A[0][1]})
-    x1 = Laurent.var(2, 0)
-    x2 = Laurent.var(2, 1)
+    P = GenPoly.term(2, e[0], (0, 0)) + GenPoly.term(2, A[0][1], (1, 1))
+    x1 = GenPoly.term(2, 1, (1, 0))
+    x2 = GenPoly.term(2, 1, (0, 1))
     lhs = (f1.scale(A[1][0]) - f2.scale(A[0][1])) * P + (
         (x2 * f1) + (x1 * f2)
     ).scale(s.b[1] * A[0][1])

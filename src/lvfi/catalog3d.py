@@ -16,10 +16,10 @@ The permutation engine covers all index-relabeled cases mechanically.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog2d import _q
 from .detection import (
     Candidate,
     Detection,
@@ -30,17 +30,11 @@ from .detection import (
 )
 from .linalg import SolveOutcome, nullspace, solve_constrained
 from .model import LVSystem, make_system
-from .potential import GenPoly, lie_genpoly
+from .poly import GenPoly
+from .potential import lie_genpoly
 
 F = Fraction
 ZERO3 = (F(0), F(0), F(0))
-
-
-def _q(rng: random.Random, nonzero=False, num=6, den=3) -> Fraction:
-    while True:
-        v = Fraction(rng.randint(-num, num), rng.randint(1, den))
-        if not nonzero or v != 0:
-            return v
 
 
 # -- term table and parameter solves (public operations) ----------------------

@@ -385,6 +385,9 @@ def main(argv=None) -> int:
             "catalog": cmd_catalog,
         }[args.command]
         return handler(args)
+    except (DomainViolation, ex.EvalDomainError, AnsatzError) as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -23,11 +23,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import expr as ex
+from . import oracle
 from .model import LVSystem, Permutation, lift_exact, permute_system
 from .oracle import AnsatzSpec, residual_2d, residual_3d
+from .poly import GenPoly, ratio
 from .potential import (
     ConstructionError,
-    GenPoly,
     genpoly_to_expr,
     gradient_targets_2d,
     gradient_targets_3d,
@@ -150,9 +151,9 @@ def run_rules(
     detections: list[Detection] = []
     candidates: list[Candidate] = []
     seen: set = set()
+    relabeled = [(p, permute_system(sx, p)) for p in perms]
     for rule in rules:
-        for p in perms:
-            s2 = permute_system(sx, p)
+        for p, s2 in relabeled:
             if not pattern_ok(rule.pattern, s2):
                 continue
             for m in rule.match(s2):
@@ -168,18 +169,22 @@ def run_rules(
     return detections, candidates
 
 
+def ansatz_residual(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
+    """Curl-residual components of an Ansatz (kind, abg, l) on system s, in
+    the coordinates of s; all zero exactly when T is an integrating factor."""
+    if kind == "2d-separable":
+        return [residual_2d(s, *abg)]
+    if kind == "2d-exponents":
+        # resolved on the oracle module at call time, so a tracer patching
+        # oracle.residual_2d_exponents sees this call
+        return [oracle.residual_2d_exponents((s.b, s.A, s.e), l[0], l[1])]
+    return residual_3d(s, AnsatzSpec(kind), abg, l)
+
+
 def _gate_and_build(rule: Rule, s2, sx, p: Permutation, m: Match):
     deviation = m.deviation
     if m.ansatz is not None:
-        kind, abg, l = m.ansatz
-        if kind == "2d-separable":
-            comps = [residual_2d(s2, *abg)]
-        elif kind == "2d-exponents":
-            from .oracle import residual_2d_exponents
-
-            comps = [residual_2d_exponents((s2.b, s2.A, s2.e), l[0], l[1])]
-        else:
-            comps = residual_3d(s2, AnsatzSpec(kind), abg, l)
+        comps = ansatz_residual(s2, *m.ansatz)
         if not all(c.is_zero() for c in comps):
             return None, Candidate(
                 rule.id, p.sigma, m.params, "curl residual not identically zero"
@@ -261,17 +266,9 @@ def _canonical_monomial(H: GenPoly) -> GenPoly:
 
 def _dedup_key(rule: Rule, det: Detection, m: Match):
     if det.H_gen is not None:
-        H = det.H_gen
-        if len(H.terms) == 1:
-            (p, k), _ = next(iter(H.terms.items()))
-            if not any(k):
-                # x^p and x^(c p) are the same monomial integral; normalize
-                # the exponent direction.
-                lead = next((q for q in p if q != 0), None)
-                if lead is not None:
-                    p = tuple(q / lead for q in p)
-                return (rule.family, "mono", p)
-        return (rule.family, frozenset(H.normalized().terms.items()))
+        # H_gen is already canonical (_canonical_monomial), so powers of one
+        # monomial integral share this key.
+        return (rule.family, frozenset(det.H_gen.normalized().terms.items()))
     if m.dedup_key is not None:
         key = m.dedup_key
         if key and key[0] == "permvec":
@@ -297,19 +294,10 @@ def _dedup_key(rule: Rule, det: Detection, m: Match):
 
 def gradient_proportional(p: GenPoly, q: GenPoly) -> Optional[Fraction]:
     """Ratio c with grad p == c * grad q (ignores additive constants)."""
-    n = p.nvars
-    gp = {}
-    gq = {}
-    for i in range(n):
-        for key, c in p.diff(i).terms.items():
-            gp[(i, key)] = c
-        for key, c in q.diff(i).terms.items():
-            gq[(i, key)] = c
-    if set(gp) != set(gq) or not gp:
-        return None
-    k0 = next(iter(gp))
-    ratio = gp[k0] / gq[k0]
-    for k, c in gp.items():
-        if gq[k] * ratio != c:
-            return None
-    return ratio
+
+    def grad(h: GenPoly) -> dict:
+        return {
+            (i, key): c for i in range(h.nvars) for key, c in h.diff(i).terms.items()
+        }
+
+    return ratio(grad(p), grad(q))

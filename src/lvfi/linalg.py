@@ -61,12 +61,16 @@ def nullspace(m: Mat) -> list[Vec]:
     component is 1."""
     if not m:
         return []
-    ncols = len(m[0])
-    rows = [list(row) for row in m]
-    rows, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots = _rref([list(row) for row in m])
+    return _basis(rows, pivots, len(m[0]))
+
+
+def _basis(rows, pivots: list[int], ncols: int) -> list[Vec]:
+    """Right nullspace of the first ncols columns of a reduced matrix."""
     basis: list[Vec] = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -97,49 +101,29 @@ def solve_constrained(m: Mat, r) -> SolveOutcome:
 
     Consistent + full column rank -> unique solution; consistent but rank
     deficient -> particular solution plus nullspace basis; inconsistent ->
-    infeasible with a left-null certificate extracted from the row operations.
+    infeasible with a left-null certificate.  One reduction of [m | r]
+    decides all three: a pivot in the r column means inconsistency.
     """
     rvec = as_vector(r)
     nrows = len(m)
     if len(rvec) != nrows:
         raise ValueError(f"rhs length {len(rvec)} != rows {nrows}")
     ncols = len(m[0]) if nrows else 0
-    # Track row operations by augmenting with the identity: [m | r | I].
-    rows = [
-        list(m[i]) + [rvec[i]] + [Fraction(int(i == j)) for j in range(nrows)]
-        for i in range(nrows)
-    ]
-    work = [row[:] for row in rows]
-    # Eliminate on the first ncols columns only.
-    nall = ncols + 1 + nrows
-    pivots: list[int] = []
-    rr = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(rr, nrows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[rr], work[pivot_row] = work[pivot_row], work[rr]
-        pv = work[rr][c]
-        work[rr] = [x / pv for x in work[rr]]
-        for i in range(nrows):
-            if i != rr and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rr])]
-        pivots.append(c)
-        rr += 1
-        if rr == nrows:
-            break
-    # Inconsistency: a zero row of the matrix part with nonzero rhs.
-    for i in range(rr, nrows):
-        if work[i][ncols] != 0:
-            y = tuple(work[i][ncols + 1 : nall])
-            return SolveOutcome(status="infeasible", certificate=_normalize(y))
+    rows, pivots = _rref([list(m[i]) + [rvec[i]] for i in range(nrows)])
+    if pivots and pivots[-1] == ncols:
+        left_null = nullspace(tuple(zip(*m)) or ((Fraction(0),) * nrows,))
+        y = next(y for y in left_null if vec_dot(y, rvec) != 0)
+        return SolveOutcome(status="infeasible", certificate=y)
     sol = [Fraction(0)] * ncols
     for k, pc in enumerate(pivots):
-        sol[pc] = work[k][ncols]
-    basis = nullspace(m) if len(pivots) < ncols else []
-    status = "unique" if len(pivots) == ncols else "underdetermined"
-    return SolveOutcome(status=status, solution=tuple(sol), basis=basis)
+        sol[pc] = rows[k][ncols]
+    if len(pivots) == ncols:
+        return SolveOutcome(status="unique", solution=tuple(sol))
+    return SolveOutcome(
+        status="underdetermined",
+        solution=tuple(sol),
+        basis=_basis(rows, pivots, ncols),
+    )
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

@@ -86,9 +86,6 @@ class LVSystem:
             yield from row
         yield from self.e
 
-    def is_rational(self) -> bool:
-        return self.kind == RATIONAL
-
 
 @dataclass(frozen=True)
 class Permutation:

@@ -8,9 +8,9 @@ R = x1^(l1-1) x2^(l2-1) x3^(l3-1) with the skew matrices
 
 the condition curl(T f) = 0 divides through by R (logarithmic-derivative
 trick: only the exponents enter coefficients) and becomes a Laurent polynomial
-identity.  The zero polynomial is decided in exact rational arithmetic; with
-symbolic coefficients the same expansion yields the parameter condition
-systems from scratch.
+identity, held in poly.GenPoly with integer exponents.  The zero polynomial
+is decided in exact rational arithmetic; with symbolic coefficients the same
+expansion yields the parameter condition systems from scratch.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import LVSystem, lift_exact
-from .poly import Laurent, SymPoly
+from .poly import GenPoly, SymPoly
 
 
 class AnsatzError(ValueError):
@@ -37,28 +37,28 @@ class AnsatzSpec:
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
 
 
-SEP2D = AnsatzSpec("2d-separable")
 T1 = AnsatzSpec("3d-t1")
 T2 = AnsatzSpec("3d-t2")
 
 
-def _f_laurent(nvars, b, A, e, i) -> Laurent:
+def _f_laurent(nvars, b, A, e, i) -> GenPoly:
     """f_i = x_i(b_i + sum_j a_ij x_j) + e_i as a Laurent polynomial."""
+    zero = (0,) * nvars  # no log factors
     terms = {}
-    ei_ = tuple(int(k == i) for k in range(nvars))
+    ei_ = (tuple(int(k == i) for k in range(nvars)), zero)
     terms[ei_] = b[i]
     for j in range(nvars):
-        ej = tuple(int(k == i) + int(k == j) for k in range(nvars))
+        ej = (tuple(int(k == i) + int(k == j) for k in range(nvars)), zero)
         c = A[i][j]
         prev = terms.get(ej)
         terms[ej] = c if prev is None else prev + c
-    zero = tuple(0 for _ in range(nvars))
-    prev = terms.get(zero)
-    terms[zero] = e[i] if prev is None else prev + e[i]
-    return Laurent(nvars, terms)
+    const = (zero, zero)
+    prev = terms.get(const)
+    terms[const] = e[i] if prev is None else prev + e[i]
+    return GenPoly(nvars, terms)
 
 
-def _dtilde(g: Laurent, j: int, lj_minus_1, cj=None) -> Laurent:
+def _dtilde(g: GenPoly, j: int, lj_minus_1, cj=None) -> GenPoly:
     """D_j g = dg/dx_j + (l_j - 1) g / x_j (+ c_j g for exponential factors)."""
     out = g.diff(j) + g.shift(j, -1).scale(lj_minus_1)
     if cj is not None and cj:
@@ -66,7 +66,7 @@ def _dtilde(g: Laurent, j: int, lj_minus_1, cj=None) -> Laurent:
     return out
 
 
-def residual_2d_exponents(s_coeffs, l1, l2, c1=None, c2=None) -> Laurent:
+def residual_2d_exponents(s_coeffs, l1, l2, c1=None, c2=None) -> GenPoly:
     """div(R f)/R for R = exp(c1 x1 + c2 x2) x1^(l1-1) x2^(l2-1).
 
     s_coeffs is (b, A, e) with entries in a common coefficient ring; the
@@ -83,7 +83,7 @@ def _coeffs_of(s: LVSystem):
     return s.b, s.A, s.e
 
 
-def residual_2d(s: LVSystem, alpha, beta, gamma) -> Laurent:
+def residual_2d(s: LVSystem, alpha, beta, gamma) -> GenPoly:
     """2D residual in the separable-Ansatz chart A = exp(a x1/a12) x1^(b/a12),
     B = exp(-a x2/a21) x2^(g/a21); requires a12 != 0 and a21 != 0."""
     if s.dim != 2:
@@ -100,23 +100,17 @@ def residual_2d(s: LVSystem, alpha, beta, gamma) -> Laurent:
 
 def _t_components(nvars, b, A, e, kind: str, abg):
     """(T f) without the R factor, per Ansatz kind."""
-    al, be, ga = abg
     f = [_f_laurent(nvars, b, A, e, i) for i in range(nvars)]
-    if kind == "3d-t1":
-        w12 = Laurent.term(nvars, al, (0, 0, 0))
-        w13 = Laurent.term(nvars, be, (0, 0, 0))
-        w23 = Laurent.term(nvars, ga, (0, 0, 0))
-    else:
-        w12 = Laurent.term(nvars, al, (0, 0, 1))
-        w13 = Laurent.term(nvars, be, (0, 1, 0))
-        w23 = Laurent.term(nvars, ga, (1, 0, 0))
+    z = (0,) * nvars
+    weights = (z, z, z) if kind == "3d-t1" else ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    w12, w13, w23 = (GenPoly(nvars, {(p, z): c}) for p, c in zip(weights, abg))
     g1 = -(w12 * f[1]) - (w13 * f[2])
     g2 = (w12 * f[0]) - (w23 * f[2])
     g3 = (w13 * f[0]) + (w23 * f[1])
     return g1, g2, g3
 
 
-def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[Laurent]:
+def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[GenPoly]:
     """The three components of curl(T f)/R, exact Laurent polynomials."""
     if s.dim != 3:
         raise ValueError("residual_3d needs a 3D system")
@@ -128,7 +122,7 @@ def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[Laurent]:
     return residual_3d_generic((b, A, e), spec.kind, abg, l)
 
 
-def residual_3d_generic(s_coeffs, kind: str, abg, l) -> list[Laurent]:
+def residual_3d_generic(s_coeffs, kind: str, abg, l) -> list[GenPoly]:
     b, A, e = s_coeffs
     g1, g2, g3 = _t_components(3, b, A, e, kind, abg)
     lm1 = [li - 1 for li in l]
@@ -178,37 +172,25 @@ def derive_conditions(spec: AnsatzSpec) -> list[ConditionRow]:
         k2 = f2.scale(-(al * a12)) + f2.shift(1, -1).scale(ga * a12)
         divf = f1.diff(0) + f2.diff(1)
         res = k1 + k2 + divf.scale(a12 * a21)
-        return [ConditionRow(0, exps, c) for exps, c in res.items_sorted()]
+        return [ConditionRow(0, exps, c) for (exps, _), c in res.items_sorted()]
     b, A, e = _symbolic_system(3)
     abg = (S("al"), S("be"), S("ga"))
     l = (S("l1"), S("l2"), S("l3"))
     comps = residual_3d_generic((b, A, e), spec.kind, abg, l)
     rows: list[ConditionRow] = []
     for ci, comp in enumerate(comps):
-        for exps, c in comp.items_sorted():
+        for (exps, _), c in comp.items_sorted():
             rows.append(ConditionRow(ci, exps, c))
     return rows
 
 
-def unique_conditions(rows: list[ConditionRow]) -> list[SymPoly]:
-    """Deduplicate rows up to a rational scalar factor."""
-    out: list[SymPoly] = []
-    for row in rows:
-        if not row.poly:
-            continue
-        if any(row.poly.proportional(p) is not None for p in out):
-            continue
-        out.append(row.poly)
-    return out
-
-
 def residual_dump(components) -> list[dict]:
     """CLI-facing dump: residual(s) as exponent/coefficient records."""
-    if isinstance(components, Laurent):
+    if isinstance(components, GenPoly):
         components = [components]
     out = []
     for ci, comp in enumerate(components):
-        for exps, c in comp.items_sorted():
+        for (exps, _), c in comp.items_sorted():
             out.append(
                 {
                     "component": ci + 1,

@@ -1,16 +1,20 @@
-"""Laurent polynomials with exchangeable coefficient rings.
+"""Sparse polynomials with exchangeable coefficient rings.
 
-The curl residual of an integrating-factor Ansatz is a Laurent polynomial in
-the state variables.  For concrete systems its coefficients are Fractions; for
-condition derivation they are SymPoly values, polynomials in named parameter
-symbols (a11, b2, e3, al, l1, ...).  Laurent only needs +, *, unary -, and
-truthiness (zero test) from its coefficient ring, so both plug in unchanged.
+One algebra serves the whole exact core.  GenPoly holds sums of
+c * prod_i x_i^(p_i) * ln|x_i|^(k_i): the curl residual of an
+integrating-factor Ansatz is such a sum with integer p_i and no logs (a
+Laurent polynomial), and a reconstructed potential has rational p_i and may
+pick up log factors.  For concrete systems the coefficients are Fractions;
+for condition derivation they are SymPoly values, polynomials in named
+parameter symbols (a11, b2, e3, al, l1, ...).  GenPoly only needs +, *,
+unary - and truthiness (zero test) from its coefficient ring, so both plug
+in unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from operator import add
 
 Mono = tuple[tuple[str, int], ...]  # sorted ((symbol, power), ...)
 
@@ -79,26 +83,7 @@ class SymPoly:
 
     def proportional(self, other: "SymPoly"):
         """Return q with self == q * other (q a nonzero Fraction), else None."""
-        if not self.terms or not other.terms:
-            return None
-        if set(self.terms) != set(other.terms):
-            return None
-        m0 = next(iter(self.terms))
-        q = self.terms[m0] / other.terms[m0]
-        for m, c in self.terms.items():
-            if other.terms[m] * q != c:
-                return None
-        return q
-
-    def subs(self, values: dict[str, Fraction]):
-        """Substitute Fractions for every symbol; returns a Fraction."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for name, p in m:
-                v *= values[name] ** p
-            total += v
-        return total
+        return ratio(self.terms, other.terms)
 
     def subs_partial(self, values: dict[str, Fraction]) -> "SymPoly":
         """Substitute Fractions for a subset of symbols."""
@@ -145,37 +130,47 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
-Coeff = Union[Fraction, SymPoly]
+def ratio(a: dict, b: dict):
+    """q with a[k] == q * b[k] for every key, when the two sparse maps have
+    the same nonempty support; otherwise None."""
+    if not a or a.keys() != b.keys():
+        return None
+    k0 = next(iter(a))
+    q = a[k0] / b[k0]
+    return q if all(b[k] * q == c for k, c in a.items()) else None
 
 
-class Laurent:
-    """Laurent polynomial: map integer exponent multi-index -> coefficient."""
+Key = tuple[tuple, tuple[int, ...]]  # (powers p_i, log powers k_i)
+
+
+class GenPoly:
+    """Sparse map (powers, log powers) -> coefficient, zero terms dropped."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Coeff] | None = None):
+    def __init__(self, nvars: int, terms: dict[Key, object] | None = None):
         self.nvars = nvars
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @staticmethod
-    def zero(nvars: int) -> "Laurent":
-        return Laurent(nvars, {})
+    def zero(nvars: int) -> "GenPoly":
+        return GenPoly(nvars, {})
 
     @staticmethod
-    def term(nvars: int, coeff, exps: tuple[int, ...]) -> "Laurent":
-        return Laurent(nvars, {exps: coeff} if coeff else {})
-
-    @staticmethod
-    def var(nvars: int, i: int, one=Fraction(1)) -> "Laurent":
-        e = tuple(int(j == i) for j in range(nvars))
-        return Laurent(nvars, {e: one})
+    def term(nvars: int, coeff, powers, logs=None) -> "GenPoly":
+        """One exact rational term (Fraction coefficient and powers)."""
+        key = (
+            tuple(Fraction(p) for p in powers),
+            tuple(logs) if logs else (0,) * nvars,
+        )
+        return GenPoly(nvars, {key: Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Laurent)
+            isinstance(other, GenPoly)
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
@@ -183,75 +178,128 @@ class Laurent:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other: "Laurent") -> "Laurent":
+    def __add__(self, other: "GenPoly") -> "GenPoly":
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Laurent(self.nvars, out)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            out[k] = c if s is None else s + c
+        return GenPoly(self.nvars, out)
 
-    def __neg__(self) -> "Laurent":
-        return Laurent(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __neg__(self) -> "GenPoly":
+        return GenPoly(self.nvars, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Laurent") -> "Laurent":
+    def __sub__(self, other: "GenPoly") -> "GenPoly":
         return self + (-other)
 
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+    def __mul__(self, other: "GenPoly") -> "GenPoly":
+        out: dict[Key, object] = {}
+        for (p1, k1), c1 in self.terms.items():
+            for (p2, k2), c2 in other.terms.items():
+                key = (tuple(map(add, p1, p2)), tuple(map(add, k1, k2)))
                 c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return Laurent(self.nvars, out)
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+        return GenPoly(self.nvars, out)
 
-    def scale(self, c) -> "Laurent":
+    def scale(self, c) -> "GenPoly":
         if not c:
-            return Laurent.zero(self.nvars)
-        return Laurent(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return GenPoly.zero(self.nvars)
+        return GenPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
 
-    def diff(self, i: int) -> "Laurent":
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
+    def diff(self, i: int) -> "GenPoly":
+        out: dict[Key, object] = {}
+
+        def acc(key: Key, c):
+            if c:
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+
+        for (p, k), c in self.terms.items():
+            if p[i] == 0 and k[i] == 0:
                 continue
-            e2 = tuple(p - int(j == i) for j, p in enumerate(e))
-            v = c * e[i]
-            s = out.get(e2)
-            out[e2] = v if s is None else s + v
-        return Laurent(self.nvars, out)
+            np = tuple(q - int(j == i) for j, q in enumerate(p))
+            if p[i] != 0:
+                acc((np, k), c * p[i])
+            if k[i] > 0:
+                nk = tuple(q - int(j == i) for j, q in enumerate(k))
+                acc((np, nk), c * k[i])
+        return GenPoly(self.nvars, out)
 
-    def shift(self, i: int, k: int) -> "Laurent":
+    def shift(self, i: int, k: int) -> "GenPoly":
         """Multiply by x_i^k."""
-        return Laurent(
+        return GenPoly(
             self.nvars,
             {
-                tuple(p + k * int(j == i) for j, p in enumerate(e)): c
-                for e, c in self.terms.items()
+                (tuple(q + k * int(j == i) for j, q in enumerate(p)), lg): c
+                for (p, lg), c in self.terms.items()
             },
         )
 
-    def coeff(self, exps: tuple[int, ...]):
-        return self.terms.get(exps)
+    def integrate(self, i: int) -> "GenPoly":
+        """Exact antiderivative in x_i (constant of integration zero)."""
+        out = GenPoly.zero(self.nvars)
+        for (p, k), c in self.terms.items():
+            out = out + _integrate_term(self.nvars, p, k, c, i)
+        return out
+
+    def depends_on(self, i: int) -> bool:
+        return any(p[i] != 0 or k[i] != 0 for p, k in self.terms)
+
+    def coeff(self, powers, logs=None):
+        key = (tuple(powers), tuple(logs) if logs else (0,) * self.nvars)
+        return self.terms.get(key)
+
+    def drop_constant(self) -> "GenPoly":
+        zero = (0,) * self.nvars
+        out = dict(self.terms)
+        out.pop((zero, zero), None)
+        return GenPoly(self.nvars, out)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
+
+    def normalized(self) -> "GenPoly":
+        """Canonical scaling: divide by the leading coefficient so the first
+        term in canonical order has coefficient 1."""
+        items = self.items_sorted()
+        if not items:
+            return self
+        lead = items[0][1]
+        return GenPoly(self.nvars, {k: c / lead for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.items_sorted():
-            mono = "*".join(
-                f"x{i+1}^{p}" if p != 1 else f"x{i+1}"
-                for i, p in enumerate(e)
-                if p != 0
-            )
+        for (p, k), c in self.items_sorted():
+            facs = []
+            for i, q in enumerate(p):
+                if q != 0:
+                    facs.append(f"x{i+1}^{q}" if q != 1 else f"x{i+1}")
+            for i, q in enumerate(k):
+                if q:
+                    facs.append(f"ln|x{i+1}|" + (f"^{q}" if q > 1 else ""))
+            mono = "*".join(facs)
             cs = str(c)
-            if "+" in cs or ("-" in cs[1:] if cs else False):
+            if "+" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _integrate_term(nvars, p, k, c, i) -> GenPoly:
+    """integral of c * x^p * ln^k dx_i, by the standard reduction."""
+    np = tuple(q + int(j == i) for j, q in enumerate(p))  # p_i + 1
+    if p[i] == -1:
+        # x^-1 * ln^k -> ln^(k+1)/(k+1)
+        nk = tuple(q + int(j == i) for j, q in enumerate(k))
+        return GenPoly(nvars, {(np, nk): c / (k[i] + 1)})
+    denom = p[i] + 1
+    head = GenPoly(nvars, {(np, k): c / denom})
+    if k[i] == 0:
+        return head
+    # by parts: subtract (k_i/denom) * integral x^p ln^(k-1)
+    nk = tuple(q - int(j == i) for j, q in enumerate(k))
+    return head + _integrate_term(nvars, p, nk, -c * k[i] / denom, i)

@@ -3,9 +3,9 @@
 The gradient targets T f are sums of generalized monomials
 c * prod_i x_i^(p_i) with rational p_i.  Antiderivatives can pick up ln|x_i|
 factors (when an exponent passes through -1), so the working algebra is
-
-    GenPoly: sum of  c * prod_i x_i^(p_i) * ln|x_i|^(k_i),
-             c rational, p_i rational, k_i small non-negative integers.
+poly.GenPoly, sums of c * prod_i x_i^(p_i) * ln|x_i|^(k_i) -- the same
+algebra in which the oracle expands the curl residual, so the targets are
+built on the oracle's field polynomials without conversion.
 
 Differentiation, integration in one variable, multiplication and the zero test
 are all exact here, which gives two strong guarantees used by the catalog:
@@ -19,178 +19,11 @@ from fractions import Fraction
 
 from .expr import Add, Const, Expr, LnAbs, Mul, Pow, Var
 from .model import LVSystem, lift_exact
-from .poly import Laurent
-
-Key = tuple[tuple[Fraction, ...], tuple[int, ...]]  # (powers, log powers)
+from .poly import GenPoly
 
 
 class ConstructionError(RuntimeError):
     """Potential reconstruction failed; the field was not curl-free."""
-
-
-class GenPoly:
-    """Generalized polynomial: {(powers, logpowers): Fraction coefficient}."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict[Key, Fraction] | None = None):
-        self.nvars = nvars
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def zero(nvars: int) -> "GenPoly":
-        return GenPoly(nvars, {})
-
-    @staticmethod
-    def term(nvars: int, coeff, powers, logs=None) -> "GenPoly":
-        key = (
-            tuple(Fraction(p) for p in powers),
-            tuple(logs) if logs else tuple(0 for _ in range(nvars)),
-        )
-        c = Fraction(coeff)
-        return GenPoly(nvars, {key: c} if c else {})
-
-    @staticmethod
-    def from_laurent(p: Laurent) -> "GenPoly":
-        return GenPoly(
-            p.nvars,
-            {
-                (tuple(Fraction(x) for x in e), tuple(0 for _ in range(p.nvars))): c
-                for e, c in p.terms.items()
-            },
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GenPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "GenPoly") -> "GenPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return GenPoly(self.nvars, out)
-
-    def __neg__(self) -> "GenPoly":
-        return GenPoly(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "GenPoly") -> "GenPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "GenPoly") -> "GenPoly":
-        out: dict[Key, Fraction] = {}
-        for (p1, k1), c1 in self.terms.items():
-            for (p2, k2), c2 in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(p1, p2)),
-                    tuple(a + b for a, b in zip(k1, k2)),
-                )
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return GenPoly(self.nvars, out)
-
-    def scale(self, c) -> "GenPoly":
-        c = Fraction(c)
-        if c == 0:
-            return GenPoly.zero(self.nvars)
-        return GenPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
-
-    def diff(self, i: int) -> "GenPoly":
-        out: dict[Key, Fraction] = {}
-
-        def acc(key: Key, c: Fraction):
-            if c:
-                out[key] = out.get(key, Fraction(0)) + c
-
-        for (p, k), c in self.terms.items():
-            if p[i] != 0:
-                np = tuple(q - int(j == i) for j, q in enumerate(p))
-                acc((np, k), c * p[i])
-            if k[i] > 0:
-                np = tuple(q - int(j == i) for j, q in enumerate(p))
-                nk = tuple(q - int(j == i) for j, q in enumerate(k))
-                acc((np, nk), c * k[i])
-        return GenPoly(self.nvars, out)
-
-    def integrate(self, i: int) -> "GenPoly":
-        """Exact antiderivative in x_i (constant of integration zero)."""
-        out = GenPoly.zero(self.nvars)
-        for (p, k), c in self.terms.items():
-            out = out + _integrate_term(self.nvars, p, k, c, i)
-        return out
-
-    def depends_on(self, i: int) -> bool:
-        return any(p[i] != 0 or k[i] != 0 for p, k in self.terms)
-
-    def constant_part(self) -> Fraction:
-        zero = (
-            tuple(Fraction(0) for _ in range(self.nvars)),
-            tuple(0 for _ in range(self.nvars)),
-        )
-        return self.terms.get(zero, Fraction(0))
-
-    def drop_constant(self) -> "GenPoly":
-        zero = (
-            tuple(Fraction(0) for _ in range(self.nvars)),
-            tuple(0 for _ in range(self.nvars)),
-        )
-        out = dict(self.terms)
-        out.pop(zero, None)
-        return GenPoly(self.nvars, out)
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def normalized(self) -> "GenPoly":
-        """Canonical scaling: divide by the leading coefficient so the first
-        term in canonical order has coefficient 1."""
-        items = self.items_sorted()
-        if not items:
-            return self
-        lead = items[0][1]
-        return GenPoly(self.nvars, {k: c / lead for k, c in self.terms.items()})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (p, k), c in self.items_sorted():
-            facs = []
-            for i, q in enumerate(p):
-                if q != 0:
-                    facs.append(f"x{i+1}^{q}" if q != 1 else f"x{i+1}")
-            for i, q in enumerate(k):
-                if q:
-                    facs.append(f"ln|x{i+1}|" + (f"^{q}" if q > 1 else ""))
-            mono = "*".join(facs)
-            parts.append(f"{c}*{mono}" if mono else str(c))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def _integrate_term(nvars, p, k, c, i) -> GenPoly:
-    """integral of c * x^p * ln^k dx_i, by the standard reduction."""
-    if p[i] == -1:
-        # x^-1 * ln^k -> ln^(k+1)/(k+1)
-        np = tuple(q + int(j == i) for j, q in enumerate(p))  # p_i becomes 0
-        nk = tuple(q + int(j == i) for j, q in enumerate(k))
-        return GenPoly(nvars, {(np, nk): c / (k[i] + 1)})
-    np = tuple(q + int(j == i) for j, q in enumerate(p))
-    denom = p[i] + 1
-    head = GenPoly(nvars, {(np, k): c / denom})
-    if k[i] == 0:
-        return head
-    # by parts: subtract (k_i/denom) * integral x^p ln^(k-1)
-    nk = tuple(q - int(j == i) for j, q in enumerate(k))
-    return head + _integrate_term(nvars, p, nk, -c * k[i] / denom, i)
 
 
 def potential(components: list[GenPoly]) -> GenPoly:
@@ -221,9 +54,9 @@ def gradient_targets_3d(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
     from .oracle import _t_components  # internal reuse
 
     sx = lift_exact(s)
-    g1, g2, g3 = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(Fraction(v) for v in abg))
+    g = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(Fraction(v) for v in abg))
     R = GenPoly.term(3, 1, tuple(Fraction(v) - 1 for v in l))
-    return [R * GenPoly.from_laurent(g) for g in (g1, g2, g3)]
+    return [R * gi for gi in g]
 
 
 def gradient_targets_2d(s: LVSystem, l) -> list[GenPoly]:
@@ -231,8 +64,8 @@ def gradient_targets_2d(s: LVSystem, l) -> list[GenPoly]:
     from .oracle import _f_laurent
 
     sx = lift_exact(s)
-    f1 = GenPoly.from_laurent(_f_laurent(2, sx.b, sx.A, sx.e, 0))
-    f2 = GenPoly.from_laurent(_f_laurent(2, sx.b, sx.A, sx.e, 1))
+    f1 = _f_laurent(2, sx.b, sx.A, sx.e, 0)
+    f2 = _f_laurent(2, sx.b, sx.A, sx.e, 1)
     R = GenPoly.term(2, 1, tuple(Fraction(v) - 1 for v in l))
     return [-(R * f2), R * f1]
 
@@ -241,10 +74,7 @@ def field_genpoly(s: LVSystem) -> list[GenPoly]:
     from .oracle import _f_laurent
 
     sx = lift_exact(s)
-    return [
-        GenPoly.from_laurent(_f_laurent(sx.dim, sx.b, sx.A, sx.e, i))
-        for i in range(sx.dim)
-    ]
+    return [_f_laurent(sx.dim, sx.b, sx.A, sx.e, i) for i in range(sx.dim)]
 
 
 def lie_genpoly(H: GenPoly, s: LVSystem) -> GenPoly:

@@ -14,15 +14,9 @@ from fractions import Fraction
 from lvfi import expr as ex
 from lvfi.catalog2d import SAMPLERS_2D, detect2d
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, detect3d
-from lvfi.detection import _canonical_monomial, _permute_genpoly
+from lvfi.detection import _canonical_monomial, _permute_genpoly, ansatz_residual
 from lvfi.model import Permutation, make_system, permute_system
-from lvfi.oracle import (
-    AnsatzSpec,
-    derive_conditions,
-    residual_2d,
-    residual_2d_exponents,
-    residual_3d,
-)
+from lvfi.oracle import AnsatzSpec, derive_conditions
 from lvfi.poly import SymPoly
 from lvfi.potential import lie_genpoly
 from lvfi.verify import conservation_report, integrate, lie_check
@@ -46,14 +40,7 @@ def _exact_zero_certificate(det, s) -> bool:
         return False
     if det.ansatz is not None:
         s2 = permute_system(s, Permutation(det.sigma))
-        kind, abg, l = det.ansatz
-        if kind == "2d-separable":
-            comps = [residual_2d(s2, *abg)]
-        elif kind == "2d-exponents":
-            comps = [residual_2d_exponents((s2.b, s2.A, s2.e), l[0], l[1])]
-        else:
-            comps = residual_3d(s2, AnsatzSpec(kind), abg, l)
-        return all(c.is_zero() for c in comps)
+        return all(c.is_zero() for c in ansatz_residual(s2, *det.ansatz))
     return det.H_gen is not None  # direct rules must carry the exact form
 
 

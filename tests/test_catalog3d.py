@@ -10,6 +10,7 @@ from lvfi.catalog3d import (
     solve_abg,
     term_table,
 )
+from lvfi import detection
 from lvfi.detection import _canonical_monomial, _permute_genpoly, gradient_proportional
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.potential import GenPoly
@@ -210,3 +211,16 @@ def test_printed_formula_comparison_outcomes():
     s = SAMPLERS_3D["L5-7d"](rng)
     d = [x for x in detect3d(s) if x.rule_id == "L5-7d"][0]
     assert d.paper_formula_deviation is not None
+
+
+def test_run_rules_permutes_once_per_relabeling(monkeypatch):
+    calls = []
+
+    def counting(s, p):
+        calls.append(p.sigma)
+        return permute_system(s, p)
+
+    monkeypatch.setattr(detection, "permute_system", counting)
+    s = SAMPLERS_3D["L2-iii"](random.Random(5))
+    assert detect3d(s)
+    assert sorted(calls) == sorted(p.sigma for p in Permutation.all(3))

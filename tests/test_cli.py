@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from lvfi import cli
 from lvfi import expr as ex
 from lvfi.cli import main
+from lvfi.oracle import AnsatzError
+from lvfi.verify import DomainViolation
 
 VOLTERRA = '{"dim":2,"b":[1,-1],"A":[[0,-1],[1,0]],"e":[0,0]}'
 GENERIC = '{"dim":2,"b":[1,2],"A":[[3,1],[4,5]],"e":[1,3]}'
@@ -116,6 +119,31 @@ def test_sweep_pass_and_unknown_rule(capsys):
     out = capsys.readouterr().out
     assert "5/5 pass" in out
     assert main(["sweep", "--rule", "NOPE", "--count", "2"]) == 1
+
+
+def test_sweep_domain_error_exit_2(capsys):
+    # R2D-D integrals carry rational powers, undefined on a negative region
+    rc = main(["sweep", "--rule", "R2D-D", "--count", "3", "--region=-2,-1"])
+    assert rc == 2
+    assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DomainViolation("outside the domain"),
+        lambda: ex.EvalDomainError("outside the domain", ex.Var(0), (-1.0,)),
+        lambda: AnsatzError("outside the domain"),
+    ],
+    ids=["DomainViolation", "EvalDomainError", "AnsatzError"],
+)
+def test_domain_errors_escaping_a_command_exit_2(make, monkeypatch, capsys):
+    def handler(args):
+        raise make()
+
+    monkeypatch.setattr(cli, "cmd_catalog", handler)
+    assert main(["catalog"]) == 2
+    assert "domain error: outside the domain" in capsys.readouterr().err
 
 
 def test_sweep_l5_7d_reports_printed_formula(capsys):

@@ -106,3 +106,26 @@ def test_rank_nullity_and_solution_exactness(seed):
         for j in range(cols):
             assert sum(y[i] * m[i][j] for i in range(rows)) == 0
         assert vec_dot(y, rhs) != 0
+
+
+def test_solve_all_zero_matrix_nonzero_rhs_is_infeasible():
+    m = as_matrix([[0, 0], [0, 0], [0, 0]])
+    r = as_vector([0, 3, -1])
+    out = solve_constrained(m, r)
+    assert out.status == "infeasible"
+    y = out.certificate
+    assert all(sum(y[i] * m[i][j] for i in range(3)) == 0 for j in range(2))
+    assert vec_dot(y, r) != 0
+
+
+def test_solve_consistent_rank_deficient_returns_nullspace_basis():
+    # rank 1: every row is a multiple of (1, 2, -1); r lies in the column space
+    m = as_matrix([[1, 2, -1], [2, 4, -2], [-3, -6, 3]])
+    r = as_vector([2, 4, -6])
+    out = solve_constrained(m, r)
+    assert out.status == "underdetermined"
+    assert mat_vec(m, out.solution) == tuple(r)
+    assert out.basis == nullspace(m)
+    assert len(out.basis) == 2
+    for v in out.basis:
+        assert all(x == 0 for x in mat_vec(m, v))

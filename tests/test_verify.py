@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lvfi
 from lvfi import expr as ex
 from lvfi.catalog2d import detect2d
 from lvfi.model import make_system, parse_system
@@ -96,3 +100,20 @@ def test_conservation_domain_error_names_subexpression():
     with pytest.raises(ex.EvalDomainError) as err:
         conservation_report(h, tr)
     assert "x1^(1/2)" in str(err.value)
+
+
+def test_detection_and_lie_check_do_not_load_numpy():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import lvfi, lvfi.cli\n"
+        "s = lvfi.parse_system(sys.argv[2])\n"
+        "h = lvfi.detect2d(s)[0].integral\n"
+        "assert lvfi.lie_check(h, s) < 1e-10\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(lvfi.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, src, VOLTERRA],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
