@@ -117,6 +117,7 @@ def _detections_payload(s, dets, cands, args, do_verify: bool, x0=None):
     out = []
     worst = {"lie_max": 0.0, "max_rel_drift": 0.0}
     all_ok = True
+    trajectories: dict = {}
     for d in dets:
         rec = d.to_json_obj()
         if do_verify:
@@ -128,7 +129,7 @@ def _detections_payload(s, dets, cands, args, do_verify: bool, x0=None):
             except DomainViolation as exc:
                 ver["lie_max"] = None
                 ver["lie_error"] = str(exc)
-            drift = _drift_from_point(d.integral, s, args, x0)
+            drift = _drift_from_point(d.integral, s, args, x0, trajectories)
             ver.update(drift)
             rec["verification"] = ver
             d.verification = ver
@@ -147,9 +148,14 @@ def _detections_payload(s, dets, cands, args, do_verify: bool, x0=None):
 _X0_CANDIDATES = ((1.0,), (0.9, 1.1), (1.3, 0.7, 1.1), (0.5, 1.5, 0.8))
 
 
-def _drift_from_point(h, s, args, x0=None):
+def _drift_from_point(h, s, args, x0, trajectories):
     """Conservation drift from x0 (default all-ones, falling back to nearby
-    in-domain points when logs or blow-up demand it)."""
+    in-domain points when logs or blow-up demand it).
+
+    Every detection of one system integrates the same field, so trajectories
+    are shared within one call: ``trajectories`` maps each start point already
+    tried to its Trajectory, or to the error integrate raised from it.
+    """
     candidates = []
     if x0 is not None:
         candidates.append(tuple(x0))
@@ -161,18 +167,27 @@ def _drift_from_point(h, s, args, x0=None):
         candidates.append(tuple(0.9 + 0.05 * i for i in range(s.dim)))
     last_err = None
     for cand in candidates:
+        if cand not in trajectories:
+            try:
+                trajectories[cand] = integrate(s, cand, args.t_end, args.step, args.method)
+            except (DomainViolation, OverflowError) as exc:
+                trajectories[cand] = exc
+        tr = trajectories[cand]
+        if isinstance(tr, Exception):
+            last_err = str(tr)
+            continue
         try:
-            tr = integrate(s, cand, args.t_end, args.step, args.method)
             rep = conservation_report(h, tr)
-            return {
-                "x0": list(cand),
-                "max_rel_drift": rep.max_rel_drift,
-                "max_abs_drift": rep.max_abs_drift,
-                "H0": rep.H0,
-                "blew_up": rep.blew_up,
-            }
         except (DomainViolation, ex.EvalDomainError, OverflowError) as exc:
             last_err = str(exc)
+            continue
+        return {
+            "x0": list(cand),
+            "max_rel_drift": rep.max_rel_drift,
+            "max_abs_drift": rep.max_abs_drift,
+            "H0": rep.H0,
+            "blew_up": rep.blew_up,
+        }
     return {"x0": None, "max_rel_drift": None, "drift_error": last_err}
 
 

@@ -2,8 +2,9 @@
 
 Everything here is an equality decision, never a tolerance: rank, right
 nullspace, and constrained solves of the overdetermined exponent systems the
-rule catalog produces.  Infeasible systems come with a certificate, a left
-null vector y of the matrix with y . r != 0.
+rule catalog produces.  An infeasible system has a certificate, a left
+null vector y of the matrix with y . r != 0, computed on demand by
+``infeasibility_certificate``.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class SolveOutcome:
     status: str  # "unique" | "underdetermined" | "infeasible"
     solution: Optional[Vec] = None
     basis: list[Vec] = field(default_factory=list)
-    certificate: Optional[Vec] = None  # y with y@m = 0 and y.r != 0
 
 
 def solve_constrained(m: Mat, r) -> SolveOutcome:
@@ -101,8 +101,8 @@ def solve_constrained(m: Mat, r) -> SolveOutcome:
 
     Consistent + full column rank -> unique solution; consistent but rank
     deficient -> particular solution plus nullspace basis; inconsistent ->
-    infeasible with a left-null certificate.  One reduction of [m | r]
-    decides all three: a pivot in the r column means inconsistency.
+    infeasible.  One reduction of [m | r] decides all three: a pivot in the
+    r column means inconsistency.
     """
     rvec = as_vector(r)
     nrows = len(m)
@@ -111,9 +111,7 @@ def solve_constrained(m: Mat, r) -> SolveOutcome:
     ncols = len(m[0]) if nrows else 0
     rows, pivots = _rref([list(m[i]) + [rvec[i]] for i in range(nrows)])
     if pivots and pivots[-1] == ncols:
-        left_null = nullspace(tuple(zip(*m)) or ((Fraction(0),) * nrows,))
-        y = next(y for y in left_null if vec_dot(y, rvec) != 0)
-        return SolveOutcome(status="infeasible", certificate=y)
+        return SolveOutcome(status="infeasible")
     sol = [Fraction(0)] * ncols
     for k, pc in enumerate(pivots):
         sol[pc] = rows[k][ncols]
@@ -124,6 +122,18 @@ def solve_constrained(m: Mat, r) -> SolveOutcome:
         solution=tuple(sol),
         basis=_basis(rows, pivots, ncols),
     )
+
+
+def infeasibility_certificate(m: Mat, r) -> Vec:
+    """A left-null vector y of m (y @ m = 0) with y . r != 0, which proves
+    m @ l = r has no solution.  Raises ValueError when the system is
+    consistent, since then no such y exists."""
+    rvec = as_vector(r)
+    left_null = nullspace(tuple(zip(*m)) or ((Fraction(0),) * len(m),))
+    y = next((y for y in left_null if vec_dot(y, rvec) != 0), None)
+    if y is None:
+        raise ValueError("m @ l = r is consistent: no infeasibility certificate")
+    return y
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

@@ -266,16 +266,27 @@ def to_float(s: LVSystem) -> tuple[LVSystem, bool]:
 
 
 def rhs_floats(s: LVSystem):
-    """Vector field as a fast float callable f(x) -> list[float]."""
-    b = [float(v) for v in s.b]
-    A = [[float(v) for v in row] for row in s.A]
-    e = [float(v) for v in s.e]
-    n = s.dim
+    """Vector field as a fast float callable f(x0, x1, x2=0.0) -> (f0, f1, f2).
 
-    def f(x):
-        return [
-            x[i] * (b[i] + sum(A[i][j] * x[j] for j in range(n))) + e[i]
-            for i in range(n)
-        ]
+    The three components are unrolled over coefficients held in locals, and
+    each keeps the association x_i*(b_i + (0.0 + a_i0*x0 + a_i1*x1 + a_i2*x2))
+    + e_i.  A 2D system is padded with a zero third row and column, so from
+    x2 = 0.0 its third component is 0.0 and the padded terms add exact zeros
+    (the partial sum starts at +0.0 and so is never -0.0): the first two
+    components are bit-identical to the unpadded 2D field.
+    """
+    pad = [0.0] * (3 - s.dim)
+    b0, b1, b2 = [float(v) for v in s.b] + pad
+    e0, e1, e2 = [float(v) for v in s.e] + pad
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = [
+        [float(v) for v in row] + pad for row in s.A
+    ] + [[0.0] * 3] * len(pad)
+
+    def f(x0, x1, x2=0.0):
+        return (
+            x0 * (b0 + (0.0 + a00 * x0 + a01 * x1 + a02 * x2)) + e0,
+            x1 * (b1 + (0.0 + a10 * x0 + a11 * x1 + a12 * x2)) + e1,
+            x2 * (b2 + (0.0 + a20 * x0 + a21 * x1 + a22 * x2)) + e2,
+        )
 
     return f

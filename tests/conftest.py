@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
+from lvfi.model import make_system
 
 
 def rand_fraction(rng, nonzero=False, num=6, den=3):
@@ -11,6 +12,17 @@ def rand_fraction(rng, nonzero=False, num=6, den=3):
         v = Fraction(rng.randint(-num, num), rng.randint(1, den))
         if not nonzero or v != 0:
             return v
+
+
+def slowed(s, mu=Fraction(1, 8)):
+    """Scale (b, A, e) jointly by mu: a time reparameterization that leaves
+    every rule's condition manifold invariant but keeps the flow from running
+    off within t <= 10 (instances stay on-manifold, exactly)."""
+    return make_system(
+        b=tuple(mu * v for v in s.b),
+        A=tuple(tuple(mu * v for v in row) for row in s.A),
+        e=tuple(mu * v for v in s.e),
+    )
 
 
 def random_expr(rng: random.Random, dim: int, depth: int = 3) -> ex.Expr:

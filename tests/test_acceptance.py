@@ -21,7 +21,7 @@ from lvfi.poly import SymPoly
 from lvfi.potential import lie_genpoly
 from lvfi.verify import conservation_report, integrate, lie_check
 
-from conftest import rand_fraction, random_expr
+from conftest import rand_fraction, random_expr, slowed
 
 F = Fraction
 LIE_TOL = 1e-10
@@ -172,17 +172,6 @@ def _conserved_drift(d, s, step=1e-3):
     return None
 
 
-def _slowed(s, mu=F(1, 8)):
-    """Scale (b, A, e) jointly by mu: a time reparameterization that leaves
-    every rule's condition manifold invariant but keeps the flow from running
-    off within t <= 10 (instances stay on-manifold, exactly)."""
-    return make_system(
-        b=tuple(mu * v for v in s.b),
-        A=tuple(tuple(mu * v for v in row) for row in s.A),
-        e=tuple(mu * v for v in s.e),
-    )
-
-
 def test_criterion_3_conservation_and_rk4_order():
     rng = random.Random(303)
     keys_2d = ["R2D-A", "R2D-B", "R2D-B/l2=0", "R2D-C/main", "R2D-C/l1=l2=0", "R2D-D", "R2D-E"]
@@ -194,7 +183,7 @@ def test_criterion_3_conservation_and_rk4_order():
         while done < 10:
             attempts += 1
             assert attempts < 500, f"{key}: no tame trajectories found"
-            s = _slowed(SAMPLERS_2D[key](rng))
+            s = slowed(SAMPLERS_2D[key](rng))
             dets = [d for d in detect2d(s) if _family(d) == family]
             assert dets
             drift = _conserved_drift(dets[0], s)
@@ -209,7 +198,7 @@ def test_criterion_3_conservation_and_rk4_order():
         while done < 5:
             attempts += 1
             assert attempts < 500, f"{rule.id}: no tame trajectories found"
-            s = _slowed(rule.sample(rng))
+            s = slowed(rule.sample(rng))
             dets = [d for d in detect3d(s) if _family(d) == rule.id]
             assert dets
             drift = _conserved_drift(dets[0], s)

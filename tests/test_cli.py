@@ -170,3 +170,48 @@ def test_seed_env_var(volterra_path, capsys, monkeypatch):
     doc2 = json.loads(capsys.readouterr().out)
     b = doc2["detections"][0]["verification"]["lie_max"]
     assert a != b  # seed actually drives the sampling
+
+
+# Sampler draws with several detections: every detection of L5-7d's reaches
+# its drift from the third start point, L5-6's last detection falls back to
+# the second, and no start point suits either of L4-6's detections.
+MULTI_DETECTION = [
+    '{"dim":3,"b":["-1/3","1/3","-1/3"],'
+    '"A":[["-4","3/2","-4/3"],["4","-3/2","0"],["2","3/2","1"]],"e":[0,0,0]}',
+    '{"dim":3,"b":["-15/2","15/4","-5/2"],'
+    '"A":[["-15/2","-5","3"],["15/4","5/2","-3/2"],["-5/2","-5/3","1"]],"e":[0,0,0]}',
+    '{"dim":3,"b":["3/2",0,"-3/2"],'
+    '"A":[["-2","-4","-1/3"],[0,0,"-1/2"],["2","4","6"]],"e":["-3/2",0,0]}',
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("system", MULTI_DETECTION, ids=["L5-7d", "L5-6", "L4-6"])
+def test_detect_integrates_each_start_point_once(system, tmp_path, monkeypatch, capsys):
+    from lvfi.model import parse_system
+
+    starts = []
+    integrate = cli.integrate
+
+    def counting(s, x0, *args):
+        starts.append(tuple(x0))
+        return integrate(s, x0, *args)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    p = tmp_path / "system.json"
+    p.write_text(system)
+    assert main(["detect", "--input", str(p), "--format", "json"]) == 0
+    dets = json.loads(capsys.readouterr().out)["detections"]
+    assert len(dets) >= 2
+    assert len(starts) == len(set(starts))
+    s = parse_system(system)
+    for rec in dets:
+        ver = rec["verification"]
+        if ver["x0"] is None:
+            assert ver["drift_error"]
+            continue
+        h = ex.from_json_obj(rec["integral_ast"])
+        rep = cli.conservation_report(h, integrate(s, ver["x0"], 10.0, 1e-3, "rk4"))
+        assert (ver["max_rel_drift"], ver["max_abs_drift"], ver["H0"], ver["blew_up"]) == (
+            rep.max_rel_drift, rep.max_abs_drift, rep.H0, rep.blew_up
+        )

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvfi.linalg import (
     as_matrix,
     as_vector,
+    infeasibility_certificate,
     mat_vec,
     nullspace,
     rank,
@@ -26,13 +28,15 @@ def test_solve_consistent_overdetermined():
     out = solve_constrained(m, [1, 2, 3])
     assert out.status == "unique"
     assert out.solution == (1, 2)
+    with pytest.raises(ValueError):
+        infeasibility_certificate(m, [1, 2, 3])
 
 
 def test_solve_infeasible_with_certificate():
     m = as_matrix([[1, 0], [0, 1], [1, 1]])
     out = solve_constrained(m, [1, 2, 4])
     assert out.status == "infeasible"
-    y = out.certificate
+    y = infeasibility_certificate(m, [1, 2, 4])
     # certificate: y m = 0 and y . r != 0
     for j in range(2):
         assert sum(y[i] * m[i][j] for i in range(3)) == 0
@@ -102,7 +106,8 @@ def test_rank_nullity_and_solution_exactness(seed):
     if out.status in ("unique", "underdetermined"):
         assert mat_vec(m, out.solution) == tuple(rhs)
     else:
-        y = out.certificate
+        assert out.status == "infeasible"
+        y = infeasibility_certificate(m, rhs)
         for j in range(cols):
             assert sum(y[i] * m[i][j] for i in range(rows)) == 0
         assert vec_dot(y, rhs) != 0
@@ -113,7 +118,7 @@ def test_solve_all_zero_matrix_nonzero_rhs_is_infeasible():
     r = as_vector([0, 3, -1])
     out = solve_constrained(m, r)
     assert out.status == "infeasible"
-    y = out.certificate
+    y = infeasibility_certificate(m, r)
     assert all(sum(y[i] * m[i][j] for i in range(3)) == 0 for j in range(2))
     assert vec_dot(y, r) != 0
 
