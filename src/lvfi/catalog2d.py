@@ -376,17 +376,3 @@ def detect2d_full(s: LVSystem) -> tuple[list[Detection], list[Candidate]]:
     if s.dim != 2:
         raise ValueError("detect2d needs a 2D system")
     return run_rules(s, RULES_2D)
-
-
-def rule_conditions(rule_id: str) -> dict:
-    """Structured condition report for one rule id."""
-    for r in RULES_2D:
-        if r.id == rule_id:
-            return {
-                "id": r.id,
-                "citation": r.citation,
-                "residuals": list(r.residuals),
-                "guards": list(r.guards),
-                "notes": list(r.notes),
-            }
-    raise KeyError(f"unknown 2D rule id {rule_id!r}")

@@ -4,7 +4,10 @@ The constant matrix family (T1) forces unit exponents and its conditions do
 not involve the constant terms at all, so those three rules apply to every
 constant-term pattern.  The coordinate-weighted family (T2) splits by the zero
 pattern of e; each rule records the applicability residuals, the parameter or
-exponent solve, and guards, exactly as the case analysis dictates.
+exponent solve, and guards, exactly as the case analysis dictates.  Rules whose
+Ansatz direction (alpha, beta, gamma) is a constant hold it as data
+(``Rule.ansatz``): one matcher evaluates their printed residuals and guards and
+solves any free exponent from the oracle's condition rows.
 
 Printed closed forms are treated as claims: the integral is always rebuilt
 from the Ansatz by exact potential reconstruction, and where transcribed, the
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .catalog2d import _q
 from .detection import (
@@ -25,12 +30,15 @@ from .detection import (
     Detection,
     Match,
     Rule,
+    condition_function,
+    condition_source,
     gradient_proportional,
     run_rules,
 )
 from .linalg import SolveOutcome, nullspace, solve_constrained
 from .model import LVSystem, make_system
-from .poly import GenPoly
+from .oracle import _symbolic_system, residual_3d_generic
+from .poly import GenPoly, SymPoly, ratio
 from .potential import lie_genpoly
 
 F = Fraction
@@ -140,6 +148,116 @@ def _gp(terms) -> GenPoly:
     return out
 
 
+class _ConstantDirection:
+    """Matcher derived from a rule whose Ansatz direction is a constant.
+
+    The rule's ``ansatz`` is (kind, (alpha, beta, gamma), exponent template);
+    each template entry is a number (a constant exponent), its own name
+    ``"l<i>"`` (a free exponent) or an expression in the free names (a tied
+    exponent, such as ``"-l2"``).  A system matches when every printed
+    residual vanishes and every guard holds.  Without free exponents that
+    gives the one match; otherwise the free exponents are solved from the
+    oracle's condition rows, specialized to the direction, the fixed and
+    tied exponents and the pattern's zero constant terms, with one match per
+    solution candidate.
+    """
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.kind, abg, self.template = rule.ansatz
+        self.abg = tuple(F(v) for v in abg)
+        names = [f"l{i + 1}" for i in range(3)]
+        self.free = [n for n, t in zip(names, self.template) if t == n]
+        self.varying = [n for n, t in zip(names, self.template) if isinstance(t, str)]
+        prime = "'" if self.kind == "3d-t1" else ""
+        self.direction = {
+            name + prime: v for name, v in zip(("alpha", "beta", "gamma"), self.abg)
+        }
+
+    # Compiled on first use, so importing the catalog compiles nothing.
+    @cached_property
+    def holds(self) -> Callable:
+        """(b, A, e) -> whether every residual vanishes and every guard holds."""
+        chain = " or ".join(f"({t})" for t in self.rule.residuals)
+        tests = [f"not ({chain})"] if chain else []
+        tests += [f"({t})" for t in self.rule.guards]
+        source = condition_source(" and ".join(tests) or "True")
+        return condition_function(source, self.abg)
+
+    @cached_property
+    def exponents(self) -> Callable:
+        """(free exponents) -> all three exponents of the template."""
+        t = self.template
+        consts = {f"k{i}": F(v) for i, v in enumerate(t) if not isinstance(v, str)}
+        entries = [v if isinstance(v, str) else f"k{i}" for i, v in enumerate(t)]
+        return eval(
+            f"lambda {', '.join(self.free)}: ({', '.join(entries)},)",
+            {"__builtins__": {}, **consts},
+        )
+
+    @cached_property
+    def rows(self) -> Callable:
+        """(b, A, e) -> (m, r), where m @ (free exponents) = r is the oracle's
+        condition row system (as in derive_conditions) at this direction, the
+        fixed and tied exponents and the pattern's zero constant terms.  The
+        rows are affine in the exponents, so the free ones split off as
+        columns; rows equal up to a rational factor are kept once, which
+        leaves the solve unchanged."""
+        free, ncols = self.free, len(self.free)
+        b, A, e = _symbolic_system(3)
+        pattern = self.rule.pattern or (None,) * 3
+        e = tuple(0 if want is False else ei for want, ei in zip(pattern, e))
+        l = self.exponents(*(SymPoly.sym(n) for n in free))
+        conds = [
+            c for comp in residual_3d_generic((b, A, e), self.kind, self.abg, l)
+            for _, c in comp.items_sorted()
+        ]
+        rows: list[dict] = []  # (column, coefficient monomial) -> coefficient
+        for cond in conds:
+            row = {}
+            for mono, c in cond.terms.items():
+                col = next((k for k, n in enumerate(free) if (n, 1) in mono), ncols)
+                rest = tuple(x for x in mono if x[0] not in free)
+                if len(rest) + (col < ncols) != len(mono):
+                    raise ValueError(f"condition row not affine in {free}")
+                row[(col, rest)] = c if col < ncols else -c
+            if row and not any(ratio(row, kept) for kept in rows):
+                rows.append(row)
+        # Homogeneous rows first: pivots taken from them leave the right-hand
+        # side unchanged, so its Fractions stay small (about 10% faster on
+        # L5-8c).
+        rows.sort(key=lambda row: any(col == ncols for col, _ in row))
+
+        def entry(row, col) -> str:
+            # Every term holds one system coefficient, so a nonzero entry with
+            # integer coefficients evaluates to a Fraction; the solve never
+            # pivots on a zero entry.
+            p = SymPoly({rest: c for (k, rest), c in row.items() if k == col})
+            if any(c.denominator != 1 for c in p.terms.values()):
+                raise ValueError("exponent rows need integer coefficients")
+            return str(p)
+
+        m = ", ".join(
+            "(" + ", ".join(entry(row, k) for k in range(ncols)) + ",)" for row in rows
+        )
+        r = ", ".join(entry(row, ncols) for row in rows)
+        return condition_function(condition_source(f"(({m},), ({r},))"))
+
+    def __call__(self, s: LVSystem) -> list[Match]:
+        if not self.holds(s.b, s.A, s.e):
+            return []
+        if not self.free:
+            return [self._match(self.exponents())]
+        m, r = self.rows(s.b, s.A, s.e)
+        out = solve_constrained(m, r)
+        return [self._match(self.exponents(*sol)) for sol in _l_candidates(out)]
+
+    def _match(self, l) -> Match:
+        params = {name: l[int(name[1]) - 1] for name in self.varying}
+        params.update(self.direction)
+        return Match(params=params, ansatz=(self.kind, self.abg, l))
+
+
 def _cmp_against(printed: GenPoly, s2: LVSystem, H2: GenPoly, what="formula") -> str:
     if gradient_proportional(printed, H2) is not None:
         return f"agrees: printed {what} proportional to constructed integral"
@@ -158,25 +276,6 @@ def _cmp_against(printed: GenPoly, s2: LVSystem, H2: GenPoly, what="formula") ->
 # T1 rules (constant skew matrix, unit exponents; the conditions are e-free
 # so these solutions persist for every constant-term pattern)
 # =============================================================================
-
-
-def _match_l2i(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if (
-        b[0] + b[1]
-        or 2 * A[0][0] + A[1][0]
-        or 2 * A[1][1] + A[0][1]
-        or A[0][2]
-        or A[1][2]
-    ):
-        return []
-    abg = (F(1), F(0), F(0))
-    return [
-        Match(
-            params={"alpha'": abg[0], "beta'": abg[1], "gamma'": abg[2]},
-            ansatz=("3d-t1", abg, (F(1), F(1), F(1))),
-        )
-    ]
 
 
 def _cmp_l2i(s2, m, H2):
@@ -329,24 +428,6 @@ def _sample_l2iii(rng) -> LVSystem:
 # =============================================================================
 
 
-def _match_l3_1(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if (
-        b[0] + b[1]
-        or 2 * A[0][0] + A[1][0]
-        or A[0][1] + 2 * A[1][1]
-        or A[0][2]
-        or A[1][2]
-    ):
-        return []
-    return [
-        Match(
-            params={"alpha": F(1), "beta": F(0), "gamma": F(0)},
-            ansatz=("3d-t2", (F(1), F(0), F(0)), (F(1), F(1), F(0))),
-        )
-    ]
-
-
 def _sample_l3_1(rng) -> LVSystem:
     b1, a11, a22 = _q(rng), _q(rng, True), _q(rng, True)
     return make_system(
@@ -354,27 +435,6 @@ def _sample_l3_1(rng) -> LVSystem:
         A=((a11, -2 * a22, 0), (-2 * a11, a22, 0), (_q(rng), _q(rng), _q(rng))),
         e=(_q(rng, True), _q(rng, True), 0),
     )
-
-
-def _match_l3_2(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (
-        b[0] + b[2],
-        b[1] + b[2],
-        A[0][0] - A[1][0],
-        A[1][0] + A[2][0],
-        A[0][1] - A[1][1],
-        A[1][1] + A[2][1],
-        A[0][2] + A[1][2] + 2 * A[2][2],
-    )
-    if any(conds) or A[0][2] == A[1][2]:
-        return []
-    return [
-        Match(
-            params={"alpha": F(1), "beta": F(1), "gamma": F(-1)},
-            ansatz=("3d-t2", (F(1), F(1), F(-1)), (F(1), F(1), F(1))),
-        )
-    ]
 
 
 def _cmp_l3_2(s2, m, H2):
@@ -492,27 +552,6 @@ def _sample_l4_1(rng) -> LVSystem:
     )
 
 
-def _match_l4_2(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (
-        b[1],
-        A[1][0],
-        A[1][1],
-        b[0] + b[2],
-        A[0][0] + A[2][0],
-        A[0][1] + A[2][1],
-        A[0][2] + A[2][2],
-    )
-    if any(conds) or A[1][2] == 0:
-        return []
-    return [
-        Match(
-            params={"alpha": F(1), "beta": F(0), "gamma": F(-1)},
-            ansatz=("3d-t2", (F(1), F(0), F(-1)), (F(1), F(0), F(0))),
-        )
-    ]
-
-
 def _cmp_l4_2(s2, m, H2):
     A, e = s2.A, s2.e
     printed = _gp([(-A[1][2], (1, 0, 1)), (e[0], (0, 0, 0), (0, 1, 0))])
@@ -608,28 +647,6 @@ def _sample_l4_4(rng) -> LVSystem:
         )
 
 
-def _match_l4_5(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (
-        b[0] + b[1],
-        b[0] + b[2],
-        A[0][0] + A[1][0],
-        A[0][0] + A[2][0],
-        A[0][1] + A[1][1],
-        A[0][2] + A[2][2],
-    )
-    if any(conds):
-        return []
-    if A[0][1] + A[2][1] == 0 or A[0][2] + A[1][2] == 0:
-        return []
-    return [
-        Match(
-            params={"alpha": F(1), "beta": F(-1), "gamma": F(-1)},
-            ansatz=("3d-t2", (F(1), F(-1), F(-1)), (F(1), F(0), F(0))),
-        )
-    ]
-
-
 def _cmp_l4_5(s2, m, H2):
     A, e = s2.A, s2.e
     printed = _gp(
@@ -654,22 +671,6 @@ def _sample_l4_5(rng) -> LVSystem:
             A=((a11, a12, a13), (-a11, -a12, a23), (-a11, a32, -a13)),
             e=(_q(rng, True), 0, 0),
         )
-
-
-def _match_l4_6(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (b[1], A[1][0], A[1][1], b[0] + b[2], A[0][0] + A[2][0], A[0][1] + A[2][1])
-    if any(conds):
-        return []
-    if A[1][2] == 0 or A[0][2] + A[2][2] == 0:
-        return []
-    l2 = -(A[0][2] + A[2][2]) / A[1][2]
-    return [
-        Match(
-            params={"l2": l2, "alpha": F(1), "beta": F(0), "gamma": F(-1)},
-            ansatz=("3d-t2", (F(1), F(0), F(-1)), (F(1), l2, F(0))),
-        )
-    ]
 
 
 def _cmp_l4_6(s2, m, H2):
@@ -802,28 +803,6 @@ def _sample_l4_8(rng) -> LVSystem:
             A=((a11, a12, a13), (a21, a22, a23), (-a11, -a12, a33)),
             e=(_q(rng, True), 0, 0),
         )
-
-
-def _match_l4_9(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (b[0] + b[2], b[1] - b[2], A[0][0] + A[2][0], A[1][0] - A[2][0])
-    if any(conds):
-        return []
-    g1 = A[0][1] + A[1][1]
-    g2 = A[1][1] - A[2][1]
-    g3 = A[0][2] + A[2][2]
-    g4 = A[1][2] - A[2][2]
-    if g1 == 0 or g2 == 0 or g3 == 0 or g4 == 0:
-        return []
-    if g3 * g2 - g1 * g4 != 0:
-        return []
-    l2 = -g1 / g2
-    return [
-        Match(
-            params={"l2": l2, "l3": -l2, "alpha": F(1), "beta": F(-1), "gamma": F(-1)},
-            ansatz=("3d-t2", (F(1), F(-1), F(-1)), (F(1), l2, -l2)),
-        )
-    ]
 
 
 def _cmp_l4_9(s2, m, H2):
@@ -998,23 +977,6 @@ def _sample_l5_3(rng) -> LVSystem:
             A=((a11, a12, a13), (a21, a12, a13), (a31, a32, rho * a13)),
             e=(0, 0, 0),
         )
-
-
-def _match_l5_4(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (b[0] - b[1], b[0] - b[2], A[0][1] - A[1][1], A[0][2] - A[2][2])
-    if any(conds):
-        return []
-    if A[0][0] == A[2][0] and A[0][0] == A[1][0]:
-        return []
-    if A[1][1] == A[2][1] or A[1][2] == A[2][2]:
-        return []
-    return [
-        Match(
-            params={"alpha": F(1), "beta": F(-1), "gamma": F(1)},
-            ansatz=("3d-t2", (F(1), F(-1), F(1)), (F(-1), F(0), F(0))),
-        )
-    ]
 
 
 def _cmp_l5_4(s2, m, H2):
@@ -1220,26 +1182,6 @@ def _sample_l5_7b(rng) -> LVSystem:
         )
 
 
-def _match_l5_7c(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (b[0] - b[1], b[0] - b[2], A[0][0] - A[1][0], A[0][1] - A[1][1])
-    if any(conds):
-        return []
-    if A[0][0] == A[2][0] or A[0][1] == A[2][1]:
-        return []
-    if A[0][2] == A[2][2] or A[1][2] == A[2][2] or A[0][2] == A[1][2]:
-        return []
-    d = A[0][2] - A[1][2]
-    l1 = (A[1][2] - A[2][2]) / d
-    l2 = (A[2][2] - A[0][2]) / d
-    return [
-        Match(
-            params={"l1": l1, "l2": l2, "alpha": F(1), "beta": F(-1), "gamma": F(1)},
-            ansatz=("3d-t2", (F(1), F(-1), F(1)), (l1, l2, F(0))),
-        )
-    ]
-
-
 def _cmp_l5_7c(s2, m, H2):
     A = s2.A
     l1, l2 = m.params["l1"], m.params["l2"]
@@ -1269,30 +1211,6 @@ def _sample_l5_7c(rng) -> LVSystem:
             A=((a11, a12, a13), (a11, a12, a23), (a31, a32, a33)),
             e=(0, 0, 0),
         )
-
-
-def _match_l5_7d(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (
-        b[0] + b[1],
-        b[0] - b[2],
-        A[0][0] + A[1][0],
-        A[0][1] + A[1][1],
-        A[0][1] - A[2][1],
-    )
-    if any(conds):
-        return []
-    d = A[0][2] + A[1][2]
-    if d == 0:
-        return []
-    l1 = -(A[1][2] + A[2][2]) / d
-    l2 = (A[0][2] - A[2][2]) / d
-    return [
-        Match(
-            params={"l1": l1, "l2": l2, "alpha": F(1), "beta": F(1), "gamma": F(1)},
-            ansatz=("3d-t2", (F(1), F(1), F(1)), (l1, l2, F(0))),
-        )
-    ]
 
 
 def _cmp_l5_7d(s2, m, H2):
@@ -1393,34 +1311,6 @@ def _sample_l5_8a(rng) -> LVSystem:
         )
 
 
-def _match_l5_8b(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[0] or A[0][0] or b[1] - b[2] or A[1][0] - A[2][0]:
-        return []
-    if A[0][2] == 0 or A[1][2] == 0:
-        return []
-    g2 = A[1][1] - A[2][1]
-    g4 = A[1][2] - A[2][2]
-    if g2 == 0 or g4 == 0:
-        return []
-    det = A[0][1] * g4 - A[0][2] * g2
-    if det == 0:
-        return []
-    out = solve_constrained(
-        ((A[0][1], g2), (A[0][2], g4)), (-g2, F(0))
-    )
-    if out.status != "unique":
-        return []
-    l1, l2 = out.solution
-    l3 = -1 - l2
-    return [
-        Match(
-            params={"l1": l1, "l2": l2, "l3": l3, "alpha": F(-1), "beta": F(1), "gamma": F(0)},
-            ansatz=("3d-t2", (F(-1), F(1), F(0)), (l1, l2, l3)),
-        )
-    ]
-
-
 def _cmp_l5_8b(s2, m, H2):
     A = s2.A
     l2 = m.params["l2"]
@@ -1449,55 +1339,6 @@ def _sample_l5_8b(rng) -> LVSystem:
             A=((0, a12, a13), (a21, a22, a23), (a21, a32, a33)),
             e=(0, 0, 0),
         )
-
-
-def _8c_rows(s: LVSystem):
-    t = term_table((F(1), F(1), F(1)), s)
-    B1, B2, B3 = t.B
-    A1, A2, A3 = t.A
-    rows = [
-        (B1, B2, F(0)),
-        (B3, F(0), B2),
-        (F(0), B3, -B1),
-        (A1[2], A2[2], F(0)),
-        (A3[1], F(0), A2[1]),
-        (F(0), A3[0], -A1[0]),
-        (A1[0], A2[0], F(0)),
-        (A1[1], A2[1], F(0)),
-        (A3[0], F(0), A2[0]),
-        (A3[2], F(0), A2[2]),
-        (F(0), A3[1], -A1[1]),
-        (F(0), A3[2], -A1[2]),
-    ]
-    rhs = (
-        F(0),
-        F(0),
-        F(0),
-        F(0),
-        F(0),
-        F(0),
-        -A1[0],
-        -A2[1],
-        -A3[0],
-        -A2[2],
-        -A3[1],
-        A1[2],
-    )
-    return rows, rhs
-
-
-def _match_l5_8c(s: LVSystem) -> list[Match]:
-    rows, rhs = _8c_rows(s)
-    out = solve_constrained(tuple(rows), rhs)
-    matches = []
-    for l in _l_candidates(out):
-        matches.append(
-            Match(
-                params={"l1": l[0], "l2": l[1], "l3": l[2], "alpha": F(1), "beta": F(1), "gamma": F(1)},
-                ansatz=("3d-t2", (F(1), F(1), F(1)), l),
-            )
-        )
-    return matches
 
 
 def _cmp_l5_8c(s2, m, H2):
@@ -1576,7 +1417,8 @@ def _sample_l5_8c(rng) -> LVSystem:
         # keep only instances where the rule produces a nonconstant integral
         from .potential import gradient_targets_3d, normalize_for_output, potential
 
-        for m2 in _match_l5_8c(s):
+        rule = next(r for r in RULES_3D if r.id == "L5-8c")
+        for m2 in rule.match(s):
             lsol = (m2.params["l1"], m2.params["l2"], m2.params["l3"])
             try:
                 H = potential(gradient_targets_3d(s, "3d-t2", (F(1), F(1), F(1)), lsol))
@@ -1605,13 +1447,20 @@ def _sample_triv3(rng) -> LVSystem:
 # registry
 # =============================================================================
 
+def _direction_rule(**fields) -> Rule:
+    """A rule whose matcher is derived from its constant-direction Ansatz."""
+    rule = Rule(match=None, **fields)
+    rule.match = _ConstantDirection(rule)
+    return rule
+
+
 RULES_3D: list[Rule] = [
-    Rule(
+    _direction_rule(
         id="L2-i",
         citation="3D T1 Ansatz, case alpha' != 0; conditions e-free",
         dim=3,
         pattern=None,
-        match=_match_l2i,
+        ansatz=("3d-t1", (1, 0, 0), (1, 1, 1)),
         residuals=["b1+b2", "2*a11+a21", "2*a22+a12", "a13", "a23"],
         guards=["alpha' != 0"],
         sample=_sample_l2i,
@@ -1648,23 +1497,23 @@ RULES_3D: list[Rule] = [
         sample=_sample_l2iii,
         compare_printed=_cmp_l2iii,
     ),
-    Rule(
+    _direction_rule(
         id="L3-1",
         citation="3D T2, e1,e2 != 0, e3 = 0, item 1 (2D-embedded integral)",
         dim=3,
         pattern=(True, True, False),
-        match=_match_l3_1,
+        ansatz=("3d-t2", (1, 0, 0), (1, 1, 0)),
         residuals=["b1+b2", "2*a11+a21", "a12+2*a22", "a13", "a23"],
         guards=[],
         sample=_sample_l3_1,
         compare_printed=_cmp_l2i,
     ),
-    Rule(
+    _direction_rule(
         id="L3-2",
         citation="3D T2, e1,e2 != 0, e3 = 0, item 2",
         dim=3,
         pattern=(True, True, False),
-        match=_match_l3_2,
+        ansatz=("3d-t2", (1, 1, -1), (1, 1, 1)),
         residuals=[
             "b1+b3",
             "b2+b3",
@@ -1709,12 +1558,12 @@ RULES_3D: list[Rule] = [
         sample=_sample_l4_1,
         compare_printed=_cmp_l4_1,
     ),
-    Rule(
+    _direction_rule(
         id="L4-2",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 2",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_2,
+        ansatz=("3d-t2", (1, 0, -1), (1, 0, 0)),
         residuals=["b2", "a21", "a22", "b1+b3", "a11+a31", "a12+a32", "a13+a33"],
         guards=["a23 != 0"],
         sample=_sample_l4_2,
@@ -1742,24 +1591,24 @@ RULES_3D: list[Rule] = [
         sample=_sample_l4_4,
         compare_printed=_cmp_l4_4,
     ),
-    Rule(
+    _direction_rule(
         id="L4-5",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 5",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_5,
+        ansatz=("3d-t2", (1, -1, -1), (1, 0, 0)),
         residuals=["b1+b2", "b1+b3", "a11+a21", "a11+a31", "a12+a22", "a13+a33"],
         guards=["a12+a32 != 0", "a13+a23 != 0"],
         sample=_sample_l4_5,
         compare_printed=_cmp_l4_5,
         notes=["printed formula drops the x1 factors of the quadratic terms"],
     ),
-    Rule(
+    _direction_rule(
         id="L4-6",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 6",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_6,
+        ansatz=("3d-t2", (1, 0, -1), (1, "l2", 0)),
         residuals=["b2", "a21", "a22", "b1+b3", "a11+a31", "a12+a32"],
         guards=["a23 != 0", "a13+a33 != 0"],
         sample=_sample_l4_6,
@@ -1793,12 +1642,12 @@ RULES_3D: list[Rule] = [
         sample=_sample_l4_8,
         compare_printed=_cmp_l4_8,
     ),
-    Rule(
+    _direction_rule(
         id="L4-9",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 9",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_9,
+        ansatz=("3d-t2", (1, -1, -1), (1, "l2", "-l2")),
         residuals=[
             "b1+b3",
             "b2-b3",
@@ -1843,12 +1692,12 @@ RULES_3D: list[Rule] = [
         sample=_sample_l5_3,
         compare_printed=_cmp_l5_3,
     ),
-    Rule(
+    _direction_rule(
         id="L5-4",
         citation="3D T2, e = 0, item 4",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_4,
+        ansatz=("3d-t2", (1, -1, 1), (-1, 0, 0)),
         residuals=["b1-b2", "b1-b3", "a12-a22", "a13-a33"],
         guards=["(a11-a31, a11-a21) != (0,0)", "a22-a32 != 0", "a23-a33 != 0"],
         sample=_sample_l5_4,
@@ -1896,12 +1745,12 @@ RULES_3D: list[Rule] = [
         guards=["b3 != 0", "a33 != 0", "A33 != 0"],
         sample=_sample_l5_7b,
     ),
-    Rule(
+    _direction_rule(
         id="L5-7c",
         citation="3D T2, e = 0, item 7c",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_7c,
+        ansatz=("3d-t2", (1, -1, 1), ("l1", "l2", 0)),
         residuals=["b1-b2", "b1-b3", "a11-a21", "a12-a22"],
         guards=[
             "a11-a31 != 0",
@@ -1917,12 +1766,12 @@ RULES_3D: list[Rule] = [
             "x1^l1 x2^l2 ((a11-a31)x1/l2 + (a12-a32)x2/(l2+1) + (a23-a13)x3)"
         ],
     ),
-    Rule(
+    _direction_rule(
         id="L5-7d",
         citation="3D T2, e = 0, item 7d",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_7d,
+        ansatz=("3d-t2", (1, 1, 1), ("l1", "l2", 0)),
         residuals=["b1+b2", "a11+a21", "a12+a22", "a12-a32", "(b1-b3)*a23 - (b2+b3)*a13"],
         guards=["a13+a23 != 0"],
         sample=_sample_l5_7d,
@@ -1940,12 +1789,12 @@ RULES_3D: list[Rule] = [
         sample=_sample_l5_8a,
         compare_printed=_cmp_l5_8a,
     ),
-    Rule(
+    _direction_rule(
         id="L5-8b",
         citation="3D T2, e = 0, item 8b",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_8b,
+        ansatz=("3d-t2", (-1, 1, 0), ("l1", "l2", "-1-l2")),
         residuals=["b1", "a11", "b2-b3", "a21-a31"],
         guards=[
             "a13 != 0",
@@ -1958,19 +1807,18 @@ RULES_3D: list[Rule] = [
         compare_printed=_cmp_l5_8b,
         notes=["printed l2 formula equals the exact l3 (swap typo)"],
     ),
-    Rule(
+    _direction_rule(
         id="L5-8c",
         citation="3D T2, e = 0, item 8c (alpha = beta = gamma = 1, exact exponent solve)",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_8c,
-        residuals=["the 12-row condition system at alpha=beta=gamma=1 is consistent"],
-        guards=[],
+        ansatz=("3d-t2", (1, 1, 1), ("l1", "l2", "l3")),
         sample=_sample_l5_8c,
         compare_printed=_cmp_l5_8c,
         notes=[
+            "the 12-row condition system at alpha=beta=gamma=1 is consistent",
             "printed condition list is fragmented; implemented by the exact "
-            "solve of the condition system with alpha=beta=gamma=1"
+            "solve of the condition system with alpha=beta=gamma=1",
         ],
     ),
     Rule(
@@ -2001,16 +1849,3 @@ def detect3d_full(s: LVSystem) -> tuple[list[Detection], list[Candidate]]:
     if s.dim != 3:
         raise ValueError("detect3d needs a 3D system")
     return run_rules(s, RULES_3D)
-
-
-def rule_conditions(rule_id: str) -> dict:
-    for r in RULES_3D:
-        if r.id == rule_id:
-            return {
-                "id": r.id,
-                "citation": r.citation,
-                "residuals": list(r.residuals),
-                "guards": list(r.guards),
-                "notes": list(r.notes),
-            }
-    raise KeyError(f"unknown 3D rule id {rule_id!r}")

@@ -363,18 +363,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    records = []
-    for r in RULES_2D + RULES_3D:
-        records.append(
-            {
-                "id": r.id,
-                "citation": r.citation,
-                "dim": r.dim,
-                "residuals": r.residuals,
-                "guards": r.guards,
-                "notes": r.notes,
-            }
-        )
+    records = [r.conditions() for r in RULES_2D + RULES_3D]
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:

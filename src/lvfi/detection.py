@@ -18,6 +18,7 @@ silently dropped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -64,10 +65,65 @@ class Rule:
     sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
     compare_printed: Optional[Callable] = None  # (s2, Match, GenPoly) -> str|None
     notes: list[str] = field(default_factory=list)
+    # (kind, (alpha, beta, gamma), exponent template) when the Ansatz
+    # direction is a constant and the matcher is derived from it
+    ansatz: Optional[tuple] = None
 
     @property
     def family(self) -> str:
         return self.id.split("/")[0]
+
+    def conditions(self) -> dict:
+        """The rule's condition report, as `lvfi catalog` prints it."""
+        return {
+            "id": self.id,
+            "citation": self.citation,
+            "dim": self.dim,
+            "residuals": list(self.residuals),
+            "guards": list(self.guards),
+            "notes": list(self.notes),
+        }
+
+
+_CONDITION_NAME = re.compile(
+    r"\b(?:a([1-3])([1-3])|([be])([1-3])|(alpha|beta|gamma)'?)(?![\w'])"
+)
+_DIRECTION_INDEX = {"alpha": 0, "beta": 1, "gamma": 2}
+
+
+def _condition_name(m: re.Match) -> str:
+    if m[1]:
+        return f"A[{int(m[1]) - 1}][{int(m[2]) - 1}]"
+    if m[3]:
+        return f"{m[3]}[{int(m[4]) - 1}]"
+    return f"d[{_DIRECTION_INDEX[m[5]]}]"
+
+
+def condition_source(text: str) -> str:
+    """Python source of one printed condition, a residual polynomial or a
+    guard comparison over the coefficient names b1, a23, e3, ... and the
+    direction names alpha, beta, gamma (primed or not).  It reads b, A, e
+    (the system's coefficients) and d (the Ansatz direction).  An implicit
+    product ``(..)(..)`` and ``^`` for powers are accepted.  Raises
+    ValueError for text that is not such a condition (prose, term-table
+    names such as A33)."""
+    src = _CONDITION_NAME.sub(
+        _condition_name, text.replace(")(", ")*(").replace("^", "**")
+    )
+    try:
+        code = compile(src, "<condition>", "eval")
+    except SyntaxError:
+        raise ValueError(f"not a condition on the coefficients: {text!r}") from None
+    if not set(code.co_names) <= {"b", "A", "e", "d"}:
+        raise ValueError(f"not a condition on the coefficients: {text!r}")
+    return src
+
+
+def condition_function(source: str, direction=()) -> Callable:
+    """(b, A, e) -> value of a condition source, with d bound to direction.
+    The coefficients may be Fractions or SymPoly symbols."""
+    namespace = {"__builtins__": {}, "d": tuple(direction)}
+    return eval(f"lambda b, A, e: {source}", namespace)
 
 
 @dataclass

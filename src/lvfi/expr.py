@@ -455,8 +455,16 @@ def eval_vec(h: Expr, X):
     """Vectorized evaluation over a (points, dim) float array.
 
     Mirrors eval_expr but without per-point domain diagnostics: callers check
-    finiteness of the result and fall back to eval_expr to locate violations.
+    finiteness of the result and fall back to eval_expr to locate violations,
+    so numpy's floating-point warnings are silenced for the whole evaluation.
     """
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return _eval_vec(h, X)
+
+
+def _eval_vec(h: Expr, X):
     import numpy as np
 
     if isinstance(h, Const):
@@ -464,31 +472,27 @@ def eval_vec(h: Expr, X):
     if isinstance(h, Var):
         return X[:, h.index]
     if isinstance(h, Add):
-        out = eval_vec(h.args[0], X)
+        out = _eval_vec(h.args[0], X)
         for a in h.args[1:]:
-            out = out + eval_vec(a, X)
+            out = out + _eval_vec(a, X)
         return out
     if isinstance(h, Mul):
-        out = eval_vec(h.args[0], X)
+        out = _eval_vec(h.args[0], X)
         for a in h.args[1:]:
-            out = out * eval_vec(a, X)
+            out = out * _eval_vec(a, X)
         return out
     if isinstance(h, Pow):
-        base = eval_vec(h.base, X)
+        base = _eval_vec(h.base, X)
         p = h.exponent
         if isinstance(p, Fraction) and p.denominator == 1:
             p = int(p)
         if isinstance(p, int):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return base**float(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(base > 0, np.abs(base) ** float(p), np.nan)
+            return base**float(p)
+        return np.where(base > 0, np.abs(base) ** float(p), np.nan)
     if isinstance(h, LnAbs):
-        v = eval_vec(h.arg, X)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(v))
+        return np.log(np.abs(_eval_vec(h.arg, X)))
     if isinstance(h, Exp):
-        return np.exp(eval_vec(h.arg, X))
+        return np.exp(_eval_vec(h.arg, X))
     raise TypeError(f"not an Expr: {h!r}")
 
 

@@ -4,8 +4,16 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
-from lvfi.catalog2d import RULES_2D, SAMPLERS_2D, detect2d, rule_conditions
-from lvfi.detection import Match, Rule, gradient_proportional, run_rules
+from lvfi.catalog2d import RULES_2D, SAMPLERS_2D, detect2d
+from lvfi.catalog3d import RULES_3D
+from lvfi.detection import (
+    Match,
+    Rule,
+    condition_function,
+    condition_source,
+    gradient_proportional,
+    run_rules,
+)
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.oracle import residual_2d_exponents
 from lvfi.potential import GenPoly
@@ -236,36 +244,35 @@ def test_completeness_within_ansatz():
 
 
 def test_rule_conditions_reports():
-    rep = rule_conditions("R2D-A")
+    rules = {r.id: r for r in RULES_2D}
+    rep = rules["R2D-A"].conditions()
     assert rep["residuals"] == ["b1+b2", "2*a11+a21", "a12+2*a22"]
     assert "e1 != 0" in rep["guards"] and "e2 != 0" in rep["guards"]
-    rep_d = rule_conditions("R2D-D")
+    assert (rep["id"], rep["dim"]) == ("R2D-A", 2)
+    rep_d = rules["R2D-D"].conditions()
     assert any("lambda" in g for g in rep_d["guards"])
-    with pytest.raises(KeyError):
-        rule_conditions("R2D-X")
 
 
 def test_reported_residuals_vanish_on_manifold():
-    """The textual condition report and the matcher agree: reported residuals
-    evaluate to zero on sampled on-manifold systems."""
+    """The condition report and the matcher agree: every printed residual
+    that compiles to a condition evaluates to zero on sampled on-manifold
+    systems (2D, and 3D wherever a rule's strings compile)."""
     rng = random.Random(5)
-
-    def eval_residual(expr_text, s):
-        env = {}
-        for i in range(2):
-            env[f"b{i+1}"] = s.b[i]
-            env[f"e{i+1}"] = s.e[i]
-            for j in range(2):
-                env[f"a{i+1}{j+1}"] = s.A[i][j]
-        return eval(expr_text.replace("^", "**"), {"__builtins__": {}}, env)
-
-    for rule in RULES_2D:
+    checked = set()
+    for rule in RULES_2D + RULES_3D:
         if rule.id in ("R2D-C", "R2D-D"):
             continue  # rank / proportionality conditions, not plain residuals
+        try:
+            conds = [condition_function(condition_source(t)) for t in rule.residuals]
+        except ValueError:
+            assert rule.dim == 3 and not rule.ansatz, rule.id
+            continue
         for _ in range(5):
-            s = SAMPLERS_2D.get(rule.id, rule.sample)(rng)
-            for text in rule.residuals:
-                assert eval_residual(text, s) == 0, (rule.id, text)
+            s = rule.sample(rng)
+            for text, cond in zip(rule.residuals, conds):
+                assert cond(s.b, s.A, s.e) == 0, (rule.id, text)
+        checked.add(rule.id)
+    assert {r.id for r in RULES_3D if r.ansatz} <= checked
 
 
 def test_failed_oracle_match_is_demoted_not_dropped():

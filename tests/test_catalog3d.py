@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lvfi.catalog3d import (
+    RULES_3D,
     SAMPLERS_3D,
     detect3d,
-    rule_conditions,
     solve_abg,
     term_table,
 )
@@ -190,11 +190,10 @@ def test_t1_case_exhaustiveness_modulo_permutation():
 
 
 def test_rule_conditions_lookup():
-    rep = rule_conditions("L5-7d")
+    rep = next(r for r in RULES_3D if r.id == "L5-7d").conditions()
     assert any("a13+a23" in g for g in rep["guards"])
     assert rep["notes"]
-    with pytest.raises(KeyError):
-        rule_conditions("L9-1")
+    assert (rep["id"], rep["dim"]) == ("L5-7d", 3)
 
 
 def test_printed_formula_comparison_outcomes():

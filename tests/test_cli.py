@@ -1,4 +1,8 @@
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,17 @@ def test_catalog_lists_rules(capsys):
         assert rid in out
 
 
+# sha256 of `lvfi catalog --format json`; a new value means the printed
+# conditions changed and must be justified.
+CATALOG_JSON_SHA256 = "e00c17d79ef3bf95c9f9d3e81e41321548f0d169b981fc4087c4763f47b19585"
+
+
+def test_catalog_json_is_pinned(capsys):
+    assert main(["catalog", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_JSON_SHA256
+
+
 def test_seed_env_var(volterra_path, capsys, monkeypatch):
     monkeypatch.setenv("LVFI_SEED", "123")
     assert main(["detect", "--input", volterra_path, "--format", "json"]) == 0
@@ -185,7 +200,6 @@ MULTI_DETECTION = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("system", MULTI_DETECTION, ids=["L5-7d", "L5-6", "L4-6"])
 def test_detect_integrates_each_start_point_once(system, tmp_path, monkeypatch, capsys):
     from lvfi.model import parse_system
@@ -215,3 +229,24 @@ def test_detect_integrates_each_start_point_once(system, tmp_path, monkeypatch, 
         assert (ver["max_rel_drift"], ver["max_abs_drift"], ver["H0"], ver["blew_up"]) == (
             rep.max_rel_drift, rep.max_abs_drift, rep.H0, rep.blew_up
         )
+
+
+def test_detect_prints_no_numpy_warnings(tmp_path):
+    """H overflows along some of the L4-6 system's candidate orbits; the
+    drift then falls back to the next start point, and numpy's overflow and
+    invalid-value warnings must not reach stderr."""
+    p = tmp_path / "system.json"
+    p.write_text(MULTI_DETECTION[2])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from lvfi.cli import main\n"
+        "raise SystemExit(main(sys.argv[2:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, src, "detect", "--input", str(p),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""

@@ -1,16 +1,21 @@
-"""Exact implication check: the condition system derived from scratch by the
-symbolic oracle, specialized to a rule's Ansatz parameters and constant-term
-pattern, must lie in the rational-linear span of the rule's stored residuals.
+"""Exact equivalence check between a rule's printed residuals and the
+condition system derived from scratch by the symbolic oracle.
 
-This is checkable in closed form for rules whose parameters and exponents are
-fixed rationals (the solve-based rules are covered operationally by the
-on-manifold soundness suites instead).
+For rules whose Ansatz direction and exponents are all constants, the
+oracle rows specialized to the rule's direction, exponents and zero
+constant terms are linear in the system coefficients, and so are the
+printed residuals.  Each row lies in the rational-linear span of the
+residuals and each residual in the span of the rows, so a system satisfies
+the Ansatz exactly when every printed residual vanishes.  Direction,
+exponents, pattern and residuals are read from the rules themselves.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from lvfi.catalog3d import RULES_3D
+from lvfi.detection import condition_function, condition_source
 from lvfi.linalg import as_matrix, solve_constrained
 from lvfi.oracle import AnsatzSpec, derive_conditions
 from lvfi.poly import SymPoly
@@ -18,80 +23,29 @@ from lvfi.poly import SymPoly
 F = Fraction
 S = SymPoly.sym
 
-A = {(i, j): S(f"a{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-B = {i: S(f"b{i}") for i in (1, 2, 3)}
-E = {i: S(f"e{i}") for i in (1, 2, 3)}
-TWO = SymPoly.const(2)
+B = tuple(S(f"b{i}") for i in (1, 2, 3))
+A = tuple(tuple(S(f"a{i}{j}") for j in (1, 2, 3)) for i in (1, 2, 3))
+E = tuple(S(f"e{i}") for i in (1, 2, 3))
 
-# rule -> (ansatz kind, (alpha, beta, gamma), (l1, l2, l3), zero e's,
-#          stored residual polynomials)
-CASES = {
-    "L2-i": (
-        "3d-t1",
-        (1, 0, 0),
-        (1, 1, 1),
-        (),
-        [B[1] + B[2], TWO * A[1, 1] + A[2, 1], TWO * A[2, 2] + A[1, 2], A[1, 3], A[2, 3]],
-    ),
-    "L3-1": (
-        "3d-t2",
-        (1, 0, 0),
-        (1, 1, 0),
-        (3,),
-        [B[1] + B[2], TWO * A[1, 1] + A[2, 1], A[1, 2] + TWO * A[2, 2], A[1, 3], A[2, 3]],
-    ),
-    "L3-2": (
-        "3d-t2",
-        (1, 1, -1),
-        (1, 1, 1),
-        (3,),
-        [
-            B[1] + B[3],
-            B[2] + B[3],
-            A[1, 1] - A[2, 1],
-            A[2, 1] + A[3, 1],
-            A[1, 2] - A[2, 2],
-            A[2, 2] + A[3, 2],
-            A[1, 3] + A[2, 3] + TWO * A[3, 3],
-        ],
-    ),
-    "L4-2": (
-        "3d-t2",
-        (1, 0, -1),
-        (1, 0, 0),
-        (2, 3),
-        [
-            B[2],
-            A[2, 1],
-            A[2, 2],
-            B[1] + B[3],
-            A[1, 1] + A[3, 1],
-            A[1, 2] + A[3, 2],
-            A[1, 3] + A[3, 3],
-        ],
-    ),
-    "L4-5": (
-        "3d-t2",
-        (1, -1, -1),
-        (1, 0, 0),
-        (2, 3),
-        [
-            B[1] + B[2],
-            B[1] + B[3],
-            A[1, 1] + A[2, 1],
-            A[1, 1] + A[3, 1],
-            A[1, 2] + A[2, 2],
-            A[1, 3] + A[3, 3],
-        ],
-    ),
-    "L5-4": (
-        "3d-t2",
-        (1, -1, 1),
-        (-1, 0, 0),
-        (1, 2, 3),
-        [B[1] - B[2], B[1] - B[3], A[1, 2] - A[2, 2], A[1, 3] - A[3, 3]],
-    ),
+RULES = {
+    r.id: r
+    for r in RULES_3D
+    if r.ansatz and not any(isinstance(t, str) for t in r.ansatz[2])
 }
+
+
+def _residuals(rule) -> list[SymPoly]:
+    return [condition_function(condition_source(t))(B, A, E) for t in rule.residuals]
+
+
+def _specialized_rows(rule) -> list[SymPoly]:
+    kind, abg, l = rule.ansatz
+    values = dict(zip(("al", "be", "ga", "l1", "l2", "l3"), map(F, abg + l)))
+    for i, want in enumerate(rule.pattern or ()):
+        if want is False:
+            values[f"e{i + 1}"] = F(0)
+    rows = derive_conditions(AnsatzSpec(kind))
+    return [p for p in (row.poly.subs_partial(values) for row in rows) if p]
 
 
 def _in_linear_span(target: SymPoly, basis: list[SymPoly]) -> bool:
@@ -105,27 +59,21 @@ def _in_linear_span(target: SymPoly, basis: list[SymPoly]) -> bool:
     return out.status in ("unique", "underdetermined")
 
 
-@pytest.mark.parametrize("rule_id", sorted(CASES))
+def test_constant_exponent_rules_are_read_from_the_catalog():
+    assert sorted(RULES) == ["L2-i", "L3-1", "L3-2", "L4-2", "L4-5", "L5-4"]
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULES))
 def test_specialized_conditions_lie_in_residual_span(rule_id):
-    kind, abg, l, zero_e, stored = CASES[rule_id]
-    values = {
-        "al": F(abg[0]),
-        "be": F(abg[1]),
-        "ga": F(abg[2]),
-        "l1": F(l[0]),
-        "l2": F(l[1]),
-        "l3": F(l[2]),
-    }
-    for i in zero_e:
-        values[f"e{i}"] = F(0)
-    rows = derive_conditions(AnsatzSpec(kind))
-    for row in rows:
-        specialized = row.poly.subs_partial(values)
-        if not specialized:
-            continue
-        assert _in_linear_span(specialized, stored), (
-            rule_id,
-            row.component,
-            row.exponents,
-            str(specialized),
-        )
+    rule = RULES[rule_id]
+    residuals = _residuals(rule)
+    for row in _specialized_rows(rule):
+        assert _in_linear_span(row, residuals), (rule_id, str(row))
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULES))
+def test_residuals_lie_in_specialized_condition_span(rule_id):
+    rule = RULES[rule_id]
+    rows = _specialized_rows(rule)
+    for text, residual in zip(rule.residuals, _residuals(rule)):
+        assert _in_linear_span(residual, rows), (rule_id, text)
