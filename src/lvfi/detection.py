@@ -189,7 +189,7 @@ def _permute_genpoly(H: GenPoly, sigma: tuple[int, ...]) -> GenPoly:
     """
     out = {}
     for (p, k), c in H.terms.items():
-        np = [Fraction(0)] * len(p)
+        np = [0] * len(p)
         nk = [0] * len(k)
         for i in range(len(p)):
             np[sigma[i]] = p[i]
@@ -317,7 +317,7 @@ def _canonical_monomial(H: GenPoly) -> GenPoly:
     lead = next((q for q in p if q != 0), None)
     if lead is None or lead == 1:
         return H
-    return GenPoly(H.nvars, {(tuple(q / lead for q in p), k): Fraction(1)})
+    return GenPoly.term(H.nvars, 1, [Fraction(q) / lead for q in p], k)
 
 
 def _dedup_key(rule: Rule, det: Detection, m: Match):

@@ -5,16 +5,31 @@ nullspace, and constrained solves of the overdetermined exponent systems the
 rule catalog produces.  An infeasible system has a certificate, a left
 null vector y of the matrix with y . r != 0, computed on demand by
 ``infeasibility_certificate``.
+
+Every result comes from one row reduction, ``_rref``, which is fraction-free
+(the idea of Bareiss, Math. Comp. 22, 1968, which bounds growth by exact
+division by the previous pivot; here each row is instead kept primitive):
+it scales each row to integers by the lcm of its denominators, eliminates
+by integer cross-multiplication, divides each new row by the gcd of its
+entries, and builds Fractions only from the final rows.  Integer operations
+need no gcd reduction per entry, which every Fraction update pays.  The output
+equals that of Gauss-Jordan elimination over Fractions: each working row is
+a nonzero multiple of the row that elimination would hold, so both choose
+the same pivots, and the reduced row echelon form of a matrix is unique, so
+the rows divided by their pivots are the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+
+_ZERO = Fraction(0)
 
 
 def as_matrix(rows) -> Mat:
@@ -25,28 +40,48 @@ def as_vector(xs) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a rational matrix; returns (rows, pivot
+    column list), every entry a Fraction.  The input is not modified.
+
+    Fraction-free (see the module docstring): rows are scaled to integers,
+    row i is replaced by pv * row_i - f * pivot_row and divided by the gcd
+    of its entries, and only the final pivot rows are divided by their
+    pivots.  The pivot is the first nonzero entry at or below the current
+    row, as in Gauss-Jordan over the rationals.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    work = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (d // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        prow = work[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            row = work[i]
+            f = row[c]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    out = [
+        [Fraction(x, row[pc]) if x else _ZERO for x in row]
+        for row, pc in zip(work, pivots)
+    ]
+    out += [[_ZERO] * ncols for _ in range(nrows - r)]
+    return out, pivots
 
 
 def rank(m: Mat) -> int:

@@ -9,6 +9,13 @@ for condition derivation they are SymPoly values, polynomials in named
 parameter symbols (a11, b2, e3, al, l1, ...).  GenPoly only needs +, *,
 unary - and truthiness (zero test) from its coefficient ring, so both plug
 in unchanged.
+
+Exponent canonical form: a GenPoly power is an ``int`` when it is a whole
+number and a ``Fraction`` only when it is a proper rational.  Rational
+powers enter only through ``GenPoly.term`` (the Ansatz factor
+R = x^(l-1)), which canonicalizes them; the residual and the field are
+built with int powers.  Integer arithmetic then keeps whole powers int
+through products, derivatives, shifts and antiderivatives.
 """
 
 from __future__ import annotations
@@ -143,8 +150,40 @@ def ratio(a: dict, b: dict):
 Key = tuple[tuple, tuple[int, ...]]  # (powers p_i, log powers k_i)
 
 
+def _exponent(p):
+    """Canonical form of a power: int when whole, else Fraction."""
+    q = Fraction(p)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _acc(out: dict, key, c) -> None:
+    """out[key] += c for a nonzero c, dropping the key when the sum is zero."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    else:
+        s = s + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
 class GenPoly:
-    """Sparse map (powers, log powers) -> coefficient, zero terms dropped."""
+    """Sparse map (powers, log powers) -> coefficient, zero terms dropped.
+
+    Powers enter in canonical form (``term``, see ``_exponent``): whole
+    numbers are ``int`` and only proper rationals are ``Fraction``.  A key
+    is a tuple, whose hash is not cached, so every dict copy or lookup
+    hashes each power again, and an int hashes far faster than a Fraction.
+    The arithmetic keeps int powers int (a whole power from adding two
+    proper fractions stays a Fraction, which compares and hashes equal to
+    the int, so keys of either form still merge).  Each operation builds
+    its result dict once and hands it over without the constructor's zero
+    filter; the public constructor still filters.  This relies on the
+    coefficient ring having no zero divisors (Fractions, SymPoly), so a
+    product of nonzero coefficients is nonzero and only sums can cancel.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -152,15 +191,23 @@ class GenPoly:
         self.nvars = nvars
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "GenPoly":
+        """Adopt terms that already hold no zero coefficient."""
+        g = object.__new__(cls)
+        g.nvars = nvars
+        g.terms = terms
+        return g
+
     @staticmethod
     def zero(nvars: int) -> "GenPoly":
-        return GenPoly(nvars, {})
+        return GenPoly._of(nvars, {})
 
     @staticmethod
     def term(nvars: int, coeff, powers, logs=None) -> "GenPoly":
         """One exact rational term (Fraction coefficient and powers)."""
         key = (
-            tuple(Fraction(p) for p in powers),
+            tuple(map(_exponent, powers)),
             tuple(logs) if logs else (0,) * nvars,
         )
         return GenPoly(nvars, {key: Fraction(coeff)})
@@ -181,53 +228,46 @@ class GenPoly:
     def __add__(self, other: "GenPoly") -> "GenPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return GenPoly(self.nvars, out)
+            _acc(out, k, c)
+        return GenPoly._of(self.nvars, out)
 
     def __neg__(self) -> "GenPoly":
-        return GenPoly(self.nvars, {k: -c for k, c in self.terms.items()})
+        return GenPoly._of(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "GenPoly") -> "GenPoly":
-        return self + (-other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, -c)
+        return GenPoly._of(self.nvars, out)
 
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         out: dict[Key, object] = {}
         for (p1, k1), c1 in self.terms.items():
             for (p2, k2), c2 in other.terms.items():
-                key = (tuple(map(add, p1, p2)), tuple(map(add, k1, k2)))
-                c = c1 * c2
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-        return GenPoly(self.nvars, out)
+                _acc(out, (tuple(map(add, p1, p2)), tuple(map(add, k1, k2))), c1 * c2)
+        return GenPoly._of(self.nvars, out)
 
     def scale(self, c) -> "GenPoly":
         if not c:
             return GenPoly.zero(self.nvars)
-        return GenPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
+        return GenPoly._of(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def diff(self, i: int) -> "GenPoly":
         out: dict[Key, object] = {}
-
-        def acc(key: Key, c):
-            if c:
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-
         for (p, k), c in self.terms.items():
             if p[i] == 0 and k[i] == 0:
                 continue
             np = tuple(q - int(j == i) for j, q in enumerate(p))
             if p[i] != 0:
-                acc((np, k), c * p[i])
+                _acc(out, (np, k), c * p[i])
             if k[i] > 0:
                 nk = tuple(q - int(j == i) for j, q in enumerate(k))
-                acc((np, nk), c * k[i])
-        return GenPoly(self.nvars, out)
+                _acc(out, (np, nk), c * k[i])
+        return GenPoly._of(self.nvars, out)
 
     def shift(self, i: int, k: int) -> "GenPoly":
         """Multiply by x_i^k."""
-        return GenPoly(
+        return GenPoly._of(
             self.nvars,
             {
                 (tuple(q + k * int(j == i) for j, q in enumerate(p)), lg): c
@@ -237,10 +277,10 @@ class GenPoly:
 
     def integrate(self, i: int) -> "GenPoly":
         """Exact antiderivative in x_i (constant of integration zero)."""
-        out = GenPoly.zero(self.nvars)
+        out: dict[Key, object] = {}
         for (p, k), c in self.terms.items():
-            out = out + _integrate_term(self.nvars, p, k, c, i)
-        return out
+            _integrate_term(out, p, k, c, i)
+        return GenPoly._of(self.nvars, out)
 
     def depends_on(self, i: int) -> bool:
         return any(p[i] != 0 or k[i] != 0 for p, k in self.terms)
@@ -253,7 +293,7 @@ class GenPoly:
         zero = (0,) * self.nvars
         out = dict(self.terms)
         out.pop((zero, zero), None)
-        return GenPoly(self.nvars, out)
+        return GenPoly._of(self.nvars, out)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -265,7 +305,7 @@ class GenPoly:
         if not items:
             return self
         lead = items[0][1]
-        return GenPoly(self.nvars, {k: c / lead for k, c in self.terms.items()})
+        return GenPoly._of(self.nvars, {k: c / lead for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -289,17 +329,19 @@ class GenPoly:
     __repr__ = __str__
 
 
-def _integrate_term(nvars, p, k, c, i) -> GenPoly:
-    """integral of c * x^p * ln^k dx_i, by the standard reduction."""
+def _integrate_term(out: dict, p, k, c, i) -> None:
+    """Accumulate the integral of c * x^p * ln^k dx_i into out, by the
+    standard reduction."""
     np = tuple(q + int(j == i) for j, q in enumerate(p))  # p_i + 1
     if p[i] == -1:
         # x^-1 * ln^k -> ln^(k+1)/(k+1)
         nk = tuple(q + int(j == i) for j, q in enumerate(k))
-        return GenPoly(nvars, {(np, nk): c / (k[i] + 1)})
+        _acc(out, (np, nk), c / (k[i] + 1))
+        return
     denom = p[i] + 1
-    head = GenPoly(nvars, {(np, k): c / denom})
+    _acc(out, (np, k), c / denom)
     if k[i] == 0:
-        return head
+        return
     # by parts: subtract (k_i/denom) * integral x^p ln^(k-1)
     nk = tuple(q - int(j == i) for j, q in enumerate(k))
-    return head + _integrate_term(nvars, p, nk, -c * k[i] / denom, i)
+    _integrate_term(out, p, nk, -c * k[i] / denom, i)

@@ -134,3 +134,93 @@ def test_solve_consistent_rank_deficient_returns_nullspace_basis():
     assert len(out.basis) == 2
     for v in out.basis:
         assert all(x == 0 for x in mat_vec(m, v))
+
+
+# Reference arithmetic: the Gauss-Jordan loop over Fractions that the
+# fraction-free _rref replaced.  The reduced row echelon form is unique, so
+# _rref must reproduce its rows (values and Fraction type) and pivots.
+
+
+def _ref_rref(rows):
+    rows = [list(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _sparse_matrix(rng, nrows, ncols, zero_share):
+    """Random rational matrix with mixed denominators, some zero rows and
+    columns, and (half the time) rows that combine earlier rows."""
+    dead_rows = {i for i in range(nrows) if rng.random() < 0.15}
+    dead_cols = {j for j in range(ncols) if rng.random() < 0.15}
+    m = []
+    for i in range(nrows):
+        if i in dead_rows:
+            m.append([Fraction(0)] * ncols)
+        elif m and rng.random() < 0.5:
+            # rank deficiency: a rational combination of two earlier rows
+            u, v = rng.choice(m), rng.choice(m)
+            a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(-3, 3))
+            m.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            m.append([
+                Fraction(0) if j in dead_cols or rng.random() < zero_share
+                else Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 9, 35)))
+                for j in range(ncols)
+            ])
+    return m
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (12, 4), (9, 9), (3, 7), (1, 5), (6, 1)])
+def test_rref_matches_fraction_reference(shape):
+    from lvfi.linalg import _rref
+
+    rng = random.Random(100 * shape[0] + shape[1])
+    for trial in range(150):
+        m = _sparse_matrix(rng, *shape, zero_share=rng.choice((0.0, 0.42, 0.7)))
+        want_rows, want_pivots = _ref_rref(m)
+        snapshot = [list(row) for row in m]
+        rows, pivots = _rref(m)
+        assert m == snapshot  # the input is not modified
+        assert pivots == want_pivots
+        assert rows == want_rows
+        assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rref_edge_matrices():
+    from lvfi.linalg import _rref
+
+    cases = [
+        [[Fraction(0)] * 3 for _ in range(4)],  # all zero
+        [[Fraction(0), Fraction(2, 3)], [Fraction(0), Fraction(-4, 9)]],  # zero column
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(0)], [Fraction(3), Fraction(2)]],
+        [[Fraction(7, 5)]],
+    ]
+    for m in cases:
+        rows, pivots = _rref(m)
+        assert (rows, pivots) == _ref_rref(m)
+        assert all(type(x) is Fraction for row in rows for x in row)
+    # entries may be ints (the derived matchers evaluate "0" to int 0); the
+    # result still holds only Fractions
+    rows, pivots = _rref([[0, Fraction(1, 2)], [2, 0], [0, 0]])
+    assert pivots == [0, 1]
+    assert rows == [[1, 0], [0, 1], [0, 0]]
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert _rref([]) == ([], [])

@@ -108,20 +108,21 @@ def test_conservation_domain_error_names_subexpression():
 
 
 def test_detection_and_lie_check_do_not_load_numpy():
+    # sympy serves only as a test oracle: importing lvfi must not load it
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "import lvfi, lvfi.cli\n"
         "s = lvfi.parse_system(sys.argv[2])\n"
         "h = lvfi.detect2d(s)[0].integral\n"
         "assert lvfi.lie_check(h, s) < 1e-10\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'sympy' in sys.modules)\n"
     )
     src = str(Path(lvfi.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code, src, VOLTERRA],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 # Reference arithmetic: the list-based field and RK4 loop that the unrolled
