@@ -150,11 +150,14 @@ _X0_CANDIDATES = ((1.0,), (0.9, 1.1), (1.3, 0.7, 1.1), (0.5, 1.5, 0.8))
 
 def _drift_from_point(h, s, args, x0, trajectories):
     """Conservation drift from x0 (default all-ones, falling back to nearby
-    in-domain points when logs or blow-up demand it).
+    in-domain points when logs, blow-up or an equilibrium demand it).
 
-    Every detection of one system integrates the same field, so trajectories
-    are shared within one call: ``trajectories`` maps each start point already
-    tried to its Trajectory, or to the error integrate raised from it.
+    A start point whose trajectory is constant, an equilibrium above all, is
+    skipped: every function has drift 0.0 along it, so the drift would
+    certify nothing.  Every detection of one system integrates the same
+    field, so trajectories are shared within one call: ``trajectories`` maps
+    each start point already tried to its Trajectory, or to the error that
+    rules it out.
     """
     candidates = []
     if x0 is not None:
@@ -169,9 +172,16 @@ def _drift_from_point(h, s, args, x0, trajectories):
     for cand in candidates:
         if cand not in trajectories:
             try:
-                trajectories[cand] = integrate(s, cand, args.t_end, args.step, args.method)
+                tr = integrate(s, cand, args.t_end, args.step, args.method)
             except (DomainViolation, OverflowError) as exc:
-                trajectories[cand] = exc
+                tr = exc
+            else:
+                if (tr.states == tr.states[0]).all():
+                    tr = DomainViolation(
+                        f"the trajectory from x0 = {list(cand)} is constant, "
+                        "so no drift can show"
+                    )
+            trajectories[cand] = tr
         tr = trajectories[cand]
         if isinstance(tr, Exception):
             last_err = str(tr)

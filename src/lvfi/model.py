@@ -265,28 +265,57 @@ def to_float(s: LVSystem) -> tuple[LVSystem, bool]:
     )
 
 
+FIELD_PARAMETERS = "b0, b1, b2, e0, e1, e2, a00, a01, a02, a10, a11, a12, a20, a21, a22"
+
+
+def field_coefficients(s: LVSystem) -> tuple[list[list[float]], list[float]]:
+    """(A, arguments) of the field of s as floats: the matrix, whose zero
+    pattern the generated field sources follow, and every coefficient in the
+    order of FIELD_PARAMETERS.  A 2D system is padded with a zero third row
+    and column."""
+    pad = [0.0] * (3 - s.dim)
+    b = [float(v) for v in s.b] + pad
+    e = [float(v) for v in s.e] + pad
+    A = [[float(v) for v in row] + pad for row in s.A] + [[0.0] * 3] * len(pad)
+    return A, [*b, *e, *A[0], *A[1], *A[2]]
+
+
+def field_row(i: int, A, x) -> str:
+    """Source of field component i at the state whose components are named
+    x[0], x[1], ...:  x_i * (b_i + (0.0 + a_ij * x_j + ...)) + e_i.
+
+    The a_ij * x_j terms appear in column order, and only those whose float
+    coefficient A[i][j] is nonzero: the source depends on the zero pattern of
+    A, never on its values (the coefficients are the names of
+    FIELD_PARAMETERS).  A dropped term is +-0.0 * x_j, and for finite x_j
+    adding +-0.0 to a partial sum that starts at +0.0, and so is never -0.0,
+    changes nothing.  b_i, the 0.0 and e_i stay whatever their values: with
+    e_i = 0.0 the last addition still turns a -0.0 product into +0.0.
+    """
+    terms = "".join(f" + a{i}{j} * {x[j]}" for j in range(3) if A[i][j])
+    return f"{x[i]} * (b{i} + (0.0{terms})) + e{i}"
+
+
 def rhs_floats(s: LVSystem):
     """Vector field as a fast float callable f(x0, x1, x2=0.0) -> (f0, f1, f2).
 
-    The three components are unrolled over coefficients held in locals, and
-    each keeps the association x_i*(b_i + (0.0 + a_i0*x0 + a_i1*x1 + a_i2*x2))
-    + e_i.  A 2D system is padded with a zero third row and column, so from
-    x2 = 0.0 its third component is 0.0 and the padded terms add exact zeros
-    (the partial sum starts at +0.0 and so is never -0.0): the first two
-    components are bit-identical to the unpadded 2D field.
+    The three components are written out by field_row, the row template the
+    RK4 kernel of ``verify`` inlines, so RK4, RK45 and the Lie check run the
+    same row arithmetic.  The function is generated for the zero pattern of A
+    and holds the coefficients in its closure.  A 2D system is padded with a
+    zero third row and column: the padded column contributes no terms, and
+    from x2 = 0.0 the third component is 0.0.
     """
-    pad = [0.0] * (3 - s.dim)
-    b0, b1, b2 = [float(v) for v in s.b] + pad
-    e0, e1, e2 = [float(v) for v in s.e] + pad
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = [
-        [float(v) for v in row] + pad for row in s.A
-    ] + [[0.0] * 3] * len(pad)
-
-    def f(x0, x1, x2=0.0):
-        return (
-            x0 * (b0 + (0.0 + a00 * x0 + a01 * x1 + a02 * x2)) + e0,
-            x1 * (b1 + (0.0 + a10 * x0 + a11 * x1 + a12 * x2)) + e1,
-            x2 * (b2 + (0.0 + a20 * x0 + a21 * x1 + a22 * x2)) + e2,
-        )
-
-    return f
+    A, arguments = field_coefficients(s)
+    x = ("x0", "x1", "x2")
+    rows = ", ".join(field_row(i, A, x) for i in range(3))
+    source = (
+        f"def make({FIELD_PARAMETERS}):\n"
+        f"    def f(x0, x1, x2=0.0):\n"
+        f"        return ({rows})\n"
+        f"    return f\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<rhs_floats>", "exec"), namespace)
+    # popped, so that the function and its globals form no reference cycle
+    return namespace.pop("make")(*arguments)

@@ -250,3 +250,18 @@ def test_detect_prints_no_numpy_warnings(tmp_path):
     )
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+def test_detect_drift_skips_an_equilibrium_start_point(volterra_path, capsys):
+    # (1, 1) is the Volterra system's equilibrium: H = x1 shows drift 0.0
+    # along its constant trajectory too, so the drift must come from elsewhere
+    assert main(["detect", "--input", volterra_path, "--format", "json"]) == 0
+    for rec in json.loads(capsys.readouterr().out)["detections"]:
+        ver = rec["verification"]
+        assert ver["x0"] not in (None, [1.0, 1.0])
+        assert ver["max_rel_drift"] > 0.0
+    assert main(["detect", "--input", volterra_path, "--format", "json", "--x0", "1,1"]) == 0
+    for rec in json.loads(capsys.readouterr().out)["detections"]:
+        ver = rec["verification"]
+        assert ver["x0"] is None and ver["max_rel_drift"] is None
+        assert "is constant" in ver["drift_error"]

@@ -8,7 +8,7 @@ import pytest
 
 import lvfi
 from lvfi import expr as ex
-from lvfi import verify
+from lvfi import model, verify
 from lvfi.catalog2d import SAMPLERS_2D, detect2d
 from lvfi.catalog3d import SAMPLERS_3D, detect3d
 from lvfi.model import make_system, parse_system
@@ -279,3 +279,53 @@ def test_rk45_and_lie_check_match_reference_field(monkeypatch):
     new = run()
     monkeypatch.setattr(verify, "rhs_floats", _ref_field_padded)
     assert new == run()
+
+
+# Float systems whose zeros decide bits: the kernel leaves out zero-coefficient
+# terms, which must not change a sign of zero, a rounding or the step at which
+# a non-finite state is reported.
+@pytest.mark.parametrize(
+    "b, A, e, x0, t_end, h",
+    [
+        ((1.0, -0.5), ((-0.0, -1.0), (0.5, -0.0)), (-0.0, 0.0), (0.5, 1.0), 1.0, 1e-2),
+        ((1.0, -1.0), ((0.0, -1.0), (1.0, 0.0)), (0.0, 0.0), (-0.0, 1.0), 1.0, 1e-2),
+        ((-0.0, 0.0), ((0.0, -5e-324), (0.0, 0.0)), (-0.0, 0.0), (-0.0, 0.25), 1.0, 1e-2),
+        (
+            (0.0, 1.0, -1.0),
+            ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.5, -0.0)),
+            (0.0, 0.0, 0.0),
+            (1e150, 0.5, 2.0),
+            100.0,
+            10.0,
+        ),
+        ((-0.0, 0.0), ((0.0, -0.0), (-0.0, 0.0)), (0.0, -0.0), (-0.0, 1.5), 1.0, 1e-2),
+    ],
+    ids=["negative-zero-coefficients", "negative-zero-start", "subnormal-product",
+         "overflow-beside-zero-coefficients", "zero-field-2d"],
+)
+def test_rk4_kernel_is_bit_identical_to_reference_on_float_edge_cases(b, A, e, x0, t_end, h):
+    from array import array
+
+    s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
+    assert _rk4_run(s, x0, t_end, h)[0] == _ref_run(s, x0, t_end, h)[0]
+    field = array("d", model.rhs_floats(s)(*x0)[: s.dim]).tobytes()
+    assert field == array("d", _ref_rhs_floats(s)(x0)).tobytes()
+
+
+def test_rk4_source_depends_only_on_the_zero_pattern():
+    def source(b, A, e):
+        s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
+        return verify._rk4_source(s.dim, model.field_coefficients(s)[0])
+
+    one = source((1.5, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
+    two = source((-4.0, 0.0, 0.5), ((-0.0, 9.0, 0.0), (-2.0, 0.0, 1e-300), (0.0, -0.0, 3.0)), (2.0, 0.0, 0.0))
+    assert one == two
+    assert "2.5" not in one and "1.5" not in one
+    other = source((1.5, 2.0, 3.0), ((1.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
+    assert other != one
+
+
+def test_trajectory_annotations_resolve():
+    import typing
+
+    assert set(typing.get_type_hints(verify.Trajectory)) >= {"times", "states", "steps"}
