@@ -111,12 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _detections_payload(s, dets, cands, args, do_verify: bool, x0=None):
+def _detections_payload(s, dets, args, do_verify: bool, x0=None):
     seed = _seed_of(args)
     region = _region_of(args)
     out = []
-    worst = {"lie_max": 0.0, "max_rel_drift": 0.0}
-    all_ok = True
     trajectories: dict = {}
     for d in dets:
         rec = d.to_json_obj()
@@ -129,20 +127,21 @@ def _detections_payload(s, dets, cands, args, do_verify: bool, x0=None):
             except DomainViolation as exc:
                 ver["lie_max"] = None
                 ver["lie_error"] = str(exc)
-            drift = _drift_from_point(d.integral, s, args, x0, trajectories)
-            ver.update(drift)
+            start, rep = _drift_from_point(d.integral, s, args, x0, trajectories)
+            if start is None:
+                ver.update({"x0": None, "max_rel_drift": None, "drift_error": rep})
+            else:
+                ver.update({
+                    "x0": list(start),
+                    "max_rel_drift": rep.max_rel_drift,
+                    "max_abs_drift": rep.max_abs_drift,
+                    "H0": rep.H0,
+                    "blew_up": rep.blew_up,
+                })
             rec["verification"] = ver
             d.verification = ver
-            lie = ver.get("lie_max")
-            dr = ver.get("max_rel_drift")
-            if lie is None or lie > args.tol_lie:
-                all_ok = False
-            else:
-                worst["lie_max"] = max(worst["lie_max"], lie)
-            if dr is not None:
-                worst["max_rel_drift"] = max(worst["max_rel_drift"], dr)
         out.append(rec)
-    return out, worst, all_ok
+    return out
 
 
 _X0_CANDIDATES = ((1.0,), (0.9, 1.1), (1.3, 0.7, 1.1), (0.5, 1.5, 0.8))
@@ -158,6 +157,9 @@ def _drift_from_point(h, s, args, x0, trajectories):
     field, so trajectories are shared within one call: ``trajectories`` maps
     each start point already tried to its Trajectory, or to the error that
     rules it out.
+
+    Returns (start point, ConservationReport) from the first usable start
+    point, or (None, the message of the last error) when none is usable.
     """
     candidates = []
     if x0 is not None:
@@ -191,14 +193,8 @@ def _drift_from_point(h, s, args, x0, trajectories):
         except (DomainViolation, ex.EvalDomainError, OverflowError) as exc:
             last_err = str(exc)
             continue
-        return {
-            "x0": list(cand),
-            "max_rel_drift": rep.max_rel_drift,
-            "max_abs_drift": rep.max_abs_drift,
-            "H0": rep.H0,
-            "blew_up": rep.blew_up,
-        }
-    return {"x0": None, "max_rel_drift": None, "drift_error": last_err}
+        return cand, rep
+    return None, last_err
 
 
 def cmd_detect(args) -> int:
@@ -208,8 +204,8 @@ def cmd_detect(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     dets, cands = detect2d_full(s) if s.dim == 2 else detect3d_full(s)
-    payload, worst, _ = _detections_payload(
-        s, dets, cands, args, do_verify=not args.no_verify,
+    payload = _detections_payload(
+        s, dets, args, do_verify=not args.no_verify,
         x0=_parse_x0(args.x0) if args.x0 else None,
     )
     doc = {
@@ -260,23 +256,25 @@ def cmd_verify(args) -> int:
     if ex.max_var_index(h) >= s.dim:
         print("error: integral uses variables beyond the system dimension", file=sys.stderr)
         return EXIT_INPUT
-    seed = _seed_of(args)
-    region = _region_of(args)
-    x0 = _parse_x0(args.x0) if args.x0 else tuple(1.0 for _ in range(s.dim))
+    x0 = _parse_x0(args.x0) if args.x0 else None
     try:
-        lie = lie_check(h, s, n=args.points, region=region, seed=seed)
-        tr = integrate(s, x0, args.t_end, args.step, args.method)
-        rep = conservation_report(h, tr)
+        lie = lie_check(h, s, n=args.points, region=_region_of(args), seed=_seed_of(args))
     except (DomainViolation, ex.EvalDomainError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    start, rep = _drift_from_point(h, s, args, x0, {})
+    if start is None:
+        print(f"domain error: {rep}", file=sys.stderr)
         return EXIT_INTERNAL
     rep.lie_max = lie
     doc = rep.to_json_obj()
     ok = lie <= args.tol_lie and rep.max_rel_drift <= args.tol_drift
     doc["pass"] = ok
+    doc["x0"] = list(start)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
+        print(f"x0             = {list(start)}")
         print(f"lie_max        = {lie}")
         print(f"H0             = {rep.H0}")
         print(f"max_abs_drift  = {rep.max_abs_drift}")

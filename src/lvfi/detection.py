@@ -14,6 +14,22 @@ must pass an exact gate before it becomes a Detection:
 
 A match whose exact gate fails is demoted to a diagnostic candidate, never
 silently dropped.
+
+Each integrating factor is gated once per run_rules call.  On a system with
+a coordinate symmetry several (rule, sigma) pairs give the same factor in
+the original coordinates; a match is skipped when an earlier match of the
+same rule family with the same _factor_key passed the gate.  This is exact,
+and detections and candidates are those of gating every match:
+
+  * if T' = c T in the original coordinates (c != 0), then grad H' =
+    c grad H, so H' = c H + const.  The curl residual, the construction,
+    the exact Lie derivative, the constant-integral test and the normalized
+    dedup key all agree, so the skipped match would have passed the gate
+    and then been collapsed as a duplicate;
+  * a stated monomial x^(c p) is Lie-zero exactly when x^p is, and a stated
+    integral's key is its dedup key;
+  * a key whose match failed the gate never skips a later match, because
+    that match's candidate must still be reported.
 """
 
 from __future__ import annotations
@@ -207,22 +223,75 @@ def run_rules(
     detections: list[Detection] = []
     candidates: list[Candidate] = []
     seen: set = set()
+    passed: set = set()  # _factor_key of every match that passed the gate
     relabeled = [(p, permute_system(sx, p)) for p in perms]
     for rule in rules:
         for p, s2 in relabeled:
             if not pattern_ok(rule.pattern, s2):
                 continue
             for m in rule.match(s2):
+                fkey = _factor_key(rule, m, p.sigma)
+                if fkey is not None and fkey in passed:
+                    continue
                 det, cand = _gate_and_build(rule, s2, sx, p, m)
                 if cand is not None:
                     candidates.append(cand)
                     continue
+                if fkey is not None:
+                    passed.add(fkey)
                 key = _dedup_key(rule, det, m)
                 if key in seen:
                     continue
                 seen.add(key)
                 detections.append(det)
     return detections, candidates
+
+
+def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]:
+    """What a match's gate depends on, in the original coordinates and up to
+    a nonzero scalar, or None when the match must always be gated.
+
+    * A GenPoly Ansatz match: the integrating factor T = R M, pulled back
+      by sigma.  Entry (i, j) of T/R on the relabeled system is a monomial
+      c x^w (oracle.T_WEIGHTS; -x^0 at (1, 2) in 2D), so T holds
+      c x^(l-1+w) at (sigma(i), sigma(j)) of the original coordinates, and
+      -c x^(l-1+w) at (sigma(j), sigma(i)).  The key lists the upper
+      triangle scaled by its first entry.
+    * A stated integral: its dedup key (_integral_key).
+
+    H_expr matches (and so every 2d-separable one) have no key.
+    """
+    if m.H_expr is not None:
+        return None
+    if m.H_gen is not None:
+        if m.ansatz is not None:
+            return None
+        H = normalize_for_output(_permute_genpoly(m.H_gen, sigma))
+        return _integral_key(rule.family, _canonical_monomial(H))
+    kind, abg, l = m.ansatz
+    if kind == "2d-exponents":
+        pairs, weights, coefs = ((0, 1),), ((0, 0),), (Fraction(-1),)
+    elif kind in oracle.T_WEIGHTS:
+        pairs, weights = ((0, 1), (0, 2), (1, 2)), oracle.T_WEIGHTS[kind]
+        coefs = tuple(-Fraction(v) for v in abg)
+    else:
+        return None
+    lm1 = [Fraction(v) - 1 for v in l]
+    entries = []
+    for (i, j), w, c in zip(pairs, weights, coefs):
+        if c == 0:
+            continue
+        exps = [0] * len(sigma)
+        for k, q in enumerate(lm1):
+            exps[sigma[k]] = q + w[k]
+        si, sj = sigma[i], sigma[j]
+        if si < sj:
+            entries.append(((si, sj), c, tuple(exps)))
+        else:
+            entries.append(((sj, si), -c, tuple(exps)))
+    entries.sort(key=lambda t: t[0])
+    lead = entries[0][1] if entries else 1
+    return (rule.family, tuple((ij, c / lead, exps) for ij, c, exps in entries))
 
 
 def ansatz_residual(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
@@ -320,11 +389,15 @@ def _canonical_monomial(H: GenPoly) -> GenPoly:
     return GenPoly.term(H.nvars, 1, [Fraction(q) / lead for q in p], k)
 
 
+def _integral_key(family: str, Hn: GenPoly) -> tuple:
+    """Dedup key of an integral in output form (normalize_for_output, then
+    _canonical_monomial), so powers of one monomial integral share it."""
+    return (family, frozenset(Hn.normalized().terms.items()))
+
+
 def _dedup_key(rule: Rule, det: Detection, m: Match):
     if det.H_gen is not None:
-        # H_gen is already canonical (_canonical_monomial), so powers of one
-        # monomial integral share this key.
-        return (rule.family, frozenset(det.H_gen.normalized().terms.items()))
+        return _integral_key(rule.family, det.H_gen)
     if m.dedup_key is not None:
         key = m.dedup_key
         if key and key[0] == "permvec":

@@ -98,12 +98,21 @@ def residual_2d(s: LVSystem, alpha, beta, gamma) -> GenPoly:
     return residual_2d_exponents((b, A, e), l1, l2, alpha / a12, -alpha / a21)
 
 
+# Exponents of the monomial weights of the skew entries (1,2), (1,3), (2,3)
+# of T/R, whose coefficients are -alpha, -beta, -gamma (primed for T1).
+T_WEIGHTS = {
+    "3d-t1": ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+    "3d-t2": ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+}
+
+
 def _t_components(nvars, b, A, e, kind: str, abg):
     """(T f) without the R factor, per Ansatz kind."""
     f = [_f_laurent(nvars, b, A, e, i) for i in range(nvars)]
     z = (0,) * nvars
-    weights = (z, z, z) if kind == "3d-t1" else ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    w12, w13, w23 = (GenPoly(nvars, {(p, z): c}) for p, c in zip(weights, abg))
+    w12, w13, w23 = (
+        GenPoly(nvars, {(p, z): c}) for p, c in zip(T_WEIGHTS[kind], abg)
+    )
     g1 = -(w12 * f[1]) - (w13 * f[2])
     g2 = (w12 * f[0]) - (w23 * f[2])
     g3 = (w13 * f[0]) + (w23 * f[1])

@@ -265,3 +265,18 @@ def test_detect_drift_skips_an_equilibrium_start_point(volterra_path, capsys):
         ver = rec["verification"]
         assert ver["x0"] is None and ver["max_rel_drift"] is None
         assert "is constant" in ver["drift_error"]
+
+
+def test_verify_skips_an_equilibrium_start_point(volterra_path, tmp_path, capsys):
+    # `verify` picks its start point as `detect` does: all-ones is the
+    # Volterra system's equilibrium, so the drift comes from (0.9, 1.1)
+    main(["detect", "--input", volterra_path, "--format", "json"])
+    ip = tmp_path / "h.json"
+    ip.write_text(json.dumps(json.loads(capsys.readouterr().out)["detections"][0]["integral_ast"]))
+    assert main(["verify", "--input", volterra_path, "--integral", str(ip), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["x0"] == [0.9, 1.1] and 0.0 < doc["max_rel_drift"] <= 1e-6
+    assert {"H0", "max_abs_drift", "lie_max", "sample_count", "blew_up", "pass"} <= set(doc)
+    # an explicit equilibrium start point certifies nothing: a domain error
+    assert main(["verify", "--input", volterra_path, "--integral", str(ip), "--x0", "1,1"]) == 2
+    assert "is constant" in capsys.readouterr().err

@@ -16,7 +16,8 @@ the exact gate, so it also catches a number that changes type
 
 The sympy check is an oracle independent of lvfi's own algebra: it rebuilds
 every detected integral and the system's field in sympy and asks that the
-Lie derivative f . grad H cancel to zero.
+Lie derivative f . grad H cancel to zero, on the digest corpus and on the
+benchmark's `manifold` and `verify` corpora.
 """
 
 import hashlib
@@ -175,3 +176,34 @@ def test_sympy_oracle_rejects_non_integrals():
     moved = make_system(b=(s.b[0] + 1, s.b[1]), A=s.A, e=s.e)
     assert _sympy_lie(H, moved) != 0
 
+
+
+def _bench_corpus(name):
+    """The first 84 `manifold` systems at seed 11 (its digest_systems), or
+    the 42-system `verify` corpus, from perfbench/workloads.py (loaded from
+    its file: perfbench is not a package)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    w = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = w  # its dataclasses look their module up
+    spec.loader.exec_module(w)
+    if name == "manifold":
+        return [s for _, s in itertools.islice(w._on_manifold(11), 84)]
+    return [s for _, s, _ in itertools.islice(w._verify_corpus(0), 42)]
+
+
+@pytest.mark.parametrize("name", ["manifold", "verify"])
+def test_sympy_oracle_certifies_every_bench_corpus_detection(name):
+    systems = _bench_corpus(name)
+    checked = 0
+    for k, s in enumerate(systems):
+        dets, _ = detect2d_full(s) if s.dim == 2 else detect3d_full(s)
+        assert dets, (name, k)
+        for d in dets:
+            assert _sympy_lie(d.integral, s) == 0, (name, k, d.rule_id, ex.pretty(d.integral))
+            checked += 1
+    assert checked >= len(systems)
