@@ -4,10 +4,15 @@ The constant matrix family (T1) forces unit exponents and its conditions do
 not involve the constant terms at all, so those three rules apply to every
 constant-term pattern.  The coordinate-weighted family (T2) splits by the zero
 pattern of e; each rule records the applicability residuals, the parameter or
-exponent solve, and guards, exactly as the case analysis dictates.  Rules whose
-Ansatz direction (alpha, beta, gamma) is a constant hold it as data
-(``Rule.ansatz``): one matcher evaluates their printed residuals and guards and
-solves any free exponent from the oracle's condition rows.
+exponent solve, and guards, exactly as the case analysis dictates.  Most rules
+hold their Ansatz as data (``Rule.ansatz``): the kind, a direction template
+(alpha, beta, gamma) and an exponent template, each entry constant, free or
+tied.  One matcher (_ConstantDirection) evaluates their printed residuals,
+solves the free entries from the oracle's condition rows (the direction from
+a nullspace when the exponents are constant, the exponents from a constrained
+solve when the direction is), and evaluates the guards at each direction.
+The rest (L3-3, L4-7, L4-8, L5-7a/b, L5-8a, whose free entries sit in both
+templates, and the stated integrals) keep hand-written matchers.
 
 Printed closed forms are treated as claims: the integral is always rebuilt
 from the Ansatz by exact potential reconstruction, and where transcribed, the
@@ -75,27 +80,9 @@ def term_table(abg, s: LVSystem) -> TermTable:
     return TermTable(B=B, A=rows)
 
 
-_ENTRY_ROWS = {
-    # entry name -> coefficients of (alpha, beta, gamma)
-    "B1": lambda b, A: (b[0], F(0), -b[2]),
-    "B2": lambda b, A: (b[1], b[2], F(0)),
-    "B3": lambda b, A: (F(0), b[0], b[1]),
-}
-for _i in range(3):
-    _ENTRY_ROWS[f"A1{_i+1}"] = (
-        lambda b, A, i=_i: (A[0][i], F(0), -A[2][i])
-    )
-    _ENTRY_ROWS[f"A2{_i+1}"] = (
-        lambda b, A, i=_i: (A[1][i], A[2][i], F(0))
-    )
-    _ENTRY_ROWS[f"A3{_i+1}"] = (
-        lambda b, A, i=_i: (F(0), A[0][i], A[1][i])
-    )
-
-
 def solve_abg(s: LVSystem, zero_entries, fixed: dict | None = None) -> list[tuple]:
     """Nullspace basis of (alpha, beta, gamma) making the named table entries
-    vanish; `fixed` pins components, e.g. {"gamma": 0}."""
+    (B1..B3, A11..A33) vanish; `fixed` pins components, e.g. {"gamma": 0}."""
     if s.dim != 3:
         raise ValueError("solve_abg needs a 3D system")
     fixed = fixed or {}
@@ -103,8 +90,10 @@ def solve_abg(s: LVSystem, zero_entries, fixed: dict | None = None) -> list[tupl
     free = [v for v in ("alpha", "beta", "gamma") if v not in fixed]
     rows = []
     for name in zero_entries:
-        full = _ENTRY_ROWS[name](s.b, s.A)
-        rows.append(tuple(full[idx[v]] for v in free))
+        # each entry is linear in the direction: its row is its value at the
+        # free unit directions
+        entry = condition_function(condition_source(name))
+        rows.append(tuple(entry(s.b, s.A, s.e, _unit(idx[v])) for v in free))
     if not rows:
         rows = [tuple(F(0) for _ in free)]
     basis = nullspace(tuple(rows))
@@ -115,6 +104,10 @@ def solve_abg(s: LVSystem, zero_entries, fixed: dict | None = None) -> list[tupl
             vec[idx[name]] = val
         out.append(tuple(vec))
     return out
+
+
+def _unit(k: int) -> tuple:
+    return tuple(F(int(i == k)) for i in range(3))
 
 
 def _ns_candidates(rows) -> list[tuple]:
@@ -148,68 +141,90 @@ def _gp(terms) -> GenPoly:
     return out
 
 
-class _ConstantDirection:
-    """Matcher derived from a rule whose Ansatz direction is a constant.
+def _template_function(template, free) -> Callable:
+    """(free entries) -> the entries of an Ansatz template, with constants as
+    Fractions and tied entries evaluated (primes dropped from the names)."""
+    consts = {f"k{i}": F(v) for i, v in enumerate(template) if not isinstance(v, str)}
+    entries = [
+        v.replace("'", "") if isinstance(v, str) else f"k{i}" for i, v in enumerate(template)
+    ]
+    return eval(
+        f"lambda {', '.join(free)}: ({', '.join(entries)},)",
+        {"__builtins__": {}, **consts},
+    )
 
-    The rule's ``ansatz`` is (kind, (alpha, beta, gamma), exponent template);
-    each template entry is a number (a constant exponent), its own name
-    ``"l<i>"`` (a free exponent) or an expression in the free names (a tied
-    exponent, such as ``"-l2"``).  A system matches when every printed
-    residual vanishes and every guard holds.  Without free exponents that
-    gives the one match; otherwise the free exponents are solved from the
-    oracle's condition rows, specialized to the direction, the fixed and
-    tied exponents and the pattern's zero constant terms, with one match per
-    solution candidate.
+
+class _ConstantDirection:
+    """Matcher derived from a rule's Ansatz template.
+
+    The rule's ``ansatz`` is (kind, direction template, exponent template).
+    Each template entry is a number (a constant), its own name (a free
+    entry: ``"alpha"``, ``"beta"``, ``"gamma"``, primed for T1, or
+    ``"l<i>"``) or an expression in the free names of its template (a tied
+    entry, such as ``"-gamma"`` or ``"-l2"``).  A system is tried when every
+    printed residual vanishes.  The free entries are then solved from the
+    oracle's condition rows (as in derive_conditions), specialized to the
+    constant and tied entries and the pattern's zero constant terms:
+
+    * with the exponents constant, the rows are homogeneous in the free
+      direction names, taken in template order, and each nullspace
+      candidate (_ns_candidates) is a direction;
+    * with the direction constant, the rows are affine in the free
+      exponents, and each solution candidate (_l_candidates) is a match.
+
+    Rows holding free names of both templates are not affine, and compiling
+    them raises ValueError.  Every guard must hold at the match's direction.
     """
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.kind, abg, self.template = rule.ansatz
-        self.abg = tuple(F(v) for v in abg)
+        self.kind, self.dtemplate, self.template = rule.ansatz
+        prime = "'" if self.kind == "3d-t1" else ""
+        self.dnames = [n + prime for n in ("alpha", "beta", "gamma")]
+        self.free_d = [n.rstrip("'") for n, t in zip(self.dnames, self.dtemplate) if t == n]
         names = [f"l{i + 1}" for i in range(3)]
         self.free = [n for n, t in zip(names, self.template) if t == n]
         self.varying = [n for n, t in zip(names, self.template) if isinstance(t, str)]
-        prime = "'" if self.kind == "3d-t1" else ""
-        self.direction = {
-            name + prime: v for name, v in zip(("alpha", "beta", "gamma"), self.abg)
-        }
 
     # Compiled on first use, so importing the catalog compiles nothing.
     @cached_property
     def holds(self) -> Callable:
-        """(b, A, e) -> whether every residual vanishes and every guard holds."""
+        """(b, A, e) -> whether every printed residual vanishes."""
         chain = " or ".join(f"({t})" for t in self.rule.residuals)
-        tests = [f"not ({chain})"] if chain else []
-        tests += [f"({t})" for t in self.rule.guards]
-        source = condition_source(" and ".join(tests) or "True")
-        return condition_function(source, self.abg)
+        return condition_function(condition_source(f"not ({chain})" if chain else "True"))
+
+    @cached_property
+    def admits(self) -> Callable:
+        """(b, A, e, d) -> whether every guard holds at the direction d."""
+        tests = " and ".join(f"({t})" for t in self.rule.guards)
+        return condition_function(condition_source(tests or "True"))
+
+    @cached_property
+    def direction(self) -> Callable:
+        """(free direction names) -> (alpha, beta, gamma)."""
+        return _template_function(self.dtemplate, self.free_d)
 
     @cached_property
     def exponents(self) -> Callable:
         """(free exponents) -> all three exponents of the template."""
-        t = self.template
-        consts = {f"k{i}": F(v) for i, v in enumerate(t) if not isinstance(v, str)}
-        entries = [v if isinstance(v, str) else f"k{i}" for i, v in enumerate(t)]
-        return eval(
-            f"lambda {', '.join(self.free)}: ({', '.join(entries)},)",
-            {"__builtins__": {}, **consts},
-        )
+        return _template_function(self.template, self.free)
 
     @cached_property
     def rows(self) -> Callable:
-        """(b, A, e) -> (m, r), where m @ (free exponents) = r is the oracle's
-        condition row system (as in derive_conditions) at this direction, the
-        fixed and tied exponents and the pattern's zero constant terms.  The
-        rows are affine in the exponents, so the free ones split off as
+        """(b, A, e) -> (m, r), where m @ (free entries) = r is the oracle's
+        condition row system at the template's constant and tied entries and
+        the pattern's zero constant terms.  Free entries split off as
         columns; rows equal up to a rational factor are kept once, which
         leaves the solve unchanged."""
-        free, ncols = self.free, len(self.free)
+        free = self.free_d + self.free
+        ncols = len(free)
         b, A, e = _symbolic_system(3)
         pattern = self.rule.pattern or (None,) * 3
         e = tuple(0 if want is False else ei for want, ei in zip(pattern, e))
-        l = self.exponents(*(SymPoly.sym(n) for n in free))
+        abg = self.direction(*(SymPoly.sym(n) for n in self.free_d))
+        l = self.exponents(*(SymPoly.sym(n) for n in self.free))
         conds = [
-            c for comp in residual_3d_generic((b, A, e), self.kind, self.abg, l)
+            c for comp in residual_3d_generic((b, A, e), self.kind, abg, l)
             for _, c in comp.items_sorted()
         ]
         rows: list[dict] = []  # (column, coefficient monomial) -> coefficient
@@ -234,7 +249,7 @@ class _ConstantDirection:
             # pivots on a zero entry.
             p = SymPoly({rest: c for (k, rest), c in row.items() if k == col})
             if any(c.denominator != 1 for c in p.terms.values()):
-                raise ValueError("exponent rows need integer coefficients")
+                raise ValueError("condition rows need integer coefficients")
             return str(p)
 
         m = ", ".join(
@@ -244,18 +259,25 @@ class _ConstantDirection:
         return condition_function(condition_source(f"(({m},), ({r},))"))
 
     def __call__(self, s: LVSystem) -> list[Match]:
-        if not self.holds(s.b, s.A, s.e):
+        b, A, e = s.b, s.A, s.e
+        if not self.holds(b, A, e):
             return []
-        if not self.free:
-            return [self._match(self.exponents())]
-        m, r = self.rows(s.b, s.A, s.e)
+        if self.free_d:
+            m, _ = self.rows(b, A, e)
+            dirs = [self.direction(*v) for v in _ns_candidates(m)]
+        else:
+            dirs = [self.direction()]
+        dirs = [d for d in dirs if self.admits(b, A, e, d)]
+        if not (dirs and self.free):
+            return [self._match(d, self.exponents()) for d in dirs]
+        m, r = self.rows(b, A, e)
         out = solve_constrained(m, r)
-        return [self._match(self.exponents(*sol)) for sol in _l_candidates(out)]
+        return [self._match(dirs[0], self.exponents(*sol)) for sol in _l_candidates(out)]
 
-    def _match(self, l) -> Match:
+    def _match(self, abg, l) -> Match:
         params = {name: l[int(name[1]) - 1] for name in self.varying}
-        params.update(self.direction)
-        return Match(params=params, ansatz=(self.kind, self.abg, l))
+        params.update(zip(self.dnames, abg))
+        return Match(params=params, ansatz=(self.kind, abg, l))
 
 
 def _cmp_against(printed: GenPoly, s2: LVSystem, H2: GenPoly, what="formula") -> str:
@@ -301,37 +323,6 @@ def _sample_l2i(rng) -> LVSystem:
     )
 
 
-def _match_l2ii(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (
-        b[0] + b[1],
-        b[0] + b[2],
-        2 * A[0][0] + A[1][0],
-        2 * A[0][0] + A[2][0],
-        2 * A[1][1] + A[0][1],
-        2 * A[2][2] + A[0][2],
-    )
-    if any(conds):
-        return []
-    rows = [
-        (A[0][2], -A[0][1]),
-        (A[1][2], A[0][1] + A[2][1]),
-        (A[0][2] + A[1][2], A[2][1]),
-    ]
-    out = []
-    for v in _ns_candidates(rows):
-        if v[0] == 0 or v[1] == 0:
-            continue  # the one-parameter cases belong to the first rule
-        abg = (v[0], v[1], F(0))
-        out.append(
-            Match(
-                params={"alpha'": abg[0], "beta'": abg[1], "gamma'": abg[2]},
-                ansatz=("3d-t1", abg, (F(1), F(1), F(1))),
-            )
-        )
-    return out
-
-
 def _cmp_l2ii(s2, m, H2):
     b, A, e = s2.b, s2.A, s2.e
     a11, a22, a33 = A[0][0], A[1][1], A[2][2]
@@ -363,35 +354,6 @@ def _sample_l2ii(rng) -> LVSystem:
         A=((a11, a12, a13), (-2 * a11, a22, a23), (-2 * a11, a32, a33)),
         e=(_q(rng, True), _q(rng, True), _q(rng, True)),
     )
-
-
-def _match_l2iii(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if any(v != 0 for v in b):
-        return []
-    conds = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                conds.append(A[i][j] + 2 * A[j][j])
-    if any(conds):
-        return []
-    rows = [
-        (-A[0][2], A[0][1], A[1][0] + A[2][0]),
-        (A[1][2], A[0][1] + A[2][1], A[1][0]),
-        (A[0][2] + A[1][2], A[2][1], -A[2][0]),
-    ]
-    out = []
-    for v in _ns_candidates(rows):
-        if any(c == 0 for c in v):
-            continue
-        out.append(
-            Match(
-                params={"alpha'": v[0], "beta'": v[1], "gamma'": v[2]},
-                ansatz=("3d-t1", v, (F(1), F(1), F(1))),
-            )
-        )
-    return out
 
 
 def _cmp_l2iii(s2, m, H2):
@@ -511,22 +473,6 @@ def _sample_l3_3(rng) -> LVSystem:
 # =============================================================================
 
 
-def _match_l4_1(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[0] or A[0][0] or A[0][1] or A[0][2]:
-        return []
-    out = []
-    for v in _ns_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])]):
-        abg = (v[0], v[1], F(0))
-        out.append(
-            Match(
-                params={"alpha": abg[0], "beta": abg[1], "gamma": F(0)},
-                ansatz=("3d-t2", abg, (F(1), F(0), F(0))),
-            )
-        )
-    return out
-
-
 def _cmp_l4_1(s2, m, H2):
     b, A, e = s2.b, s2.A, s2.e
     al, be = m.params["alpha"], m.params["beta"]
@@ -591,26 +537,6 @@ def _sample_l4_3(rng) -> LVSystem:
         ),
         e=(_q(rng, True), 0, 0),
     )
-
-
-def _match_l4_4(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (b[0] + b[2], A[0][0] + A[2][0], A[0][1] + A[2][1], A[0][2] + A[2][2])
-    if any(conds):
-        return []
-    out = []
-    for v in _ns_candidates([(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1])]):
-        be, ga = v
-        A33 = A[0][2] * be + A[1][2] * ga
-        if A33 == 0:
-            continue
-        out.append(
-            Match(
-                params={"beta": be, "gamma": ga, "alpha": -ga},
-                ansatz=("3d-t2", (-ga, be, ga), (F(1), F(0), F(0))),
-            )
-        )
-    return out
 
 
 def _cmp_l4_4(s2, m, H2):
@@ -843,22 +769,6 @@ def _sample_l4_9(rng) -> LVSystem:
 # =============================================================================
 
 
-def _match_l5_1(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if A[0][0] or A[0][1] or A[0][2] or b[0] == 0:
-        return []
-    out = []
-    for v in _ns_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])]):
-        abg = (v[0], v[1], F(0))
-        out.append(
-            Match(
-                params={"alpha": v[0], "beta": v[1]},
-                ansatz=("3d-t2", abg, (F(0), F(0), F(0))),
-            )
-        )
-    return out
-
-
 def _cmp_l5_1(s2, m, H2):
     b, A = s2.b, s2.A
     al, be = m.params["alpha"], m.params["beta"]
@@ -880,22 +790,6 @@ def _sample_l5_1(rng) -> LVSystem:
         A=((0, 0, 0), (_q(rng), a22, a23), (_q(rng), rho * a22, rho * a23)),
         e=(0, 0, 0),
     )
-
-
-def _match_l5_2(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[0] or A[0][1] or A[0][2] or A[0][0] == 0:
-        return []
-    out = []
-    for v in _ns_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])]):
-        abg = (v[0], v[1], F(0))
-        out.append(
-            Match(
-                params={"alpha": v[0], "beta": v[1]},
-                ansatz=("3d-t2", abg, (F(-1), F(0), F(0))),
-            )
-        )
-    return out
 
 
 def _cmp_l5_2(s2, m, H2):
@@ -920,28 +814,6 @@ def _sample_l5_2(rng) -> LVSystem:
         A=((_q(rng, True), 0, 0), (_q(rng), a22, a23), (_q(rng), rho * a22, rho * a23)),
         e=(0, 0, 0),
     )
-
-
-def _match_l5_3(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[0] - b[1] or A[0][1] - A[1][1] or A[0][2] - A[1][2]:
-        return []
-    out = []
-    for v in _ns_candidates([(b[0], b[2]), (A[0][2], A[2][2])]):
-        al, be = v
-        ga = -be
-        A22 = A[1][1] * al + A[2][1] * be
-        A11 = A[0][0] * al + A[2][0] * be
-        A31 = be * (A[0][0] - A[1][0])
-        if A22 == 0 or (A11 == 0 and A31 == 0):
-            continue
-        out.append(
-            Match(
-                params={"alpha": al, "beta": be, "gamma": ga},
-                ansatz=("3d-t2", (al, be, ga), (F(-1), F(0), F(0))),
-            )
-        )
-    return out
 
 
 def _cmp_l5_3(s2, m, H2):
@@ -1448,7 +1320,7 @@ def _sample_triv3(rng) -> LVSystem:
 # =============================================================================
 
 def _direction_rule(**fields) -> Rule:
-    """A rule whose matcher is derived from its constant-direction Ansatz."""
+    """A rule whose matcher is derived from its Ansatz template."""
     rule = Rule(match=None, **fields)
     rule.match = _ConstantDirection(rule)
     return rule
@@ -1466,12 +1338,12 @@ RULES_3D: list[Rule] = [
         sample=_sample_l2i,
         compare_printed=_cmp_l2i,
     ),
-    Rule(
+    _direction_rule(
         id="L2-ii",
         citation="3D T1 Ansatz, case alpha',beta' != 0",
         dim=3,
         pattern=None,
-        match=_match_l2ii,
+        ansatz=("3d-t1", ("alpha'", "beta'", 0), (1, 1, 1)),
         residuals=[
             "b1+b2",
             "b1+b3",
@@ -1486,14 +1358,24 @@ RULES_3D: list[Rule] = [
         compare_printed=_cmp_l2ii,
         notes=["printed formula has sign typos on the x1^2*x2 and x2 terms"],
     ),
-    Rule(
+    _direction_rule(
         id="L2-iii",
         citation="3D T1 Ansatz, case alpha',beta',gamma' != 0",
         dim=3,
         pattern=None,
-        match=_match_l2iii,
-        residuals=["b1", "b2", "b3", "a_ij + 2*a_jj (i != j)"],
-        guards=["alpha', beta', gamma' != 0"],
+        ansatz=("3d-t1", ("alpha'", "beta'", "gamma'"), (1, 1, 1)),
+        residuals=[
+            "b1",
+            "b2",
+            "b3",
+            "a12+2*a22",
+            "a13+2*a33",
+            "a21+2*a11",
+            "a23+2*a33",
+            "a31+2*a11",
+            "a32+2*a22",
+        ],
+        guards=["alpha' != 0", "beta' != 0", "gamma' != 0"],
         sample=_sample_l2iii,
         compare_printed=_cmp_l2iii,
     ),
@@ -1547,12 +1429,12 @@ RULES_3D: list[Rule] = [
             "cross-conditions b3*a1i - b1*a3i = 0"
         ],
     ),
-    Rule(
+    _direction_rule(
         id="L4-1",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 1",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_1,
+        ansatz=("3d-t2", ("alpha", "beta", 0), (1, 0, 0)),
         residuals=["b1", "a11", "a12", "a13", "a22*a33 - a23*a32"],
         guards=[],
         sample=_sample_l4_1,
@@ -1580,13 +1462,21 @@ RULES_3D: list[Rule] = [
         sample=_sample_l4_3,
         notes=["integral is stated directly; it is not a T2 gradient"],
     ),
-    Rule(
+    _direction_rule(
         id="L4-4",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 4",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_4,
-        residuals=["b1+b3", "a11+a31", "a12+a32", "a13+a33", "(b1,a11,a12) prop (b2,a21,a22)"],
+        ansatz=("3d-t2", ("-gamma", "beta", "gamma"), (1, 0, 0)),
+        residuals=[
+            "b1+b3",
+            "a11+a31",
+            "a12+a32",
+            "a13+a33",
+            "b1*a21 - b2*a11",
+            "b1*a22 - b2*a12",
+            "a11*a22 - a12*a21",
+        ],
         guards=["A33 != 0"],
         sample=_sample_l4_4,
         compare_printed=_cmp_l4_4,
@@ -1659,34 +1549,34 @@ RULES_3D: list[Rule] = [
         sample=_sample_l4_9,
         compare_printed=_cmp_l4_9,
     ),
-    Rule(
+    _direction_rule(
         id="L5-1",
         citation="3D T2, e = 0, item 1",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_1,
+        ansatz=("3d-t2", ("alpha", "beta", 0), (0, 0, 0)),
         residuals=["a11", "a12", "a13", "a22*a33 - a32*a23"],
         guards=["b1 != 0"],
         sample=_sample_l5_1,
         compare_printed=_cmp_l5_1,
     ),
-    Rule(
+    _direction_rule(
         id="L5-2",
         citation="3D T2, e = 0, item 2",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_2,
+        ansatz=("3d-t2", ("alpha", "beta", 0), (-1, 0, 0)),
         residuals=["b1", "a12", "a13", "a22*a33 - a32*a23"],
         guards=["a11 != 0"],
         sample=_sample_l5_2,
         compare_printed=_cmp_l5_2,
     ),
-    Rule(
+    _direction_rule(
         id="L5-3",
         citation="3D T2, e = 0, item 3",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_3,
+        ansatz=("3d-t2", ("alpha", "beta", "-beta"), (-1, 0, 0)),
         residuals=["b1-b2", "a12-a22", "a13-a23", "b1*a33 - b3*a13"],
         guards=["A22 != 0", "(A11, A31) != (0, 0)"],
         sample=_sample_l5_3,

@@ -28,6 +28,9 @@ and detections and candidates are those of gating every match:
     and then been collapsed as a duplicate;
   * a stated monomial x^(c p) is Lie-zero exactly when x^p is, and a stated
     integral's key is its dedup key;
+  * an integral outside GenPoly (H_expr) is keyed by its dedup key in the
+    original coordinates, which fixes it up to a scalar and an additive
+    constant, so equal keys have the same Lie outcome;
   * a key whose match failed the gate never skips a later match, because
     that match's candidate must still be reported.
 """
@@ -81,8 +84,8 @@ class Rule:
     sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
     compare_printed: Optional[Callable] = None  # (s2, Match, GenPoly) -> str|None
     notes: list[str] = field(default_factory=list)
-    # (kind, (alpha, beta, gamma), exponent template) when the Ansatz
-    # direction is a constant and the matcher is derived from it
+    # (kind, direction template, exponent template) when the matcher is
+    # derived from the Ansatz (catalog3d._ConstantDirection)
     ansatz: Optional[tuple] = None
 
     @property
@@ -102,9 +105,22 @@ class Rule:
 
 
 _CONDITION_NAME = re.compile(
-    r"\b(?:a([1-3])([1-3])|([be])([1-3])|(alpha|beta|gamma)'?)(?![\w'])"
+    r"\b(?:a([1-3])([1-3])|([be])([1-3])|(alpha|beta|gamma)'?|(A[1-3][1-3]|B[1-3]))"
+    r"(?![\w'])"
 )
 _DIRECTION_INDEX = {"alpha": 0, "beta": 1, "gamma": 2}
+
+# The T2 term table (catalog3d.term_table): each entry is linear in the
+# direction d = (alpha, beta, gamma).
+_TERM_TABLE = {
+    "B1": "b[0]*d[0] - b[2]*d[2]",
+    "B2": "b[1]*d[0] + b[2]*d[1]",
+    "B3": "b[0]*d[1] + b[1]*d[2]",
+}
+for _i in range(3):
+    _TERM_TABLE[f"A1{_i + 1}"] = f"A[0][{_i}]*d[0] - A[2][{_i}]*d[2]"
+    _TERM_TABLE[f"A2{_i + 1}"] = f"A[1][{_i}]*d[0] + A[2][{_i}]*d[1]"
+    _TERM_TABLE[f"A3{_i + 1}"] = f"A[0][{_i}]*d[1] + A[1][{_i}]*d[2]"
 
 
 def _condition_name(m: re.Match) -> str:
@@ -112,17 +128,19 @@ def _condition_name(m: re.Match) -> str:
         return f"A[{int(m[1]) - 1}][{int(m[2]) - 1}]"
     if m[3]:
         return f"{m[3]}[{int(m[4]) - 1}]"
+    if m[6]:
+        return f"({_TERM_TABLE[m[6]]})"
     return f"d[{_DIRECTION_INDEX[m[5]]}]"
 
 
 def condition_source(text: str) -> str:
     """Python source of one printed condition, a residual polynomial or a
-    guard comparison over the coefficient names b1, a23, e3, ... and the
-    direction names alpha, beta, gamma (primed or not).  It reads b, A, e
-    (the system's coefficients) and d (the Ansatz direction).  An implicit
-    product ``(..)(..)`` and ``^`` for powers are accepted.  Raises
-    ValueError for text that is not such a condition (prose, term-table
-    names such as A33)."""
+    guard comparison over the coefficient names b1, a23, e3, ..., the
+    direction names alpha, beta, gamma (primed or not) and the T2 term-table
+    names B1..B3, A11..A33.  It reads b, A, e (the system's coefficients)
+    and d (the Ansatz direction).  An implicit product ``(..)(..)`` and
+    ``^`` for powers are accepted.  Raises ValueError for text that is not
+    such a condition (prose)."""
     src = _CONDITION_NAME.sub(
         _condition_name, text.replace(")(", ")*(").replace("^", "**")
     )
@@ -135,11 +153,10 @@ def condition_source(text: str) -> str:
     return src
 
 
-def condition_function(source: str, direction=()) -> Callable:
-    """(b, A, e) -> value of a condition source, with d bound to direction.
+def condition_function(source: str) -> Callable:
+    """(b, A, e, d=()) -> value of a condition source at the direction d.
     The coefficients may be Fractions or SymPoly symbols."""
-    namespace = {"__builtins__": {}, "d": tuple(direction)}
-    return eval(f"lambda b, A, e: {source}", namespace)
+    return eval(f"lambda b, A, e, d=(): {source}", {"__builtins__": {}})
 
 
 @dataclass
@@ -258,11 +275,14 @@ def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]
       -c x^(l-1+w) at (sigma(j), sigma(i)).  The key lists the upper
       triangle scaled by its first entry.
     * A stated integral: its dedup key (_integral_key).
-
-    H_expr matches (and so every 2d-separable one) have no key.
+    * An integral outside GenPoly (H_expr, R2D-E): its dedup key in the
+      original coordinates (_expr_key), when the match carries one.  The
+      rule's key fixes the integral up to a scalar and an additive
+      constant (a permvec key lists H's coefficients over its scale), so
+      the Lie outcome is the same for equal keys.
     """
     if m.H_expr is not None:
-        return None
+        return _expr_key(rule, m, sigma) if m.dedup_key is not None else None
     if m.H_gen is not None:
         if m.ansatz is not None:
             return None
@@ -398,27 +418,32 @@ def _integral_key(family: str, Hn: GenPoly) -> tuple:
 def _dedup_key(rule: Rule, det: Detection, m: Match):
     if det.H_gen is not None:
         return _integral_key(rule.family, det.H_gen)
-    if m.dedup_key is not None:
-        key = m.dedup_key
-        if key and key[0] == "permvec":
-            # (vec over variables, co-scaling scalars, scale-invariants):
-            # permute the vector to original coordinates, then normalize the
-            # common scale so sign/scale-equivalent integrals collide.
-            _, vec, scalars, invariants = key
-            nv = [None] * len(vec)
-            for i, v in enumerate(vec):
-                nv[det.sigma[i]] = v
-            lead = next((v for v in nv if v), None) or next(
-                (v for v in scalars if v), Fraction(1)
-            )
-            return (
-                rule.family,
-                tuple(v / lead for v in nv),
-                tuple(v / lead for v in scalars),
-                tuple(invariants),
-            )
-        return (rule.family, key)
-    return (rule.family, det.sigma, frozenset(det.params.items()))
+    return _expr_key(rule, m, det.sigma)
+
+
+def _expr_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> tuple:
+    """Dedup key of an integral outside GenPoly, in original coordinates."""
+    key = m.dedup_key
+    if key is None:
+        return (rule.family, sigma, frozenset(m.params.items()))
+    if key and key[0] == "permvec":
+        # (vec over variables, co-scaling scalars, scale-invariants):
+        # permute the vector to original coordinates, then normalize the
+        # common scale so sign/scale-equivalent integrals collide.
+        _, vec, scalars, invariants = key
+        nv = [None] * len(vec)
+        for i, v in enumerate(vec):
+            nv[sigma[i]] = v
+        lead = next((v for v in nv if v), None) or next(
+            (v for v in scalars if v), Fraction(1)
+        )
+        return (
+            rule.family,
+            tuple(v / lead for v in nv),
+            tuple(v / lead for v in scalars),
+            tuple(invariants),
+        )
+    return (rule.family, key)
 
 
 def gradient_proportional(p: GenPoly, q: GenPoly) -> Optional[Fraction]:

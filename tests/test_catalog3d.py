@@ -11,7 +11,13 @@ from lvfi.catalog3d import (
     term_table,
 )
 from lvfi import detection
-from lvfi.detection import _canonical_monomial, _permute_genpoly, gradient_proportional
+from lvfi.detection import (
+    _canonical_monomial,
+    _permute_genpoly,
+    condition_function,
+    condition_source,
+    gradient_proportional,
+)
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.potential import GenPoly
 
@@ -39,6 +45,9 @@ def test_term_table_spec_examples():
 
 
 def test_term_table_identities_1000_draws():
+    # condition_source knows the table's names, as the guards print them
+    names = ["B1", "B2", "B3"] + [f"A{k}{i}" for k in (1, 2, 3) for i in (1, 2, 3)]
+    entries = [condition_function(condition_source(n)) for n in names]
     rng = random.Random(99)
     for _ in range(1000):
         s = make_system(
@@ -51,6 +60,8 @@ def test_term_table_identities_1000_draws():
         assert t.B[0] * be + t.B[1] * ga - t.B[2] * al == 0
         for i in range(3):
             assert t.A[0][i] * be + t.A[1][i] * ga - t.A[2][i] * al == 0
+        values = [f(s.b, s.A, s.e, (al, be, ga)) for f in entries]
+        assert values == list(t.B) + [v for row in t.A for v in row]
 
 
 def test_solve_abg_examples():

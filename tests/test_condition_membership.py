@@ -30,7 +30,7 @@ E = tuple(S(f"e{i}") for i in (1, 2, 3))
 RULES = {
     r.id: r
     for r in RULES_3D
-    if r.ansatz and not any(isinstance(t, str) for t in r.ansatz[2])
+    if r.ansatz and not any(isinstance(t, str) for t in r.ansatz[1] + r.ansatz[2])
 }
 
 

@@ -127,14 +127,17 @@ def _gate_calls(monkeypatch, s):
     [
         # T1 with direction (1, 1, 1): all six relabelings give one factor
         (SAMPLERS_3D["L2-iii"](random.Random(0)), ["L2-iii"], ["L2-iii"]),
-        # R2D-C's factor 1/(x1 x2) under both relabelings; R2D-E has no key
+        # R2D-C's factor 1/(x1 x2) and R2D-E's integral under both relabelings
         (
             parse_system(VOLTERRA),
-            ["R2D-C", "R2D-E", "R2D-E"],
+            ["R2D-C", "R2D-E"],
             ["R2D-C/l1=l2=0", "R2D-E"],
         ),
+        # R2D-E matches under both relabelings; with a21 != -a12 its key is
+        # equal only in the original coordinates
+        (SAMPLERS_2D["R2D-E"](random.Random(0)), ["R2D-E"], ["R2D-E"]),
     ],
-    ids=["L2-iii", "volterra"],
+    ids=["L2-iii", "volterra", "R2D-E"],
 )
 def test_each_factor_is_gated_once(monkeypatch, s, calls, found):
     assert _gate_calls(monkeypatch, s) == (calls, found)
