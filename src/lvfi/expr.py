@@ -113,25 +113,109 @@ def eval_expr(h: Expr, x) -> float:
             r *= eval_expr(a, x)
         return r
     if isinstance(h, Pow):
-        base = eval_expr(h.base, x)
-        p = h.exponent
-        pf = float(p)
-        if base == 0.0 and pf < 0:
-            raise EvalDomainError("zero base with negative exponent", h, x)
-        if base < 0.0:
-            if isinstance(p, float) or (isinstance(p, Fraction) and p.denominator != 1):
-                raise EvalDomainError("negative base with non-integer exponent", h, x)
-            return base ** int(p)
-        if base == 0.0 and pf == 0.0:
-            return 1.0
-        return base**pf
+        return _pow(eval_expr(h.base, x), h, x)
     if isinstance(h, LnAbs):
-        v = eval_expr(h.arg, x)
-        if v == 0.0:
-            raise EvalDomainError("log of zero", h, x)
-        return math.log(abs(v))
+        return _ln_abs(eval_expr(h.arg, x), h, x)
     if isinstance(h, Exp):
         return math.exp(eval_expr(h.arg, x))
+    raise TypeError(f"not an Expr: {h!r}")
+
+
+def _pow(base: float, h: Pow, x) -> float:
+    """The value of h at x, given the value of its base there."""
+    p = h.exponent
+    pf = float(p)
+    if base == 0.0 and pf < 0:
+        raise EvalDomainError("zero base with negative exponent", h, x)
+    if base < 0.0:
+        if isinstance(p, float) or (isinstance(p, Fraction) and p.denominator != 1):
+            raise EvalDomainError("negative base with non-integer exponent", h, x)
+        return base ** int(p)
+    if base == 0.0 and pf == 0.0:
+        return 1.0
+    return base**pf
+
+
+def _ln_abs(v: float, h: LnAbs, x) -> float:
+    """The value of h at x, given the value of its argument there."""
+    if v == 0.0:
+        raise EvalDomainError("log of zero", h, x)
+    return math.log(abs(v))
+
+
+def compile_floats(exprs):
+    """One float function g(x) -> tuple of the values of exprs at x, x a
+    sequence of floats with a component for every variable used.
+
+    Each value is eval_expr's, bit for bit, and so is each error: g is a
+    tree of closures, one per node, doing eval_expr's operations in its
+    order, and every case but the common one goes through the helpers that
+    eval_expr itself uses (_pow, _ln_abs), so an off-domain point raises the
+    same EvalDomainError, naming the same subexpression and point.  A Pow
+    with a positive base is base ** float(p), a LnAbs with a nonzero
+    argument log(abs(v)), and a constant is converted once, unless it is too
+    large for a float: then it raises OverflowError where eval_expr does.
+
+    An Add is the builtin sum over its terms, as in eval_expr, and not a
+    chain of +: from Python 3.12 sum adds floats with compensation, so the
+    two differ there, and lvfi supports 3.10 on.  A Mul is eval_expr's
+    running product 1.0 * a * b ...
+
+    The closures are built, not generated as source like the field and the
+    RK4 loop: those run thousands of times per compilation, while the Lie
+    check evaluates a gradient at 50 points, and compiling its source cost
+    more (0.3-0.4 ms) than evaluating it at all of them.
+    """
+    fs = [_float_closure(h) for h in exprs]
+    return lambda x: tuple([f(x) for f in fs])
+
+
+def _float_closure(h: Expr):
+    if isinstance(h, Const):
+        try:
+            v = float(h.value)
+        except OverflowError:
+            return lambda x: float(h.value)
+        return lambda x: v
+    if isinstance(h, Var):
+        i = h.index
+        return lambda x: float(x[i])
+    if isinstance(h, Add):
+        terms = [_float_closure(a) for a in h.args]
+        return lambda x: sum([f(x) for f in terms])
+    if isinstance(h, Mul):
+        factors = [_float_closure(a) for a in h.args]
+
+        def product(x):
+            r = 1.0
+            for f in factors:
+                r *= f(x)
+            return r
+
+        return product
+    if isinstance(h, Pow):
+        base = _float_closure(h.base)
+        try:
+            pf = float(h.exponent)
+        except OverflowError:
+            return lambda x: _pow(base(x), h, x)
+
+        def power(x):
+            b = base(x)
+            return b**pf if b > 0.0 else _pow(b, h, x)
+
+        return power
+    if isinstance(h, LnAbs):
+        arg = _float_closure(h.arg)
+
+        def ln_abs(x):
+            v = arg(x)
+            return math.log(abs(v)) if v else _ln_abs(v, h, x)
+
+        return ln_abs
+    if isinstance(h, Exp):
+        arg = _float_closure(h.arg)
+        return lambda x: math.exp(arg(x))
     raise TypeError(f"not an Expr: {h!r}")
 
 

@@ -23,7 +23,23 @@ from all-ones (h = 1e-3, t_end = 10, compilation included) a step costs
 closure, 1.5-1.7x less time (CPython 3.11, 2-core Xeon; the ranges span the
 host's speed between runs).  It is not a numpy batch: a ``detect`` call
 integrates one to five start points, and a numpy RK4 step costs about 35 us
-for any batch up to 128 rows, so numpy pays only from about 13 rows.
+for any batch up to 128 rows, so numpy pays only from about 13 rows.  The
+update doubles with the float 2.0, which CPython 3.11 multiplies on its
+float-only fast path (2 * k converts 2 to the same 2.0; from all-ones over
+the benchmark's verify corpus, 5.80 against 6.26 ms of RK4 per system), and
+the state buffer is a repeated one-element array (6-7 us a call, against
+120-160 us to fill it from a zeroed bytes object).
+
+The Lie check runs built code as well, but closures and not generated
+source: ``expr.compile_floats`` turns the gradient of H into one closure
+tree and each log argument into one of its own, with ``eval_expr``'s
+arithmetic and errors bit for bit, once per call.  It evaluates them at 50
+points, too few to repay compiling source (0.3-0.4 ms for a gradient).
+``lvfi detect`` builds the field once per system for all its checks.
+Over the 59 detections of the benchmark's verify corpus a check that builds
+its own field costs 0.75-0.92 ms against 0.98-1.39 ms for the tree walk
+(best of 7 passes, five alternating processes each, CPython 3.11, 2-core
+Xeon, ranges spanning the host's speed).
 
 numpy is imported by the trajectory functions that use it, so importing lvfi
 for exact detection and the Lie check does not load it (numpy is about half
@@ -36,6 +52,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from operator import mul
 from typing import Any
 
 from . import expr as ex
@@ -84,24 +101,33 @@ class ConservationReport:
         }
 
 
-def _sample_point(rng, dim, region, log_args, retries=100):
+def _sample_point(rng, dim, region, guards, retries=100):
     lo, hi = region
     for _ in range(retries):
         x = tuple(lo + (hi - lo) * rng.random() for _ in range(dim))
-        ok = True
-        for arg in log_args:
-            try:
-                if abs(ex.eval_expr(arg, x)) < 1e-6:
-                    ok = False
-                    break
-            except ex.EvalDomainError:
-                ok = False
-                break
-        if ok:
+        if _clear_of_logs(x, guards):
             return x
     raise DomainViolation(
         f"could not sample a point clear of log singularities in {region}"
     )
+
+
+def _clear_of_logs(x, guards) -> bool:
+    """Whether every log argument is defined at x and none is within 1e-6
+    of zero.
+
+    guards holds one compile_floats([arg]) per log argument.  They are tested
+    in order and the first that fails decides, so an argument after it is
+    never evaluated (and cannot overflow).
+    """
+    for guard in guards:
+        try:
+            (v,) = guard(x)
+        except ex.EvalDomainError:
+            return False
+        if abs(v) < 1e-6:
+            return False
+    return True
 
 
 def lie_check(
@@ -110,22 +136,27 @@ def lie_check(
     n: int = 50,
     region: tuple[float, float] = (0.1, 10.0),
     seed: int = 42,
+    field=None,
 ) -> float:
-    """Max normalized |f . grad H| over n seeded-uniform points."""
+    """Max normalized |f . grad H| over n seeded-uniform points.
+
+    field is the system's field, rhs_floats(s), for a caller that checks
+    several integrals of one system; without it the field is built here.
+    """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     rng = random.Random(seed)
-    f = rhs_floats(s)
-    grads = [ex.diff(h, i) for i in range(s.dim)]
-    log_args = ex.log_arguments(h)
+    f = rhs_floats(s) if field is None else field
+    grad = ex.compile_floats([ex.diff(h, i) for i in range(s.dim)])
+    guards = [ex.compile_floats([arg]) for arg in ex.log_arguments(h)]
     worst = 0.0
     for _ in range(n):
-        x = _sample_point(rng, s.dim, region, log_args)
+        x = _sample_point(rng, s.dim, region, guards)
         fx = f(*x)[: s.dim]
-        gx = [ex.eval_expr(g, x) for g in grads]
-        dot = sum(a * b for a, b in zip(fx, gx))
-        nf = math.sqrt(sum(a * a for a in fx))
-        ng = math.sqrt(sum(a * a for a in gx))
+        gx = grad(x)
+        dot = sum(map(mul, fx, gx))
+        nf = math.sqrt(sum(map(mul, fx, fx)))
+        ng = math.sqrt(sum(map(mul, gx, gx)))
         val = abs(dot) / ((1.0 + nf) * (1.0 + ng))
         worst = max(worst, val)
     return worst
@@ -138,9 +169,10 @@ def _rk4_source(dim: int, A) -> str:
     The loop is rk4(buf, n, h, limit, x0, .., *FIELD_PARAMETERS) -> (steps,
     blew_up).  Each stage writes the field rows inline (model.field_row) on
     the stage values u_i = x_i + (0.5*h)*k_i (h*k3_i for the last stage), the
-    update is x_i + (h/6)*(k1_i + 2*k2_i + 2*k3_i + k4_i), and each state goes
-    to buf at stride 3.  A 2D loop has no third coordinate: its column of buf
-    keeps the 0.0 it starts with.
+    update is x_i + (h/6)*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i), and each state
+    goes to buf at stride 3 (2.0 and not 2: the product is the same, and
+    CPython specializes only float * float).  A 2D loop has no third
+    coordinate: its column of buf keeps the 0.0 it starts with.
     """
     c = range(dim)
     x = [f"x{i}" for i in c]
@@ -149,7 +181,7 @@ def _rk4_source(dim: int, A) -> str:
     for stage, step in ((2, "half"), (3, "half"), (4, "h")):
         body += [f"u{i} = x{i} + {step} * k{stage - 1}_{i}" for i in c]
         body += [f"k{stage}_{i} = {field_row(i, A, u)}" for i in c]
-    body += [f"x{i} = x{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in c]
+    body += [f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in c]
     body.append("j += 3")
     body += [f"buf[j + {i}] = x{i}" if i else "buf[j] = x0" for i in c]
     body += [
@@ -196,7 +228,7 @@ def _rk4(s, x0, t_end, h):
     A, arguments = field_coefficients(s)
     namespace = {"DomainViolation": DomainViolation, "isfinite": math.isfinite}
     exec(compile(_rk4_source(dim, A), "<rk4>", "exec"), namespace)
-    buf = array("d", bytes(24 * (n + 1)))  # (n + 1, 3) states, row-major
+    buf = array("d", [0.0]) * (3 * (n + 1))  # (n + 1, 3) states, row-major
     buf[:dim] = array("d", x0)
     # popped, so that the loop and its globals form no reference cycle
     rk4 = namespace.pop("rk4")

@@ -280,3 +280,57 @@ def test_verify_skips_an_equilibrium_start_point(volterra_path, tmp_path, capsys
     # an explicit equilibrium start point certifies nothing: a domain error
     assert main(["verify", "--input", volterra_path, "--integral", str(ip), "--x0", "1,1"]) == 2
     assert "is constant" in capsys.readouterr().err
+
+
+def test_detect_builds_one_field_per_call(volterra_path, monkeypatch, capsys):
+    """Every Lie check of one `detect` call shares one rhs_floats field (the
+    Lie check that built its own built one per detection)."""
+    from lvfi import verify
+
+    builds = []
+    rhs_floats = verify.rhs_floats
+
+    def counting(s):
+        builds.append(s)
+        return rhs_floats(s)
+
+    monkeypatch.setattr(verify, "rhs_floats", counting)
+    monkeypatch.setattr(cli, "rhs_floats", counting)
+    assert main(["detect", "--input", volterra_path, "--format", "json"]) == 0
+    dets = json.loads(capsys.readouterr().out)["detections"]
+    assert len(dets) == 2 and all(d["verification"]["lie_max"] is not None for d in dets)
+    assert len(builds) == 1
+    assert main(["detect", "--input", volterra_path, "--no-verify"]) == 0
+    assert len(builds) == 1
+
+
+# The parser populates only the invoked subcommand; what a command line
+# parses to, and every help and usage text, must be as with all populated.
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["--seed", "3"], ["detect"],
+    ["detect", "--input"], ["detect", "--bogus"], ["sweep", "--rule"],
+    ["oracle", "--input", "s.json", "--ansatz", "t3"],
+    *([cmd, "-h"] for cmd in ("detect", "verify", "oracle", "sweep", "catalog")),
+    ["detect", "--input", "s.json", "--x0", "1,2", "--seed", "5", "--no-verify"],
+    ["verify", "--input", "s.json", "--integral", "h.json", "--method", "rk45"],
+    ["oracle", "--input", "s.json", "--ansatz", "t1", "--alpha", "1/2", "--l3", "2"],
+    ["sweep", "--rule", "R2D-C", "--count", "3", "--format", "json"],
+    ["catalog", "--format", "json"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(["lvfi", *a]))
+def test_parser_for_the_invoked_subcommand_parses_as_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(cli.build_parser(), argv, capsys)
+    assert _parse(cli.build_parser(argv), argv, capsys) == full
+    assert full[1] or full[2] or isinstance(full[0], dict)

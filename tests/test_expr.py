@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -157,3 +158,89 @@ def test_json_round_trip():
 def test_pretty_prints_fraction_exponents():
     h = ex.Pow(ex.Var(1), Fraction(-3, 2))
     assert ex.pretty(h) == "x2^(-3/2)"
+
+
+# compile_floats must reproduce eval_expr bit for bit: a value is compared by
+# its repr and its sign (repr alone hides nothing, but == would take -0.0 for
+# 0.0 and fail on nan), an error by its type and message.
+
+
+def _outcome(evaluate):
+    try:
+        values = evaluate()
+    except (ex.EvalDomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(repr(v), math.copysign(1.0, v)) for v in values]
+
+
+def _agree(exprs, x):
+    compiled = _outcome(lambda: ex.compile_floats(exprs)(x))
+    assert compiled == _outcome(lambda: [ex.eval_expr(h, x) for h in exprs])
+    return compiled
+
+
+def test_compile_floats_matches_eval_expr_on_random_trees():
+    rng = random.Random(4242)
+    coords = (-2.5, -1.0, -0.0, 0.0, 0.1, 1.0, 3.7)
+    errors = values = 0
+    for k in range(300):
+        dim = 2 + k % 2
+        exprs = [random_expr(rng, dim, depth=4) for _ in range(rng.randint(1, 3))]
+        for _ in range(4):
+            x = tuple(0.1 + 9.9 * rng.random() for _ in range(dim))
+            values += isinstance(_agree(exprs, x), list)
+        for _ in range(4):
+            x = tuple(rng.choice(coords) for _ in range(dim))
+            errors += not isinstance(_agree(exprs, x), list)
+    assert values > 1000 and errors > 100
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "h, x",
+    [
+        (ex.LnAbs(ex.Var(0)), (0.0, 1.0)),
+        (ex.LnAbs(ex.Add((ex.Var(0), ex.Const(Fraction(-1))))), (1.0, 1.0)),
+        (ex.Pow(ex.Var(1), Fraction(-1)), (1.0, -0.0)),
+        (ex.Pow(ex.Var(1), -2.0), (1.0, 0.0)),
+        (ex.Pow(ex.Var(0), Fraction(1, 2)), (-1.0, 1.0)),
+        (ex.Pow(ex.Var(0), 0.5), (-4.0, 1.0)),
+        (ex.Pow(ex.Var(0), 3), (-4.0, 1.0)),
+        (ex.Pow(ex.Var(0), 0), (0.0, 1.0)),
+        (ex.Pow(ex.Var(0), Fraction(10**400)), (0.5, 1.0)),
+        (ex.Pow(ex.Var(0), 400.0), (1e3, 1.0)),
+        (ex.Exp(ex.Mul((ex.Const(Fraction(1000)), ex.Var(0)))), (1.0, 1.0)),
+        (ex.Add((ex.Const(Fraction(10**400)), ex.LnAbs(ex.Var(0)))), (0.0, 1.0)),
+        (ex.Add((ex.LnAbs(ex.Var(0)), ex.Const(Fraction(10**400)))), (0.0, 1.0)),
+        (ex.Const(INF), (1.0, 1.0)),
+        (ex.Const(-INF), (1.0, 1.0)),
+        (ex.Const(NAN), (1.0, 1.0)),
+        (ex.Add((ex.Const(INF), ex.Const(-INF))), (1.0, 1.0)),
+        (ex.Mul((ex.Const(NAN), ex.Var(0))), (2.0, 1.0)),
+        (ex.Mul((ex.Const(-INF), ex.Var(0))), (-0.0, 1.0)),
+        (ex.Pow(ex.Const(INF), Fraction(-1, 2)), (1.0, 1.0)),
+        (ex.Pow(ex.Var(0), NAN), (2.0, 1.0)),
+        (ex.Pow(ex.Var(0), -INF), (0.5, 1.0)),
+        (ex.LnAbs(ex.Const(-INF)), (1.0, 1.0)),
+        (ex.LnAbs(ex.Mul((ex.Const(NAN), ex.Var(1)))), (1.0, 1.0)),
+        (ex.Exp(ex.Const(-INF)), (1.0, 1.0)),
+        (ex.Add((ex.Const(-0.0),)), (1.0, 1.0)),
+        (ex.Mul((ex.Const(-0.0), ex.Var(0))), (3.0, 1.0)),
+        (ex.Mul((ex.Var(0), ex.Var(1))), (-0.0, 1.0)),
+        # plain summation gives 0.0, the compensated sum of Python 3.12 1.0
+        (ex.Add((ex.Const(1e16), ex.Const(1.0), ex.Const(-1e16))), (1.0, 1.0)),
+    ],
+)
+def test_compile_floats_matches_eval_expr_off_domain_and_on_non_finite_constants(h, x):
+    _agree([h], x)
+    _agree([ex.Var(1), h, ex.LnAbs(ex.Var(0))], x)
+
+
+def test_compile_floats_domain_error_names_subexpression_and_point():
+    h = ex.Add((ex.Var(0), ex.LnAbs(ex.Var(1))))
+    with pytest.raises(ex.EvalDomainError) as err:
+        ex.compile_floats([h])((1.0, 0.0))
+    assert err.value.subexpr == ex.LnAbs(ex.Var(1)) and err.value.point == (1.0, 0.0)
+    assert ex.compile_floats([])((1.0,)) == ()

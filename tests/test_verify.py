@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -97,8 +98,6 @@ def test_blowup_guard():
 
 
 def test_conservation_domain_error_names_subexpression():
-    from fractions import Fraction
-
     s = make_system(b=(0, 0), A=((0, 0), (0, 0)), e=(-1, 0))  # x1 goes negative
     tr = integrate(s, (0.5, 1.0), 1.0, 1e-3)
     h = ex.Pow(ex.Var(0), Fraction(1, 2))
@@ -329,3 +328,45 @@ def test_trajectory_annotations_resolve():
     import typing
 
     assert set(typing.get_type_hints(verify.Trajectory)) >= {"times", "states", "steps"}
+
+
+def _clear_one_by_one(x, log_args):
+    """The log guard as a loop over the arguments, stopping at the first that
+    is off its domain or within 1e-6 of zero."""
+    for arg in log_args:
+        try:
+            if abs(ex.eval_expr(arg, x)) < 1e-6:
+                return False
+        except ex.EvalDomainError:
+            return False
+    return True
+
+
+def _guard_outcome(clear, *args):
+    try:
+        return clear(*args)
+    except OverflowError as exc:
+        return str(exc)
+
+
+NEAR_ZERO = ex.Add((ex.Var(0), ex.Const(-0.5)))
+OVERFLOWS = ex.Exp(ex.Var(1))
+
+
+@pytest.mark.parametrize(
+    "log_args",
+    [
+        [NEAR_ZERO, OVERFLOWS],  # the loop stops before the overflow
+        [OVERFLOWS, NEAR_ZERO],  # the overflow comes first
+        [ex.LnAbs(ex.Var(0)), OVERFLOWS],
+        [ex.Var(2), ex.Pow(ex.Var(0), Fraction(-1, 2)), OVERFLOWS],
+        [ex.Var(0), ex.Var(2)],
+        [],
+    ],
+)
+def test_log_guard_answers_as_the_one_by_one_loop(log_args):
+    guards = [ex.compile_floats([arg]) for arg in log_args]
+    for x in [(0.5, 800.0, 1.0), (0.5, 1.0, 1.0), (2.0, 800.0, 0.0), (-1.0, 1.0, 1.0), (0.0, 1.0, 1.0)]:
+        assert _guard_outcome(verify._clear_of_logs, x, guards) == _guard_outcome(
+            _clear_one_by_one, x, log_args
+        )
