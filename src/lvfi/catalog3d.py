@@ -17,7 +17,13 @@ templates, and the stated integrals) keep hand-written matchers.
 Printed closed forms are treated as claims: the integral is always rebuilt
 from the Ansatz by exact potential reconstruction, and where transcribed, the
 printed formula is compared against the construction and the outcome recorded
-(several printed formulas are garbled; the exact solve is the arbiter).
+(several printed formulas are garbled; the exact solve is the arbiter).  A
+printed integral is data in its rule's entry (_PrintedForm): terms in the
+paper's notation, compiled on first use and evaluated at the match's
+direction and exponents.  Five comparisons stay functions, as their messages
+are bespoke and pinned by the detection digest (PINNED_JSON): the printed
+exponent formulas of L5-7a, L5-7d, L5-8b and L5-8c, and the exponent note
+that L5-8a appends to its data form.
 
 The permutation engine covers all index-relabeled cases mechanically.
 """
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from .catalog2d import _q
@@ -44,7 +50,7 @@ from .linalg import SolveOutcome, nullspace, solve_constrained
 from .model import LVSystem, make_system
 from .oracle import _symbolic_system, residual_3d_generic
 from .poly import GenPoly, SymPoly, ratio
-from .potential import lie_genpoly
+from .potential import gradient_targets_3d, lie_genpoly, normalize_for_output, potential
 
 F = Fraction
 ZERO3 = (F(0), F(0), F(0))
@@ -65,19 +71,16 @@ def term_table(abg, s: LVSystem) -> TermTable:
     """B_k and A_ki from (alpha, beta, gamma) and the system coefficients."""
     if s.dim != 3:
         raise ValueError("term_table needs a 3D system")
-    al, be, ga = (Fraction(v) for v in abg)
-    b, A = s.b, s.A
-    B = (
-        b[0] * al - b[2] * ga,
-        b[1] * al + b[2] * be,
-        b[0] * be + b[1] * ga,
-    )
-    rows = (
-        tuple(A[0][i] * al - A[2][i] * ga for i in range(3)),
-        tuple(A[1][i] * al + A[2][i] * be for i in range(3)),
-        tuple(A[0][i] * be + A[1][i] * ga for i in range(3)),
-    )
-    return TermTable(B=B, A=rows)
+    B, A = _term_table_function()(s.b, s.A, s.e, tuple(Fraction(v) for v in abg))
+    return TermTable(B=B, A=A)
+
+
+@cache
+def _term_table_function() -> Callable:
+    """(b, A, e, d) -> ((B1, B2, B3), ((A11, A12, A13), ...)), compiled on
+    first use from the names condition_source knows."""
+    rows = ", ".join(f"(A{k}1, A{k}2, A{k}3)" for k in (1, 2, 3))
+    return condition_function(condition_source(f"((B1, B2, B3), ({rows}))"))
 
 
 def solve_abg(s: LVSystem, zero_entries, fixed: dict | None = None) -> list[tuple]:
@@ -134,10 +137,8 @@ def _l_candidates(out: SolveOutcome) -> list[tuple]:
 
 def _gp(terms) -> GenPoly:
     out = GenPoly.zero(3)
-    for t in terms:
-        coeff, powers = t[0], t[1]
-        logs = t[2] if len(t) > 2 else None
-        out = out + GenPoly.term(3, coeff, powers, logs)
+    for coeff, *triples in terms:  # powers, and logs when given
+        out = out + GenPoly.term(3, coeff, *triples)
     return out
 
 
@@ -294,24 +295,50 @@ def _cmp_against(printed: GenPoly, s2: LVSystem, H2: GenPoly, what="formula") ->
     )
 
 
+class _PrintedForm:
+    """A printed closed-form integral as data (``Rule.compare_printed``).
+
+    Each term is (coefficient, powers) or (coefficient, powers, logs) in the
+    paper's notation: a coefficient is a condition string (condition_source,
+    which also knows the exponents l1..l3), a power a number or such a
+    string.  The terms are compiled on first use and evaluated at the
+    match's direction and exponents (``Match.ansatz``); a form undefined
+    there (a zero denominator) gives no comparison (None).  ``what`` names
+    the form in the outcome; ``note``, a string or a function (s2, Match) ->
+    str, is appended to it.
+    """
+
+    def __init__(self, *terms, what: str = "formula", note="") -> None:
+        self.terms, self.what, self.note = terms, what, note
+
+    # Compiled on first use, so importing the catalog compiles nothing.
+    @cached_property
+    def evaluate(self) -> Callable:
+        """(b, A, e, d, l) -> the terms with their values, as _gp takes them."""
+
+        def entries(values) -> str:
+            return "(" + "".join(f"({v})," for v in values) + ")"
+
+        text = ", ".join(
+            f"(({coeff}), {', '.join(map(entries, triples))})"
+            for coeff, *triples in self.terms
+        )
+        return condition_function(condition_source(f"({text},)"))
+
+    def __call__(self, s2: LVSystem, m: Match, H2: GenPoly):
+        _, abg, l = m.ansatz
+        try:
+            terms = self.evaluate(s2.b, s2.A, s2.e, abg, l)
+        except ZeroDivisionError:
+            return None
+        note = self.note(s2, m) if callable(self.note) else self.note
+        return _cmp_against(_gp(terms), s2, H2, self.what) + note
+
+
 # =============================================================================
 # T1 rules (constant skew matrix, unit exponents; the conditions are e-free
 # so these solutions persist for every constant-term pattern)
 # =============================================================================
-
-
-def _cmp_l2i(s2, m, H2):
-    b, A, e = s2.b, s2.A, s2.e
-    printed = _gp(
-        [
-            (b[0], (1, 1, 0)),
-            (A[0][0], (2, 1, 0)),
-            (-A[1][1], (1, 2, 0)),
-            (e[0], (0, 1, 0)),
-            (-e[1], (1, 0, 0)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l2i(rng) -> LVSystem:
@@ -321,26 +348,6 @@ def _sample_l2i(rng) -> LVSystem:
         A=((a11, -2 * a22, 0), (-2 * a11, a22, 0), (_q(rng), _q(rng), _q(rng))),
         e=(_q(rng, True), _q(rng, True), _q(rng, True)),
     )
-
-
-def _cmp_l2ii(s2, m, H2):
-    b, A, e = s2.b, s2.A, s2.e
-    a11, a22, a33 = A[0][0], A[1][1], A[2][2]
-    printed = _gp(
-        [
-            (-2 * b[0] * a33, (1, 0, 1)),
-            (-2 * b[0] * a22, (1, 1, 0)),
-            (-2 * a11 * a33, (2, 0, 1)),
-            (2 * a11 * a22, (2, 1, 0)),
-            (2 * a33 * a33, (1, 0, 2)),
-            (2 * a22 * a22, (1, 2, 0)),
-            (4 * a22 * a33, (1, 1, 1)),
-            (2 * (e[2] * a33 + e[1] * a22), (1, 0, 0)),
-            (-2 * e[0] * a33, (0, 0, 1)),
-            (2 * e[0] * a22, (0, 1, 0)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l2ii(rng) -> LVSystem:
@@ -354,25 +361,6 @@ def _sample_l2ii(rng) -> LVSystem:
         A=((a11, a12, a13), (-2 * a11, a22, a23), (-2 * a11, a32, a33)),
         e=(_q(rng, True), _q(rng, True), _q(rng, True)),
     )
-
-
-def _cmp_l2iii(s2, m, H2):
-    A, e = s2.A, s2.e
-    a11, a22, a33 = A[0][0], A[1][1], A[2][2]
-    printed = _gp(
-        [
-            (a11 * a11 * a22, (2, 1, 0)),
-            (-a11 * a11 * a33, (2, 0, 1)),
-            (-a11 * a22 * a22, (1, 2, 0)),
-            (a11 * a33 * a33, (1, 0, 2)),
-            (a22 * a22 * a33, (0, 2, 1)),
-            (-a22 * a33 * a33, (0, 1, 2)),
-            (-a11 * a22 * e[1] + a11 * a33 * e[2], (1, 0, 0)),
-            (a11 * a22 * e[0] - a22 * a33 * e[2], (0, 1, 0)),
-            (a22 * a33 * e[1] - a11 * a33 * e[0], (0, 0, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l2iii(rng) -> LVSystem:
@@ -397,18 +385,6 @@ def _sample_l3_1(rng) -> LVSystem:
         A=((a11, -2 * a22, 0), (-2 * a11, a22, 0), (_q(rng), _q(rng), _q(rng))),
         e=(_q(rng, True), _q(rng, True), 0),
     )
-
-
-def _cmp_l3_2(s2, m, H2):
-    A, e = s2.A, s2.e
-    printed = _gp(
-        [
-            (Fraction(A[0][2] - A[1][2], 2), (1, 1, 2)),
-            (e[0], (0, 1, 1)),
-            (-e[1], (1, 0, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l3_2(rng) -> LVSystem:
@@ -446,13 +422,6 @@ def _match_l3_3(s: LVSystem) -> list[Match]:
     ]
 
 
-def _cmp_l3_3(s2, m, H2):
-    e = s2.e
-    l3 = m.params["l3"]
-    printed = _gp([(e[0], (0, 1, l3)), (-e[1], (1, 0, l3))])
-    return _cmp_against(printed, s2, H2, what="formula (with exact-solved l3)")
-
-
 def _sample_l3_3(rng) -> LVSystem:
     while True:
         row3 = (_q(rng), _q(rng), _q(rng), _q(rng))
@@ -473,22 +442,6 @@ def _sample_l3_3(rng) -> LVSystem:
 # =============================================================================
 
 
-def _cmp_l4_1(s2, m, H2):
-    b, A, e = s2.b, s2.A, s2.e
-    al, be = m.params["alpha"], m.params["beta"]
-    B2 = b[1] * al + b[2] * be
-    A21 = A[1][0] * al + A[2][0] * be
-    printed = _gp(
-        [
-            (-B2, (1, 0, 0)),
-            (Fraction(-A21, 2), (2, 0, 0)),
-            (al * e[0], (0, 0, 0), (0, 1, 0)),
-            (be * e[0], (0, 0, 0), (0, 0, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
-
-
 def _sample_l4_1(rng) -> LVSystem:
     a22, a23, rho = _q(rng, True), _q(rng), _q(rng, True)
     return make_system(
@@ -496,12 +449,6 @@ def _sample_l4_1(rng) -> LVSystem:
         A=((0, 0, 0), (_q(rng), a22, a23), (_q(rng), rho * a22, rho * a23)),
         e=(_q(rng, True), 0, 0),
     )
-
-
-def _cmp_l4_2(s2, m, H2):
-    A, e = s2.A, s2.e
-    printed = _gp([(-A[1][2], (1, 0, 1)), (e[0], (0, 0, 0), (0, 1, 0))])
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l4_2(rng) -> LVSystem:
@@ -539,20 +486,6 @@ def _sample_l4_3(rng) -> LVSystem:
     )
 
 
-def _cmp_l4_4(s2, m, H2):
-    A, e = s2.A, s2.e
-    be, ga = m.params["beta"], m.params["gamma"]
-    A33 = A[0][2] * be + A[1][2] * ga
-    printed = _gp(
-        [
-            (A33, (1, 0, 1)),
-            (be * e[0], (0, 0, 0), (0, 0, 1)),
-            (-ga * e[0], (0, 0, 0), (0, 1, 0)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
-
-
 def _sample_l4_4(rng) -> LVSystem:
     while True:
         lam, b2, a21, a22, a13, a23 = (
@@ -573,19 +506,6 @@ def _sample_l4_4(rng) -> LVSystem:
         )
 
 
-def _cmp_l4_5(s2, m, H2):
-    A, e = s2.A, s2.e
-    printed = _gp(
-        [
-            (A[0][2] + A[1][2], (0, 0, 1)),
-            (-(A[0][1] + A[2][1]), (0, 1, 0)),
-            (e[0], (0, 0, 0), (0, 0, 1)),
-            (-e[0], (0, 0, 0), (0, 1, 0)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
-
-
 def _sample_l4_5(rng) -> LVSystem:
     while True:
         b1, a11, a12, a13 = _q(rng), _q(rng), _q(rng), _q(rng)
@@ -597,16 +517,6 @@ def _sample_l4_5(rng) -> LVSystem:
             A=((a11, a12, a13), (-a11, -a12, a23), (-a11, a32, -a13)),
             e=(_q(rng, True), 0, 0),
         )
-
-
-def _cmp_l4_6(s2, m, H2):
-    A, e = s2.A, s2.e
-    l2 = m.params["l2"]
-    printed = _gp(
-        [(-A[1][2], (1, l2, 1)), (e[0] / l2, (0, l2, 0))]
-    )
-    note = _cmp_against(printed, s2, H2)
-    return note + " (printed conditions say b1=a21=a22=0; the oracle system requires b2=a21=a22=0)"
 
 
 def _sample_l4_6(rng) -> LVSystem:
@@ -644,19 +554,6 @@ def _match_l4_7(s: LVSystem) -> list[Match]:
             )
         )
     return matches
-
-
-def _cmp_l4_7(s2, m, H2):
-    b, A, e = s2.b, s2.A, s2.e
-    l2, l3 = m.params["l2"], m.params["l3"]
-    printed = _gp(
-        [
-            (b[0], (1, l2, l3)),
-            (A[0][0], (2, l2, l3)),
-            (e[0], (0, l2, l3)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l4_7(rng) -> LVSystem:
@@ -704,18 +601,6 @@ def _match_l4_8(s: LVSystem) -> list[Match]:
     return out
 
 
-def _cmp_l4_8(s2, m, H2):
-    A, e = s2.A, s2.e
-    l2, l3 = m.params["l2"], m.params["l3"]
-    printed = _gp(
-        [
-            (A[0][2] + A[2][2], (1, l2, l3 + 1)),
-            (e[0], (0, l2, l3)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
-
-
 def _sample_l4_8(rng) -> LVSystem:
     while True:
         lam = _q(rng, True)
@@ -729,22 +614,6 @@ def _sample_l4_8(rng) -> LVSystem:
             A=((a11, a12, a13), (a21, a22, a23), (-a11, -a12, a33)),
             e=(_q(rng, True), 0, 0),
         )
-
-
-def _cmp_l4_9(s2, m, H2):
-    A, e = s2.A, s2.e
-    l2 = m.params["l2"]
-    l3 = -l2
-    if l3 == 0 or l3 == -1:
-        return None
-    printed = _gp(
-        [
-            (Fraction(A[0][1] + A[1][1], 1) / l3, (1, l2 + 1, l3)),
-            (Fraction(A[0][2] + A[1][2], 1) / (l3 + 1), (1, l2, l3 + 1)),
-            (e[0] / l3, (0, l2, l3)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l4_9(rng) -> LVSystem:
@@ -769,20 +638,6 @@ def _sample_l4_9(rng) -> LVSystem:
 # =============================================================================
 
 
-def _cmp_l5_1(s2, m, H2):
-    b, A = s2.b, s2.A
-    al, be = m.params["alpha"], m.params["beta"]
-    printed = _gp(
-        [
-            (al * b[0], (0, 0, 0), (0, 1, 0)),
-            (-al * b[1] - be * b[2], (0, 0, 0), (1, 0, 0)),
-            (-al * A[1][0] - be * A[2][0], (1, 0, 0)),
-            (be * b[0], (0, 0, 0), (0, 0, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
-
-
 def _sample_l5_1(rng) -> LVSystem:
     a22, a23, rho = _q(rng, True), _q(rng), _q(rng, True)
     return make_system(
@@ -792,21 +647,6 @@ def _sample_l5_1(rng) -> LVSystem:
     )
 
 
-def _cmp_l5_2(s2, m, H2):
-    b, A = s2.b, s2.A
-    al, be = m.params["alpha"], m.params["beta"]
-    a11 = A[0][0]
-    printed = _gp(
-        [
-            (al * b[1] + be * b[2], (-1, 0, 0)),
-            (-al * A[1][0] - be * A[2][0], (0, 0, 0), (1, 0, 0)),
-            (al * a11, (0, 0, 0), (0, 1, 0)),
-            (be * a11, (0, 0, 0), (0, 0, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
-
-
 def _sample_l5_2(rng) -> LVSystem:
     a22, a23, rho = _q(rng, True), _q(rng), _q(rng, True)
     return make_system(
@@ -814,24 +654,6 @@ def _sample_l5_2(rng) -> LVSystem:
         A=((_q(rng, True), 0, 0), (_q(rng), a22, a23), (_q(rng), rho * a22, rho * a23)),
         e=(0, 0, 0),
     )
-
-
-def _cmp_l5_3(s2, m, H2):
-    A = s2.A
-    al, be, ga = m.params["alpha"], m.params["beta"], m.params["gamma"]
-    A31 = A[0][0] * be + A[1][0] * ga
-    A11 = A[0][0] * al - A[2][0] * ga
-    A21 = A[1][0] * al + A[2][0] * be
-    A22 = A[1][1] * al + A[2][1] * be
-    printed = _gp(
-        [
-            (A31, (0, 0, 0), (0, 0, 1)),
-            (A11, (0, 0, 0), (0, 1, 0)),
-            (-A21, (0, 0, 0), (1, 0, 0)),
-            (A22, (-1, 1, 0)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l5_3(rng) -> LVSystem:
@@ -849,20 +671,6 @@ def _sample_l5_3(rng) -> LVSystem:
             A=((a11, a12, a13), (a21, a12, a13), (a31, a32, rho * a13)),
             e=(0, 0, 0),
         )
-
-
-def _cmp_l5_4(s2, m, H2):
-    A = s2.A
-    printed = _gp(
-        [
-            (-(A[0][0] - A[1][0]), (0, 0, 0), (0, 0, 1)),
-            (A[0][0] - A[2][0], (0, 0, 0), (0, 1, 0)),
-            (-(A[1][0] - A[2][0]), (0, 0, 0), (1, 0, 0)),
-            (A[1][1] - A[2][1], (-1, 1, 0)),
-            (-(A[0][2] - A[1][2]), (-1, 0, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l5_4(rng) -> LVSystem:
@@ -981,12 +789,9 @@ def _match_l5_7a(s: LVSystem) -> list[Match]:
 
 
 def _cmp_l5_7a(s2, m, H2):
-    A = s2.A
-    be, ga = m.params["beta"], m.params["gamma"]
+    A = term_table(m.ansatz[1], s2).A
     l2 = m.params["l2"]
-    A33 = A[0][2] * be + A[1][2] * ga
-    A13 = -A[0][2] * be - A[2][2] * ga
-    printed_l2 = -A13 / A33
+    printed_l2 = -A[0][2] / A[2][2]  # -A13/A33
     if printed_l2 == l2:
         return "agrees: printed l2 formula matches exact solve"
     return (
@@ -1052,21 +857,6 @@ def _sample_l5_7b(rng) -> LVSystem:
             ),
             e=(0, 0, 0),
         )
-
-
-def _cmp_l5_7c(s2, m, H2):
-    A = s2.A
-    l1, l2 = m.params["l1"], m.params["l2"]
-    if l1 == -1 or l2 == 0:
-        return None
-    printed = _gp(
-        [
-            (Fraction(A[1][0] - A[2][0], 1) / (l1 + 1), (l1 + 1, l2, 0)),
-            (Fraction(A[1][1] - A[2][1], 1) / l2, (l1, l2 + 1, 0)),
-            (A[0][2] - A[1][2], (l1, l2, 1)),
-        ]
-    )
-    return _cmp_against(printed, s2, H2)
 
 
 def _sample_l5_7c(rng) -> LVSystem:
@@ -1137,30 +927,6 @@ def _match_l5_8a(s: LVSystem) -> list[Match]:
             )
         )
     return matches
-
-
-def _cmp_l5_8a(s2, m, H2):
-    b, A = s2.b, s2.A
-    l1, l2, l3 = m.params["l1"], m.params["l2"], m.params["l3"]
-    printed = _gp([(b[0], (l1, l2, l3)), (A[0][0], (l1 + 1, l2, l3))])
-    base = _cmp_against(printed, s2, H2)
-    # printed exponent formulas l2 = -b1*alpha/B2, l3 = b1*beta/B2 with
-    # (alpha, beta) solving A22 = A23 = 0
-    ab = _ns_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])])
-    note = ""
-    if ab:
-        al, be = ab[0]
-        B2 = b[1] * al + b[2] * be
-        if B2 != 0:
-            pl2, pl3 = -b[0] * al / B2, b[0] * be / B2
-            if (pl2, pl3) == (l2, l3):
-                note = "; printed l2,l3 formulas match the exact solve"
-            else:
-                note = (
-                    f"; printed l2,l3 formulas give ({pl2},{pl3}) vs exact "
-                    f"({l2},{l3}) - scale/sign garbled in print"
-                )
-    return base + note
 
 
 def _sample_l5_8a(rng) -> LVSystem:
@@ -1241,9 +1007,29 @@ def _cmp_l5_8c(s2, m, H2):
     return "agrees: " + joined
 
 
-def _sample_l5_8c(rng) -> LVSystem:
-    from .linalg import nullspace as _ns
+def _l5_8a_exponent_note(s2, m) -> str:
+    """The printed exponent formulas l2 = -b1*alpha/B2, l3 = b1*beta/B2, with
+    (alpha, beta) solving A22 = A23 = 0, against the exact solve."""
+    b, A = s2.b, s2.A
+    l2, l3 = m.params["l2"], m.params["l3"]
+    ab = _ns_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])])
+    if not ab:
+        return ""
+    al, be = ab[0]
+    B2 = b[1] * al + b[2] * be
+    if B2 == 0:
+        return ""
+    pl2, pl3 = -b[0] * al / B2, b[0] * be / B2
+    if (pl2, pl3) == (l2, l3):
+        return "; printed l2,l3 formulas match the exact solve"
+    return (
+        f"; printed l2,l3 formulas give ({pl2},{pl3}) vs exact "
+        f"({l2},{l3}) - scale/sign garbled in print"
+    )
 
+
+def _sample_l5_8c(rng) -> LVSystem:
+    rule = next(r for r in RULES_3D if r.id == "L5-8c")
     while True:
         l1, l2, l3 = _q(rng), _q(rng), _q(rng)
         if len({l1, l2, l3}) < 3 or 0 in (l1, l2, l3):
@@ -1267,8 +1053,8 @@ def _sample_l5_8c(rng) -> LVSystem:
             (0, l2 + 1 - l3, 0, 0, l2 + 1, 0, 0, l3, 0),
             (0, 0, l2 - l3 - 1, 0, 0, l2, 0, 0, l3 + 1),
         ]
-        bbasis = _ns(tuple(tuple(F(v) for v in r) for r in rows))
-        abasis = _ns(tuple(tuple(F(v) for v in r) for r in arows))
+        bbasis = nullspace(tuple(tuple(F(v) for v in r) for r in rows))
+        abasis = nullspace(tuple(tuple(F(v) for v in r) for r in arows))
         if not abasis:
             continue
         bvec = [F(0)] * 3
@@ -1287,13 +1073,9 @@ def _sample_l5_8c(rng) -> LVSystem:
             e=(0, 0, 0),
         )
         # keep only instances where the rule produces a nonconstant integral
-        from .potential import gradient_targets_3d, normalize_for_output, potential
-
-        rule = next(r for r in RULES_3D if r.id == "L5-8c")
         for m2 in rule.match(s):
-            lsol = (m2.params["l1"], m2.params["l2"], m2.params["l3"])
             try:
-                H = potential(gradient_targets_3d(s, "3d-t2", (F(1), F(1), F(1)), lsol))
+                H = potential(gradient_targets_3d(s, *m2.ansatz))
             except Exception:
                 continue
             if not normalize_for_output(H).is_zero():
@@ -1326,6 +1108,16 @@ def _direction_rule(**fields) -> Rule:
     return rule
 
 
+# L3-1's 2D-embedded integral is L2-i's printed formula
+_L2I_PRINTED = _PrintedForm(
+    ("b1", (1, 1, 0)),
+    ("a11", (2, 1, 0)),
+    ("-a22", (1, 2, 0)),
+    ("e1", (0, 1, 0)),
+    ("-e2", (1, 0, 0)),
+)
+
+
 RULES_3D: list[Rule] = [
     _direction_rule(
         id="L2-i",
@@ -1336,7 +1128,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "2*a11+a21", "2*a22+a12", "a13", "a23"],
         guards=["alpha' != 0"],
         sample=_sample_l2i,
-        compare_printed=_cmp_l2i,
+        compare_printed=_L2I_PRINTED,
     ),
     _direction_rule(
         id="L2-ii",
@@ -1355,7 +1147,18 @@ RULES_3D: list[Rule] = [
         ],
         guards=["alpha' != 0", "beta' != 0"],
         sample=_sample_l2ii,
-        compare_printed=_cmp_l2ii,
+        compare_printed=_PrintedForm(
+            ("-2*b1*a33", (1, 0, 1)),
+            ("-2*b1*a22", (1, 1, 0)),
+            ("-2*a11*a33", (2, 0, 1)),
+            ("2*a11*a22", (2, 1, 0)),
+            ("2*a33^2", (1, 0, 2)),
+            ("2*a22^2", (1, 2, 0)),
+            ("4*a22*a33", (1, 1, 1)),
+            ("2*(e3*a33 + e2*a22)", (1, 0, 0)),
+            ("-2*e1*a33", (0, 0, 1)),
+            ("2*e1*a22", (0, 1, 0)),
+        ),
         notes=["printed formula has sign typos on the x1^2*x2 and x2 terms"],
     ),
     _direction_rule(
@@ -1377,7 +1180,17 @@ RULES_3D: list[Rule] = [
         ],
         guards=["alpha' != 0", "beta' != 0", "gamma' != 0"],
         sample=_sample_l2iii,
-        compare_printed=_cmp_l2iii,
+        compare_printed=_PrintedForm(
+            ("a11^2*a22", (2, 1, 0)),
+            ("-a11^2*a33", (2, 0, 1)),
+            ("-a11*a22^2", (1, 2, 0)),
+            ("a11*a33^2", (1, 0, 2)),
+            ("a22^2*a33", (0, 2, 1)),
+            ("-a22*a33^2", (0, 1, 2)),
+            ("-a11*a22*e2 + a11*a33*e3", (1, 0, 0)),
+            ("a11*a22*e1 - a22*a33*e3", (0, 1, 0)),
+            ("a22*a33*e2 - a11*a33*e1", (0, 0, 1)),
+        ),
     ),
     _direction_rule(
         id="L3-1",
@@ -1388,7 +1201,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "2*a11+a21", "a12+2*a22", "a13", "a23"],
         guards=[],
         sample=_sample_l3_1,
-        compare_printed=_cmp_l2i,
+        compare_printed=_L2I_PRINTED,
     ),
     _direction_rule(
         id="L3-2",
@@ -1407,7 +1220,9 @@ RULES_3D: list[Rule] = [
         ],
         guards=["a13-a23 != 0"],
         sample=_sample_l3_2,
-        compare_printed=_cmp_l3_2,
+        compare_printed=_PrintedForm(
+            ("(a13-a23)/2", (1, 1, 2)), ("e1", (0, 1, 1)), ("-e2", (1, 0, 1))
+        ),
         notes=[
             "printed condition a12-a32=0 deviates: the oracle system requires "
             "a12-a22=0 (with a22+a32=0)"
@@ -1422,7 +1237,9 @@ RULES_3D: list[Rule] = [
         residuals=["b1-b2", "a1i-a2i (i=1,2,3)", "b3*a1i - b1*a3i (i=1,2,3)"],
         guards=["(b3, a31, a32, a33) != 0"],
         sample=_sample_l3_3,
-        compare_printed=_cmp_l3_3,
+        compare_printed=_PrintedForm(
+            ("e1", (0, 1, "l3")), ("-e2", (1, 0, "l3")), what="formula (with exact-solved l3)"
+        ),
         notes=[
             "printed defining equation b1 - b3*l3 = 0 has a sign typo; the "
             "exact solve uses b1 + b3*l3 = 0, consistent with the printed "
@@ -1438,7 +1255,12 @@ RULES_3D: list[Rule] = [
         residuals=["b1", "a11", "a12", "a13", "a22*a33 - a23*a32"],
         guards=[],
         sample=_sample_l4_1,
-        compare_printed=_cmp_l4_1,
+        compare_printed=_PrintedForm(
+            ("-B2", (1, 0, 0)),
+            ("-A21/2", (2, 0, 0)),
+            ("alpha*e1", (0, 0, 0), (0, 1, 0)),
+            ("beta*e1", (0, 0, 0), (0, 0, 1)),
+        ),
     ),
     _direction_rule(
         id="L4-2",
@@ -1449,7 +1271,7 @@ RULES_3D: list[Rule] = [
         residuals=["b2", "a21", "a22", "b1+b3", "a11+a31", "a12+a32", "a13+a33"],
         guards=["a23 != 0"],
         sample=_sample_l4_2,
-        compare_printed=_cmp_l4_2,
+        compare_printed=_PrintedForm(("-a23", (1, 0, 1)), ("e1", (0, 0, 0), (0, 1, 0))),
     ),
     Rule(
         id="L4-3",
@@ -1479,7 +1301,11 @@ RULES_3D: list[Rule] = [
         ],
         guards=["A33 != 0"],
         sample=_sample_l4_4,
-        compare_printed=_cmp_l4_4,
+        compare_printed=_PrintedForm(
+            ("A33", (1, 0, 1)),
+            ("beta*e1", (0, 0, 0), (0, 0, 1)),
+            ("-gamma*e1", (0, 0, 0), (0, 1, 0)),
+        ),
     ),
     _direction_rule(
         id="L4-5",
@@ -1490,7 +1316,12 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "b1+b3", "a11+a21", "a11+a31", "a12+a22", "a13+a33"],
         guards=["a12+a32 != 0", "a13+a23 != 0"],
         sample=_sample_l4_5,
-        compare_printed=_cmp_l4_5,
+        compare_printed=_PrintedForm(
+            ("a13+a23", (0, 0, 1)),
+            ("-(a12+a32)", (0, 1, 0)),
+            ("e1", (0, 0, 0), (0, 0, 1)),
+            ("-e1", (0, 0, 0), (0, 1, 0)),
+        ),
         notes=["printed formula drops the x1 factors of the quadratic terms"],
     ),
     _direction_rule(
@@ -1502,7 +1333,12 @@ RULES_3D: list[Rule] = [
         residuals=["b2", "a21", "a22", "b1+b3", "a11+a31", "a12+a32"],
         guards=["a23 != 0", "a13+a33 != 0"],
         sample=_sample_l4_6,
-        compare_printed=_cmp_l4_6,
+        compare_printed=_PrintedForm(
+            ("-a23", (1, "l2", 1)),
+            ("e1/l2", (0, "l2", 0)),
+            note=" (printed conditions say b1=a21=a22=0; the oracle system "
+            "requires b2=a21=a22=0)",
+        ),
         notes=["printed condition b1=0 deviates: the oracle system requires b2=0"],
     ),
     Rule(
@@ -1519,7 +1355,9 @@ RULES_3D: list[Rule] = [
         ],
         guards=["(l2, l3) != (0, 0)"],
         sample=_sample_l4_7,
-        compare_printed=_cmp_l4_7,
+        compare_printed=_PrintedForm(
+            ("b1", (1, "l2", "l3")), ("a11", (2, "l2", "l3")), ("e1", (0, "l2", "l3"))
+        ),
     ),
     Rule(
         id="L4-8",
@@ -1530,7 +1368,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b3", "a11+a31", "a12+a32", "(b1,a11,a12) prop (b2,a21,a22)"],
         guards=["a13+a33 != 0", "A23 != 0", "A33 != 0", "gamma != 0"],
         sample=_sample_l4_8,
-        compare_printed=_cmp_l4_8,
+        compare_printed=_PrintedForm(("a13+a33", (1, "l2", "l3+1")), ("e1", (0, "l2", "l3"))),
     ),
     _direction_rule(
         id="L4-9",
@@ -1547,7 +1385,11 @@ RULES_3D: list[Rule] = [
         ],
         guards=["a12+a22 != 0", "a22-a32 != 0", "a13+a33 != 0", "a23-a33 != 0"],
         sample=_sample_l4_9,
-        compare_printed=_cmp_l4_9,
+        compare_printed=_PrintedForm(
+            ("(a12+a22)/l3", (1, "l2+1", "l3")),
+            ("(a13+a23)/(l3+1)", (1, "l2", "l3+1")),
+            ("e1/l3", (0, "l2", "l3")),
+        ),
     ),
     _direction_rule(
         id="L5-1",
@@ -1558,7 +1400,12 @@ RULES_3D: list[Rule] = [
         residuals=["a11", "a12", "a13", "a22*a33 - a32*a23"],
         guards=["b1 != 0"],
         sample=_sample_l5_1,
-        compare_printed=_cmp_l5_1,
+        compare_printed=_PrintedForm(
+            ("alpha*b1", (0, 0, 0), (0, 1, 0)),
+            ("-alpha*b2 - beta*b3", (0, 0, 0), (1, 0, 0)),
+            ("-alpha*a21 - beta*a31", (1, 0, 0)),
+            ("beta*b1", (0, 0, 0), (0, 0, 1)),
+        ),
     ),
     _direction_rule(
         id="L5-2",
@@ -1569,7 +1416,12 @@ RULES_3D: list[Rule] = [
         residuals=["b1", "a12", "a13", "a22*a33 - a32*a23"],
         guards=["a11 != 0"],
         sample=_sample_l5_2,
-        compare_printed=_cmp_l5_2,
+        compare_printed=_PrintedForm(
+            ("alpha*b2 + beta*b3", (-1, 0, 0)),
+            ("-alpha*a21 - beta*a31", (0, 0, 0), (1, 0, 0)),
+            ("alpha*a11", (0, 0, 0), (0, 1, 0)),
+            ("beta*a11", (0, 0, 0), (0, 0, 1)),
+        ),
     ),
     _direction_rule(
         id="L5-3",
@@ -1580,7 +1432,12 @@ RULES_3D: list[Rule] = [
         residuals=["b1-b2", "a12-a22", "a13-a23", "b1*a33 - b3*a13"],
         guards=["A22 != 0", "(A11, A31) != (0, 0)"],
         sample=_sample_l5_3,
-        compare_printed=_cmp_l5_3,
+        compare_printed=_PrintedForm(
+            ("A31", (0, 0, 0), (0, 0, 1)),
+            ("A11", (0, 0, 0), (0, 1, 0)),
+            ("-A21", (0, 0, 0), (1, 0, 0)),
+            ("A22", (-1, 1, 0)),
+        ),
     ),
     _direction_rule(
         id="L5-4",
@@ -1591,7 +1448,13 @@ RULES_3D: list[Rule] = [
         residuals=["b1-b2", "b1-b3", "a12-a22", "a13-a33"],
         guards=["(a11-a31, a11-a21) != (0,0)", "a22-a32 != 0", "a23-a33 != 0"],
         sample=_sample_l5_4,
-        compare_printed=_cmp_l5_4,
+        compare_printed=_PrintedForm(
+            ("-(a11-a21)", (0, 0, 0), (0, 0, 1)),
+            ("a11-a31", (0, 0, 0), (0, 1, 0)),
+            ("-(a21-a31)", (0, 0, 0), (1, 0, 0)),
+            ("a22-a32", (-1, 1, 0)),
+            ("-(a13-a23)", (-1, 0, 1)),
+        ),
     ),
     Rule(
         id="L5-5",
@@ -1650,7 +1513,11 @@ RULES_3D: list[Rule] = [
             "a13-a23 != 0",
         ],
         sample=_sample_l5_7c,
-        compare_printed=_cmp_l5_7c,
+        compare_printed=_PrintedForm(
+            ("(a21-a31)/(l1+1)", ("l1+1", "l2", 0)),
+            ("(a22-a32)/l2", ("l1", "l2+1", 0)),
+            ("a13-a23", ("l1", "l2", 1)),
+        ),
         notes=[
             "printed formula is garbled: the exact construction gives "
             "x1^l1 x2^l2 ((a11-a31)x1/l2 + (a12-a32)x2/(l2+1) + (a23-a13)x3)"
@@ -1677,7 +1544,9 @@ RULES_3D: list[Rule] = [
         residuals=["a12", "a13", "a22*a33 - a32*a23"],
         guards=["b1^2 + a11^2 != 0"],
         sample=_sample_l5_8a,
-        compare_printed=_cmp_l5_8a,
+        compare_printed=_PrintedForm(
+            ("b1", ("l1", "l2", "l3")), ("a11", ("l1+1", "l2", "l3")), note=_l5_8a_exponent_note
+        ),
     ),
     _direction_rule(
         id="L5-8b",

@@ -348,13 +348,13 @@ def cmd_oracle(args) -> int:
 def cmd_sweep(args) -> int:
     samplers = dict(SAMPLERS_2D)
     samplers.update(SAMPLERS_3D)
-    if args.rule not in samplers or samplers[args.rule] is None:
+    if args.rule not in samplers:
         known = ", ".join(sorted(samplers))
         print(f"error: unknown rule {args.rule!r}; known: {known}", file=sys.stderr)
         return EXIT_INPUT
     sampler = samplers[args.rule]
     rng = random.Random(_seed_of(args))
-    family = args.rule.split("/")[0].replace("-mirror", "")
+    family = args.rule.split("/")[0]
     results = []
     for k in range(args.count):
         s = sampler(rng)

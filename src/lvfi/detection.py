@@ -82,7 +82,9 @@ class Rule:
     residuals: list[str] = field(default_factory=list)
     guards: list[str] = field(default_factory=list)
     sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
-    compare_printed: Optional[Callable] = None  # (s2, Match, GenPoly) -> str|None
+    # (s2, Match, GenPoly) -> str|None: a printed closed form, compiled from
+    # data (catalog3d._PrintedForm), or a function for a bespoke message
+    compare_printed: Optional[Callable] = None
     notes: list[str] = field(default_factory=list)
     # (kind, direction template, exponent template) when the matcher is
     # derived from the Ansatz (catalog3d._ConstantDirection)
@@ -105,7 +107,7 @@ class Rule:
 
 
 _CONDITION_NAME = re.compile(
-    r"\b(?:a([1-3])([1-3])|([be])([1-3])|(alpha|beta|gamma)'?|(A[1-3][1-3]|B[1-3]))"
+    r"\b(?:a([1-3])([1-3])|([bel])([1-3])|(alpha|beta|gamma)'?|(A[1-3][1-3]|B[1-3]))"
     r"(?![\w'])"
 )
 _DIRECTION_INDEX = {"alpha": 0, "beta": 1, "gamma": 2}
@@ -136,11 +138,12 @@ def _condition_name(m: re.Match) -> str:
 def condition_source(text: str) -> str:
     """Python source of one printed condition, a residual polynomial or a
     guard comparison over the coefficient names b1, a23, e3, ..., the
-    direction names alpha, beta, gamma (primed or not) and the T2 term-table
-    names B1..B3, A11..A33.  It reads b, A, e (the system's coefficients)
-    and d (the Ansatz direction).  An implicit product ``(..)(..)`` and
-    ``^`` for powers are accepted.  Raises ValueError for text that is not
-    such a condition (prose)."""
+    direction names alpha, beta, gamma (primed or not), the exponent names
+    l1..l3 and the T2 term-table names B1..B3, A11..A33.  It reads b, A, e
+    (the system's coefficients), d (the Ansatz direction) and l (the Ansatz
+    exponents).  An implicit product ``(..)(..)`` and ``^`` for powers are
+    accepted.  Raises ValueError for text that is not such a condition
+    (prose)."""
     src = _CONDITION_NAME.sub(
         _condition_name, text.replace(")(", ")*(").replace("^", "**")
     )
@@ -148,15 +151,16 @@ def condition_source(text: str) -> str:
         code = compile(src, "<condition>", "eval")
     except SyntaxError:
         raise ValueError(f"not a condition on the coefficients: {text!r}") from None
-    if not set(code.co_names) <= {"b", "A", "e", "d"}:
+    if not set(code.co_names) <= {"b", "A", "e", "d", "l"}:
         raise ValueError(f"not a condition on the coefficients: {text!r}")
     return src
 
 
 def condition_function(source: str) -> Callable:
-    """(b, A, e, d=()) -> value of a condition source at the direction d.
-    The coefficients may be Fractions or SymPoly symbols."""
-    return eval(f"lambda b, A, e, d=(): {source}", {"__builtins__": {}})
+    """(b, A, e, d=(), l=()) -> value of a condition source at the direction
+    d and the exponents l.  The coefficients may be Fractions or SymPoly
+    symbols."""
+    return eval(f"lambda b, A, e, d=(), l=(): {source}", {"__builtins__": {}})
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 from lvfi.catalog3d import (
     RULES_3D,
     SAMPLERS_3D,
+    _PrintedForm,
     detect3d,
     solve_abg,
     term_table,
@@ -221,6 +222,29 @@ def test_printed_formula_comparison_outcomes():
     s = SAMPLERS_3D["L5-7d"](rng)
     d = [x for x in detect3d(s) if x.rule_id == "L5-7d"][0]
     assert d.paper_formula_deviation is not None
+    # L4-9 at l2 = 1: the printed form divides by l3 + 1 = 0, so there is
+    # no comparison (draw 3 of its sampler at seed 1)
+    rng = random.Random(1)
+    s = [SAMPLERS_3D["L4-9"](rng) for _ in range(4)][3]
+    d = [x for x in detect3d(s) if x.rule_id == "L4-9"][0]
+    assert d.ansatz[2] == (1, 1, -1)
+    assert d.paper_formula_deviation is None
+
+
+def test_printed_forms_compile_and_evaluate_at_their_matches():
+    rules = [r for r in RULES_3D if isinstance(r.compare_printed, _PrintedForm)]
+    assert len({id(r.compare_printed) for r in rules}) == 19  # L2-i, L3-1 share
+    for rule in rules:
+        form = rule.compare_printed
+        s = rule.sample(random.Random(rule.id))
+        matches = rule.match(s)
+        assert matches, rule.id
+        for m in matches:
+            terms = form.evaluate(s.b, s.A, s.e, *m.ansatz[1:])
+            assert len(terms) == len(form.terms), rule.id
+            for coeff, *triples in terms:
+                assert isinstance(coeff, Fraction), rule.id
+                assert all(len(t) == 3 for t in triples), rule.id
 
 
 def test_run_rules_permutes_once_per_relabeling(monkeypatch):
