@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from . import expr as ex
-from .detection import Candidate, Detection, Match, Rule, run_rules
+from .detection import Candidate, DependentRows, Detection, Match, Rule, run_rules
 from .linalg import rank, solve_constrained
 from .model import LVSystem, Permutation, make_system, permute_system
 from .oracle import _f_laurent
@@ -80,12 +80,6 @@ def _match_b(s: LVSystem) -> list[Match]:
             subid="l2=0" if l2 == 0 else "",
         )
     ]
-
-
-def _match_b_rank0(s: LVSystem) -> list[Match]:
-    if s.b[1] == 0 and s.A[1][0] == 0 and s.A[1][1] == 0:
-        return [Match(params={}, H_gen=GenPoly.term(2, 1, (0, 1)), subid="")]
-    return []
 
 
 def _sample_b(rng) -> LVSystem:
@@ -305,7 +299,7 @@ RULES_2D: list[Rule] = [
         citation="2D case e2 = 0 with vanishing second row (trivial integral x2)",
         dim=2,
         pattern=(None, False),
-        match=_match_b_rank0,
+        match=DependentRows((1,)),
         residuals=["b2", "a21", "a22"],
         guards=["e2 = 0"],
         sample=_sample_b_rank0,

@@ -4,15 +4,15 @@ The constant matrix family (T1) forces unit exponents and its conditions do
 not involve the constant terms at all, so those three rules apply to every
 constant-term pattern.  The coordinate-weighted family (T2) splits by the zero
 pattern of e; each rule records the applicability residuals, the parameter or
-exponent solve, and guards, exactly as the case analysis dictates.  Most rules
-hold their Ansatz as data (``Rule.ansatz``): the kind, a direction template
-(alpha, beta, gamma) and an exponent template, each entry constant, free or
-tied.  One matcher (_ConstantDirection) evaluates their printed residuals,
-solves the free entries from the oracle's condition rows (the direction from
-a nullspace when the exponents are constant, the exponents from a constrained
-solve when the direction is), and evaluates the guards at each direction.
-The rest (L3-3, L4-7, L4-8, L5-7a/b, L5-8a, whose free entries sit in both
-templates, and the stated integrals) keep hand-written matchers.
+exponent solve, and guards, exactly as the case analysis dictates.  The
+Ansatz rules hold their Ansatz as data (``Rule.ansatz``): the kind, a
+direction template (alpha, beta, gamma) and an exponent template, each entry
+constant, free or tied.  One matcher (_ConstantDirection) evaluates their
+printed residuals, solves the free entries from the printed solve rows and
+the oracle's condition rows, and evaluates the guards at each match.  The
+stated integrals L4-3, L5-5 and R3D-TRIV share detection.DependentRows; only
+L5-6, whose integral is not a nullspace candidate, keeps a hand-written
+matcher.
 
 Printed closed forms are treated as claims: the integral is always rebuilt
 from the Ansatz by exact potential reconstruction, and where transcribed, the
@@ -30,6 +30,7 @@ The permutation engine covers all index-relabeled cases mechanically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -38,6 +39,7 @@ from typing import Callable
 from .catalog2d import _q
 from .detection import (
     Candidate,
+    DependentRows,
     Detection,
     Match,
     Rule,
@@ -46,14 +48,15 @@ from .detection import (
     gradient_proportional,
     run_rules,
 )
-from .linalg import SolveOutcome, nullspace, solve_constrained
+from .linalg import SolveOutcome, nullspace, nullspace_candidates, solve_constrained
 from .model import LVSystem, make_system
 from .oracle import _symbolic_system, residual_3d_generic
 from .poly import GenPoly, SymPoly, ratio
 from .potential import gradient_targets_3d, lie_genpoly, normalize_for_output, potential
 
 F = Fraction
-ZERO3 = (F(0), F(0), F(0))
+_D_NAMES = ("alpha", "beta", "gamma")
+_L_NAMES = ("l1", "l2", "l3")
 
 
 # -- term table and parameter solves (public operations) ----------------------
@@ -88,40 +91,25 @@ def solve_abg(s: LVSystem, zero_entries, fixed: dict | None = None) -> list[tupl
     (B1..B3, A11..A33) vanish; `fixed` pins components, e.g. {"gamma": 0}."""
     if s.dim != 3:
         raise ValueError("solve_abg needs a 3D system")
-    fixed = fixed or {}
-    idx = {"alpha": 0, "beta": 1, "gamma": 2}
-    free = [v for v in ("alpha", "beta", "gamma") if v not in fixed]
-    rows = []
-    for name in zero_entries:
-        # each entry is linear in the direction: its row is its value at the
-        # free unit directions
-        entry = condition_function(condition_source(name))
-        rows.append(tuple(entry(s.b, s.A, s.e, _unit(idx[v])) for v in free))
-    if not rows:
-        rows = [tuple(F(0) for _ in free)]
-    basis = nullspace(tuple(rows))
+    fixed = {n: F(v) for n, v in (fixed or {}).items()}
+    free = tuple(n for n in _D_NAMES if n not in fixed)
+    m, _ = _entry_rows(tuple(zero_entries), free)(s.b, s.A, s.e)
     out = []
-    for v in basis:
-        vec = [F(fixed.get(name, 0)) for name in ("alpha", "beta", "gamma")]
-        for val, name in zip(v, free):
-            vec[idx[name]] = val
-        out.append(tuple(vec))
+    for v in nullspace(m):
+        values = {**fixed, **dict(zip(free, v))}
+        out.append(tuple(values[n] for n in _D_NAMES))
     return out
 
 
-def _unit(k: int) -> tuple:
-    return tuple(F(int(i == k)) for i in range(3))
-
-
-def _ns_candidates(rows) -> list[tuple]:
-    """Nullspace basis plus pairwise sums (covers guards that a single basis
-    vector misses when the space is more than one-dimensional)."""
-    basis = nullspace(tuple(tuple(r) for r in rows))
-    cands = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            cands.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
-    return cands
+@cache
+def _entry_rows(names: tuple, free: tuple) -> Callable:
+    """(b, A, e) -> (m, r): the named term-table entries as rows in the free
+    direction names, the other direction entries taken as zero; compiled
+    once per (names, free)."""
+    b, A, e = _symbolic_system(3)
+    d = tuple(SymPoly.sym(n) if n in free else 0 for n in _D_NAMES)
+    conds = [condition_function(condition_source(n))(b, A, e, d) for n in names]
+    return _affine_rows(conds, free)
 
 
 def _l_candidates(out: SolveOutcome) -> list[tuple]:
@@ -142,17 +130,67 @@ def _gp(terms) -> GenPoly:
     return out
 
 
-def _template_function(template, free) -> Callable:
-    """(free entries) -> the entries of an Ansatz template, with constants as
-    Fractions and tied entries evaluated (primes dropped from the names)."""
+def _affine_rows(conds, free) -> Callable:
+    """(b, A, e, d=(), l=()) -> (m, r), where m @ (free entries) = r is the
+    system of the symbolic conditions conds (SymPoly).  Other direction and
+    exponent names in conds are read from d and l by position (beta from
+    d[1], l2 from l[1]).  Rows equal up to a rational factor are kept once,
+    which leaves the solve unchanged; with no row left, one zero row."""
+    ncols = len(free)
+    rows: list[dict] = []  # (column, coefficient monomial) -> coefficient
+    for cond in conds:
+        row = {}
+        for mono, c in cond.terms.items():
+            col = next((k for k, n in enumerate(free) if (n, 1) in mono), ncols)
+            rest = tuple(x for x in mono if x[0] not in free)
+            if len(rest) + (col < ncols) != len(mono):
+                raise ValueError(f"condition row not affine in {free}")
+            row[(col, rest)] = c if col < ncols else -c
+        if row and not any(ratio(row, kept) for kept in rows):
+            rows.append(row)
+    # Homogeneous rows first: pivots taken from them leave the right-hand
+    # side unchanged, so its Fractions stay small (about 10% faster on
+    # L5-8c).
+    rows.sort(key=lambda row: any(col == ncols for col, _ in row))
+
+    def entry(row, col) -> str:
+        # Every term holds one system coefficient, so a nonzero entry with
+        # integer coefficients evaluates to a Fraction; the solve never
+        # pivots on a zero entry.
+        p = SymPoly({rest: c for (k, rest), c in row.items() if k == col})
+        if any(c.denominator != 1 for c in p.terms.values()):
+            raise ValueError("condition rows need integer coefficients")
+        return str(p)
+
+    m = ", ".join(
+        "(" + "".join(f"{entry(row, k)}, " for k in range(ncols)) + ")" for row in rows or [{}]
+    )
+    r = ", ".join(entry(row, ncols) for row in rows or [{}])
+    return condition_function(condition_source(f"(({m},), ({r},))"))
+
+
+def _template_function(template) -> Callable:
+    """(free names, by keyword) -> the entries of an Ansatz template, with
+    constants as Fractions and tied entries evaluated (primes dropped from
+    the names)."""
     consts = {f"k{i}": F(v) for i, v in enumerate(template) if not isinstance(v, str)}
     entries = [
         v.replace("'", "") if isinstance(v, str) else f"k{i}" for i, v in enumerate(template)
     ]
+    names = ", ".join(f"{n}=None" for n in _D_NAMES + _L_NAMES)
     return eval(
-        f"lambda {', '.join(free)}: ({', '.join(entries)},)",
+        f"lambda {names}: ({', '.join(entries)},)",
         {"__builtins__": {}, **consts},
     )
+
+
+# A condition source that reads the direction or the exponents
+_NAMES_UNKNOWN = re.compile(r"\b[dl]\[")
+
+
+def _by_position(values: dict) -> tuple[tuple, tuple]:
+    """(d, l) holding named values by position (beta at d[1], l2 at l[1])."""
+    return tuple(map(values.get, _D_NAMES)), tuple(map(values.get, _L_NAMES))
 
 
 class _ConstantDirection:
@@ -161,119 +199,112 @@ class _ConstantDirection:
     The rule's ``ansatz`` is (kind, direction template, exponent template).
     Each template entry is a number (a constant), its own name (a free
     entry: ``"alpha"``, ``"beta"``, ``"gamma"``, primed for T1, or
-    ``"l<i>"``) or an expression in the free names of its template (a tied
-    entry, such as ``"-gamma"`` or ``"-l2"``).  A system is tried when every
-    printed residual vanishes.  The free entries are then solved from the
-    oracle's condition rows (as in derive_conditions), specialized to the
-    constant and tied entries and the pattern's zero constant terms:
-
-    * with the exponents constant, the rows are homogeneous in the free
-      direction names, taken in template order, and each nullspace
-      candidate (_ns_candidates) is a direction;
-    * with the direction constant, the rows are affine in the free
-      exponents, and each solution candidate (_l_candidates) is a match.
-
-    Rows holding free names of both templates are not affine, and compiling
-    them raises ValueError.  Every guard must hold at the match's direction.
+    ``"l<i>"``) or an expression in the free names (a tied entry, such as
+    ``"-gamma"``, or ``"l3"`` in a direction).  A printed residual naming
+    the direction or the exponents (``l3``, or a term-table name such as
+    ``B3``) is a *solve row*; every other one must vanish for the system to
+    be tried.  The free entries are solved first from the solve rows, then
+    from the oracle's condition rows (as in derive_conditions), each in the
+    free names still unknown.  Rows in free direction names are
+    homogeneous, and each nullspace candidate (nullspace_candidates) is a
+    solution; rows in free exponents are affine, and each solution
+    candidate (_l_candidates) is one.  Rows holding products of unknown
+    names are not affine, and compiling them raises ValueError.  A guard on
+    the coefficients alone is checked with the residuals; every other guard
+    must hold at the match's direction and exponents.
     """
 
     def __init__(self, rule: Rule):
         self.rule = rule
         self.kind, self.dtemplate, self.template = rule.ansatz
         prime = "'" if self.kind == "3d-t1" else ""
-        self.dnames = [n + prime for n in ("alpha", "beta", "gamma")]
-        self.free_d = [n.rstrip("'") for n, t in zip(self.dnames, self.dtemplate) if t == n]
-        names = [f"l{i + 1}" for i in range(3)]
-        self.free = [n for n, t in zip(names, self.template) if t == n]
-        self.varying = [n for n, t in zip(names, self.template) if isinstance(t, str)]
+        self.dnames = [n + prime for n in _D_NAMES]
+        self.free = [n.rstrip("'") for n, t in zip(self.dnames, self.dtemplate) if t == n]
+        self.free += [n for n, t in zip(_L_NAMES, self.template) if t == n]
+        self.varying = [n for n, t in zip(_L_NAMES, self.template) if isinstance(t, str)]
 
     # Compiled on first use, so importing the catalog compiles nothing.
     @cached_property
+    def sources(self) -> tuple[list[str], ...]:
+        """The printed residuals and then the guards as condition sources,
+        each split into those on the coefficients alone and those that read
+        the direction or the exponents (the solve rows; the guards checked
+        at each match)."""
+        out = []
+        for texts in (self.rule.residuals, self.rule.guards):
+            srcs = [condition_source(t) for t in texts]
+            out += [[t for t in srcs if not _NAMES_UNKNOWN.search(t)]]
+            out += [[t for t in srcs if _NAMES_UNKNOWN.search(t)]]
+        return tuple(out)
+
+    @cached_property
     def holds(self) -> Callable:
-        """(b, A, e) -> whether every printed residual vanishes."""
-        chain = " or ".join(f"({t})" for t in self.rule.residuals)
-        return condition_function(condition_source(f"not ({chain})" if chain else "True"))
+        """(b, A, e) -> whether every printed residual but the solve rows
+        vanishes and every guard on the coefficients alone holds."""
+        checks, _, guards, _ = self.sources
+        tests = [f"not ({t})" for t in checks] + [f"({t})" for t in guards]
+        return condition_function(" and ".join(tests) or "True")
 
     @cached_property
     def admits(self) -> Callable:
-        """(b, A, e, d) -> whether every guard holds at the direction d."""
-        tests = " and ".join(f"({t})" for t in self.rule.guards)
-        return condition_function(condition_source(tests or "True"))
+        """(b, A, e, d, l) -> whether every other guard holds at the
+        direction d and the exponents l."""
+        return condition_function(" and ".join(f"({t})" for t in self.sources[3]) or "True")
 
     @cached_property
     def direction(self) -> Callable:
-        """(free direction names) -> (alpha, beta, gamma)."""
-        return _template_function(self.dtemplate, self.free_d)
+        """(free names, by keyword) -> (alpha, beta, gamma)."""
+        return _template_function(self.dtemplate)
 
     @cached_property
     def exponents(self) -> Callable:
-        """(free exponents) -> all three exponents of the template."""
-        return _template_function(self.template, self.free)
+        """(free names, by keyword) -> all three exponents of the template."""
+        return _template_function(self.template)
 
     @cached_property
-    def rows(self) -> Callable:
-        """(b, A, e) -> (m, r), where m @ (free entries) = r is the oracle's
-        condition row system at the template's constant and tied entries and
-        the pattern's zero constant terms.  Free entries split off as
-        columns; rows equal up to a rational factor are kept once, which
-        leaves the solve unchanged."""
-        free = self.free_d + self.free
-        ncols = len(free)
+    def stages(self) -> list[tuple[list[str], Callable]]:
+        """The solves in order, each (free names, (b, A, e, d, l) -> (m, r)),
+        with the names solved before read from d and l: the solve rows, then
+        the oracle's condition rows when free names are left.  Both are
+        taken at the templates and the pattern's zero constant terms."""
         b, A, e = _symbolic_system(3)
         pattern = self.rule.pattern or (None,) * 3
         e = tuple(0 if want is False else ei for want, ei in zip(pattern, e))
-        abg = self.direction(*(SymPoly.sym(n) for n in self.free_d))
-        l = self.exponents(*(SymPoly.sym(n) for n in self.free))
-        conds = [
-            c for comp in residual_3d_generic((b, A, e), self.kind, abg, l)
-            for _, c in comp.items_sorted()
-        ]
-        rows: list[dict] = []  # (column, coefficient monomial) -> coefficient
-        for cond in conds:
-            row = {}
-            for mono, c in cond.terms.items():
-                col = next((k for k, n in enumerate(free) if (n, 1) in mono), ncols)
-                rest = tuple(x for x in mono if x[0] not in free)
-                if len(rest) + (col < ncols) != len(mono):
-                    raise ValueError(f"condition row not affine in {free}")
-                row[(col, rest)] = c if col < ncols else -c
-            if row and not any(ratio(row, kept) for kept in rows):
-                rows.append(row)
-        # Homogeneous rows first: pivots taken from them leave the right-hand
-        # side unchanged, so its Fractions stay small (about 10% faster on
-        # L5-8c).
-        rows.sort(key=lambda row: any(col == ncols for col, _ in row))
-
-        def entry(row, col) -> str:
-            # Every term holds one system coefficient, so a nonzero entry with
-            # integer coefficients evaluates to a Fraction; the solve never
-            # pivots on a zero entry.
-            p = SymPoly({rest: c for (k, rest), c in row.items() if k == col})
-            if any(c.denominator != 1 for c in p.terms.values()):
-                raise ValueError("condition rows need integer coefficients")
-            return str(p)
-
-        m = ", ".join(
-            "(" + ", ".join(entry(row, k) for k in range(ncols)) + ",)" for row in rows
-        )
-        r = ", ".join(entry(row, ncols) for row in rows)
-        return condition_function(condition_source(f"(({m},), ({r},))"))
+        free = {n: SymPoly.sym(n) for n in self.free}
+        d, l = self.direction(**free), self.exponents(**free)
+        conds = [condition_function(src)(b, A, e, d, l) for src in self.sources[1]]
+        held = {name for c in conds for mono in c.terms for name, _ in mono}
+        solved = [n for n in self.free if n in held]
+        stages = [(solved, _affine_rows(conds, solved))] if conds else []
+        unsolved = [n for n in self.free if n not in held]
+        if unsolved:
+            conds = [
+                c for comp in residual_3d_generic((b, A, e), self.kind, d, l)
+                for _, c in comp.items_sorted()
+            ]
+            stages.append((unsolved, _affine_rows(conds, unsolved)))
+        return stages
 
     def __call__(self, s: LVSystem) -> list[Match]:
         b, A, e = s.b, s.A, s.e
         if not self.holds(b, A, e):
             return []
-        if self.free_d:
-            m, _ = self.rows(b, A, e)
-            dirs = [self.direction(*v) for v in _ns_candidates(m)]
-        else:
-            dirs = [self.direction()]
-        dirs = [d for d in dirs if self.admits(b, A, e, d)]
-        if not (dirs and self.free):
-            return [self._match(d, self.exponents()) for d in dirs]
-        m, r = self.rows(b, A, e)
-        out = solve_constrained(m, r)
-        return [self._match(dirs[0], self.exponents(*sol)) for sol in _l_candidates(out)]
+        found = [{}]  # the free names' values, per candidate
+        for names, rows in self.stages:
+            found = [
+                {**v, **dict(zip(names, w))}
+                for v in found
+                for w in self._solve(names, rows(b, A, e, *_by_position(v)))
+            ]
+        matches = [(self.direction(**v), self.exponents(**v)) for v in found]
+        return [self._match(d, l) for d, l in matches if self.admits(b, A, e, d, l)]
+
+    @staticmethod
+    def _solve(names, mr) -> list[tuple]:
+        m, r = mr
+        if names[0] in _D_NAMES:
+            return nullspace_candidates(m)
+        return _l_candidates(solve_constrained(m, r))
 
     def _match(self, abg, l) -> Match:
         params = {name: l[int(name[1]) - 1] for name in self.varying}
@@ -401,27 +432,6 @@ def _sample_l3_2(rng) -> LVSystem:
     )
 
 
-def _match_l3_3(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[0] - b[1] or any(A[0][i] - A[1][i] for i in range(3)):
-        return []
-    col = (b[2], A[2][0], A[2][1], A[2][2])
-    if all(v == 0 for v in col):
-        return []  # any exponent works; the trivial-row rule reports x3
-    out = solve_constrained(
-        tuple((v,) for v in col), (-b[0], -A[0][0], -A[0][1], -A[0][2])
-    )
-    if out.status != "unique":
-        return []
-    l3 = out.solution[0]
-    return [
-        Match(
-            params={"l3": l3, "alpha": F(1), "beta": l3, "gamma": -l3},
-            ansatz=("3d-t2", (F(1), l3, -l3), (F(1), F(1), l3)),
-        )
-    ]
-
-
 def _sample_l3_3(rng) -> LVSystem:
     while True:
         row3 = (_q(rng), _q(rng), _q(rng), _q(rng))
@@ -458,18 +468,6 @@ def _sample_l4_2(rng) -> LVSystem:
         A=((a11, a12, a13), (0, 0, a23), (-a11, -a12, -a13)),
         e=(_q(rng, True), 0, 0),
     )
-
-
-def _match_l4_3(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    rows = [(b[1], b[2]), (A[1][0], A[2][0]), (A[1][1], A[2][1]), (A[1][2], A[2][2])]
-    out = []
-    for v in _ns_candidates(rows):
-        H = _gp([(v[0], (0, 0, 0), (0, 1, 0)), (v[1], (0, 0, 0), (0, 0, 1))])
-        if H.is_zero():
-            continue
-        out.append(Match(params={"alpha": v[0], "beta": v[1]}, H_gen=H))
-    return out
 
 
 def _sample_l4_3(rng) -> LVSystem:
@@ -532,30 +530,6 @@ def _sample_l4_6(rng) -> LVSystem:
         )
 
 
-def _match_l4_7(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if A[0][1] or A[0][2]:
-        return []
-    m = (
-        (b[1], b[2]),
-        (A[1][0], A[2][0]),
-        (A[1][1], A[2][1]),
-        (A[1][2], A[2][2]),
-    )
-    out = solve_constrained(m, (-b[0], -2 * A[0][0], F(0), F(0)))
-    matches = []
-    for l2, l3 in _l_candidates(out):
-        if l2 == 0 and l3 == 0:
-            continue  # constant integral
-        matches.append(
-            Match(
-                params={"l2": l2, "l3": l3},
-                ansatz=("3d-t2", (l2, l3, F(0)), (F(1), l2, l3)),
-            )
-        )
-    return matches
-
-
 def _sample_l4_7(rng) -> LVSystem:
     while True:
         l2, l3 = _q(rng), _q(rng, True)
@@ -572,33 +546,6 @@ def _sample_l4_7(rng) -> LVSystem:
             A=((a11, 0, 0), (a21, a22, a23), (a31, a32, a33)),
             e=(_q(rng, True), 0, 0),
         )
-
-
-def _match_l4_8(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    conds = (b[0] + b[2], A[0][0] + A[2][0], A[0][1] + A[2][1])
-    if any(conds):
-        return []
-    if A[0][2] + A[2][2] == 0:
-        return []
-    out = []
-    for v in _ns_candidates([(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1])]):
-        be, ga = v
-        if ga == 0:
-            continue
-        A23 = -ga * A[1][2] + be * A[2][2]
-        A33 = A[0][2] * be + A[1][2] * ga
-        if A23 == 0 or A33 == 0:
-            continue
-        l2 = ga * (A[0][2] + A[2][2]) / A23
-        l3 = -be * (A[0][2] + A[2][2]) / A23
-        out.append(
-            Match(
-                params={"beta": be, "gamma": ga, "alpha": -ga, "l2": l2, "l3": l3},
-                ansatz=("3d-t2", (-ga, be, ga), (F(1), l2, l3)),
-            )
-        )
-    return out
 
 
 def _sample_l4_8(rng) -> LVSystem:
@@ -692,23 +639,6 @@ def _sample_l5_4(rng) -> LVSystem:
         )
 
 
-def _match_l5_5(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    rows = [(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1]), (A[0][2], A[1][2])]
-    out = []
-    for v in _ns_candidates(rows):
-        be, ga = v
-        if be == 0 and ga == 0:
-            continue
-        out.append(
-            Match(
-                params={"beta": be, "gamma": ga},
-                H_gen=GenPoly.term(3, 1, (be, ga, 0)),
-            )
-        )
-    return out
-
-
 def _sample_l5_5(rng) -> LVSystem:
     lam = _q(rng, True)
     row2 = (_q(rng), _q(rng, True), _q(rng), _q(rng))
@@ -725,10 +655,10 @@ def _sample_l5_5(rng) -> LVSystem:
 
 def _match_l5_6(s: LVSystem) -> list[Match]:
     b, A = s.b, s.A
-    ns23 = _ns_candidates(
+    ns23 = nullspace_candidates(
         [(b[1], b[2]), (A[1][0], A[2][0]), (A[1][1], A[2][1]), (A[1][2], A[2][2])]
     )
-    ns12 = _ns_candidates(
+    ns12 = nullspace_candidates(
         [(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1]), (A[0][2], A[1][2])]
     )
     out = []
@@ -764,30 +694,6 @@ def _sample_l5_6(rng) -> LVSystem:
     )
 
 
-def _match_l5_7a(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[1] - b[2] or A[1][0] - A[2][0]:
-        return []
-    out = []
-    for v in _ns_candidates([(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1])]):
-        be, ga = v
-        A33 = A[0][2] * be + A[1][2] * ga
-        A13 = -A[0][2] * be - A[2][2] * ga
-        A23 = be * (A[2][2] - A[1][2])
-        A12 = -A[0][1] * be - A[2][1] * ga
-        if A33 == 0 or A13 == 0 or A23 == 0 or A12 == 0:
-            continue
-        l1 = -A23 / A33
-        l2 = A13 / A33
-        out.append(
-            Match(
-                params={"beta": be, "gamma": ga, "alpha": -be, "l1": l1, "l2": l2},
-                ansatz=("3d-t2", (-be, be, ga), (l1, l2, F(0))),
-            )
-        )
-    return out
-
-
 def _cmp_l5_7a(s2, m, H2):
     A = term_table(m.ansatz[1], s2).A
     l2 = m.params["l2"]
@@ -818,27 +724,6 @@ def _sample_l5_7a(rng) -> LVSystem:
             A=((a11, a12, a13), (a21, a22, a23), (a21, a32, a33)),
             e=(0, 0, 0),
         )
-
-
-def _match_l5_7b(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if A[2][0] or A[2][1] or b[2] == 0 or A[2][2] == 0:
-        return []
-    out = []
-    for v in _ns_candidates([(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1])]):
-        be, ga = v
-        A33 = A[0][2] * be + A[1][2] * ga
-        if A33 == 0:
-            continue
-        l1 = -A[2][2] * be / A33
-        l2 = -A[2][2] * ga / A33
-        out.append(
-            Match(
-                params={"beta": be, "gamma": ga, "alpha": F(0), "l1": l1, "l2": l2},
-                ansatz=("3d-t2", (F(0), be, ga), (l1, l2, F(0))),
-            )
-        )
-    return out
 
 
 def _sample_l5_7b(rng) -> LVSystem:
@@ -899,34 +784,6 @@ def _sample_l5_7d(rng) -> LVSystem:
             A=((a11, a12, a13), (-a11, -a12, a23), (_q(rng), a12, _q(rng))),
             e=(0, 0, 0),
         )
-
-
-def _match_l5_8a(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if A[0][1] or A[0][2]:
-        return []
-    if A[1][1] * A[2][2] - A[2][1] * A[1][2] != 0:
-        return []
-    if b[0] == 0 and A[0][0] == 0:
-        return []
-    m = (
-        (b[0], b[1], b[2]),
-        (A[0][0], A[1][0], A[2][0]),
-        (F(0), A[1][1], A[2][1]),
-        (F(0), A[1][2], A[2][2]),
-    )
-    out = solve_constrained(m, (F(0), -A[0][0], F(0), F(0)))
-    matches = []
-    for l1, l2, l3 in _l_candidates(out):
-        if l2 == 0 and l3 == 0 and (b[0] == 0 or l1 == 0):
-            continue
-        matches.append(
-            Match(
-                params={"l1": l1, "l2": l2, "l3": l3},
-                ansatz=("3d-t2", (l2, l3, F(0)), (l1, l2, l3)),
-            )
-        )
-    return matches
 
 
 def _sample_l5_8a(rng) -> LVSystem:
@@ -1012,7 +869,7 @@ def _l5_8a_exponent_note(s2, m) -> str:
     (alpha, beta) solving A22 = A23 = 0, against the exact solve."""
     b, A = s2.b, s2.A
     l2, l3 = m.params["l2"], m.params["l3"]
-    ab = _ns_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])])
+    ab = nullspace_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])])
     if not ab:
         return ""
     al, be = ab[0]
@@ -1080,13 +937,6 @@ def _sample_l5_8c(rng) -> LVSystem:
                 continue
             if not normalize_for_output(H).is_zero():
                 return s
-
-
-def _match_triv3(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[2] == 0 and all(A[2][j] == 0 for j in range(3)):
-        return [Match(params={}, H_gen=GenPoly.term(3, 1, (0, 0, 1)))]
-    return []
 
 
 def _sample_triv3(rng) -> LVSystem:
@@ -1228,14 +1078,26 @@ RULES_3D: list[Rule] = [
             "a12-a22=0 (with a22+a32=0)"
         ],
     ),
-    Rule(
+    _direction_rule(
         id="L3-3",
         citation="3D T2, e1,e2 != 0, e3 = 0, item 3",
         dim=3,
         pattern=(True, True, False),
-        match=_match_l3_3,
-        residuals=["b1-b2", "a1i-a2i (i=1,2,3)", "b3*a1i - b1*a3i (i=1,2,3)"],
-        guards=["(b3, a31, a32, a33) != 0"],
+        ansatz=("3d-t2", (1, "l3", "-l3"), (1, 1, "l3")),
+        residuals=[
+            "b1-b2",
+            "a11-a21",
+            "a12-a22",
+            "a13-a23",
+            "b3*a11 - b1*a31",
+            "b3*a12 - b1*a32",
+            "b3*a13 - b1*a33",
+            "b1 + b3*l3",
+            "a11 + a31*l3",
+            "a12 + a32*l3",
+            "a13 + a33*l3",
+        ],
+        guards=["(b3, a31, a32, a33) != (0, 0, 0, 0)"],
         sample=_sample_l3_3,
         compare_printed=_PrintedForm(
             ("e1", (0, 1, "l3")), ("-e2", (1, 0, "l3")), what="formula (with exact-solved l3)"
@@ -1278,7 +1140,7 @@ RULES_3D: list[Rule] = [
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 3 (x1-free log integral)",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_3,
+        match=DependentRows((1, 2), ("alpha", "beta"), log=True),
         residuals=["(b2,a21,a22,a23) proportional to (b3,a31,a32,a33)"],
         guards=[],
         sample=_sample_l4_3,
@@ -1341,17 +1203,21 @@ RULES_3D: list[Rule] = [
         ),
         notes=["printed condition b1=0 deviates: the oracle system requires b2=0"],
     ),
-    Rule(
+    _direction_rule(
         id="L4-7",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 7",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_7,
+        ansatz=("3d-t2", ("l2", "l3", 0), (1, "l2", "l3")),
         residuals=[
             "a12",
             "a13",
             "a22*(-b1*a31+2*b3*a11) + a32*(-2*b2*a11+b1*a21)",
             "a23*(-b1*a31+2*b3*a11) + a33*(-2*b2*a11+b1*a21)",
+            "B2 + b1",
+            "A21 + 2*a11",
+            "A22",
+            "A23",
         ],
         guards=["(l2, l3) != (0, 0)"],
         sample=_sample_l4_7,
@@ -1359,13 +1225,23 @@ RULES_3D: list[Rule] = [
             ("b1", (1, "l2", "l3")), ("a11", (2, "l2", "l3")), ("e1", (0, "l2", "l3"))
         ),
     ),
-    Rule(
+    _direction_rule(
         id="L4-8",
         citation="3D T2, e1 != 0, e2 = e3 = 0, item 8",
         dim=3,
         pattern=(True, False, False),
-        match=_match_l4_8,
-        residuals=["b1+b3", "a11+a31", "a12+a32", "(b1,a11,a12) prop (b2,a21,a22)"],
+        ansatz=("3d-t2", ("-gamma", "beta", "gamma"), (1, "l2", "l3")),
+        residuals=[
+            "b1+b3",
+            "a11+a31",
+            "a12+a32",
+            "b1*a21 - b2*a11",
+            "b1*a22 - b2*a12",
+            "a11*a22 - a12*a21",
+            "B3",
+            "A31",
+            "A32",
+        ],
         guards=["a13+a33 != 0", "A23 != 0", "A33 != 0", "gamma != 0"],
         sample=_sample_l4_8,
         compare_printed=_PrintedForm(("a13+a33", (1, "l2", "l3+1")), ("e1", (0, "l2", "l3"))),
@@ -1461,7 +1337,7 @@ RULES_3D: list[Rule] = [
         citation="3D T2, e = 0, item 5 (monomial integral)",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_5,
+        match=DependentRows((0, 1), ("beta", "gamma")),
         residuals=["(b1,a11,a12,a13) proportional to (b2,a21,a22,a23)"],
         guards=[],
         sample=_sample_l5_5,
@@ -1476,25 +1352,43 @@ RULES_3D: list[Rule] = [
         guards=["beta != 0 in both solves"],
         sample=_sample_l5_6,
     ),
-    Rule(
+    _direction_rule(
         id="L5-7a",
         citation="3D T2, e = 0, item 7a",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_7a,
-        residuals=["b2-b3", "a21-a31", "(b1,a11,a12) prop (b2,a21,a22)"],
+        ansatz=("3d-t2", ("-beta", "beta", "gamma"), ("l1", "l2", 0)),
+        residuals=[
+            "b2-b3",
+            "a21-a31",
+            "b1*a21 - b2*a11",
+            "b1*a22 - b2*a12",
+            "a11*a22 - a12*a21",
+            "B3",
+            "A31",
+            "A32",
+        ],
         guards=["A33 != 0", "A13 != 0", "A23 != 0", "A12 != 0"],
         sample=_sample_l5_7a,
         compare_printed=_cmp_l5_7a,
         notes=["printed l2 has a sign typo (exact solve gives +A13/A33)"],
     ),
-    Rule(
+    _direction_rule(
         id="L5-7b",
         citation="3D T2, e = 0, item 7b",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_7b,
-        residuals=["a31", "a32", "(b1,a11,a12) prop (b2,a21,a22)"],
+        ansatz=("3d-t2", (0, "beta", "gamma"), ("l1", "l2", 0)),
+        residuals=[
+            "a31",
+            "a32",
+            "b1*a21 - b2*a11",
+            "b1*a22 - b2*a12",
+            "a11*a22 - a12*a21",
+            "B3",
+            "A31",
+            "A32",
+        ],
         guards=["b3 != 0", "a33 != 0", "A33 != 0"],
         sample=_sample_l5_7b,
     ),
@@ -1535,14 +1429,22 @@ RULES_3D: list[Rule] = [
         compare_printed=_cmp_l5_7d,
         notes=["printed l2 formula is missing a division by (a13+a23)"],
     ),
-    Rule(
+    _direction_rule(
         id="L5-8a",
         citation="3D T2, e = 0, item 8a",
         dim=3,
         pattern=(False, False, False),
-        match=_match_l5_8a,
-        residuals=["a12", "a13", "a22*a33 - a32*a23"],
-        guards=["b1^2 + a11^2 != 0"],
+        ansatz=("3d-t2", ("l2", "l3", 0), ("l1", "l2", "l3")),
+        residuals=[
+            "a12",
+            "a13",
+            "a22*a33 - a32*a23",
+            "b1*l1 + B2",
+            "a11*l1 + a11 + A21",
+            "A22",
+            "A23",
+        ],
+        guards=["b1^2 + a11^2 != 0", "(l2, l3) != (0, 0) or (b1 != 0 and l1 != 0)"],
         sample=_sample_l5_8a,
         compare_printed=_PrintedForm(
             ("b1", ("l1", "l2", "l3")), ("a11", ("l1+1", "l2", "l3")), note=_l5_8a_exponent_note
@@ -1585,7 +1487,7 @@ RULES_3D: list[Rule] = [
         citation="trivial integral x_i when dx_i/dt vanishes identically",
         dim=3,
         pattern=(None, None, False),
-        match=_match_triv3,
+        match=DependentRows((2,)),
         residuals=["b3", "a31", "a32", "a33"],
         guards=["e3 = 0"],
         sample=_sample_triv3,
@@ -1598,10 +1500,7 @@ SAMPLERS_3D = {r.id: r.sample for r in RULES_3D}
 
 def detect3d(s: LVSystem) -> list[Detection]:
     """All catalog detections for a 3D system (exact matching)."""
-    if s.dim != 3:
-        raise ValueError("detect3d needs a 3D system")
-    dets, _ = run_rules(s, RULES_3D)
-    return dets
+    return detect3d_full(s)[0]
 
 
 def detect3d_full(s: LVSystem) -> tuple[list[Detection], list[Candidate]]:

@@ -44,6 +44,7 @@ from typing import Callable, Optional
 
 from . import expr as ex
 from . import oracle
+from .linalg import nullspace_candidates
 from .model import LVSystem, Permutation, lift_exact, permute_system
 from .oracle import AnsatzSpec, residual_2d, residual_3d
 from .poly import GenPoly, ratio
@@ -161,6 +162,38 @@ def condition_function(source: str) -> Callable:
     d and the exponents l.  The coefficients may be Fractions or SymPoly
     symbols."""
     return eval(f"lambda b, A, e, d=(), l=(): {source}", {"__builtins__": {}})
+
+
+class DependentRows:
+    """Matcher of an integral stated from linearly dependent rows.
+
+    For the 0-based coordinates i in ``coords``, each nullspace candidate v
+    of the columns (b_i, a_i1, ..., a_in) gives sum_i v_i (b_i + sum_j a_ij
+    x_j) = 0.  Where those e_i vanish (the rule's pattern), the sum is
+    sum_i v_i x_i'/x_i, so H = sum_i v_i ln|x_i| (``log``) or the monomial
+    prod_i x_i^(v_i) is a first integral.  ``names`` label the v_i in the
+    match's params.
+    """
+
+    def __init__(self, coords: tuple, names: tuple = (), log: bool = False) -> None:
+        self.coords, self.names, self.log = coords, names, log
+
+    def __call__(self, s: LVSystem) -> list[Match]:
+        n, cs = s.dim, self.coords
+        rows = [tuple(s.b[i] for i in cs)] + [tuple(s.A[i][j] for i in cs) for j in range(n)]
+        out = []
+        for v in nullspace_candidates(rows):
+            if self.log:
+                H = GenPoly.zero(n)
+                for i, vi in zip(cs, v):
+                    H = H + GenPoly.term(n, vi, (0,) * n, [int(k == i) for k in range(n)])
+            else:
+                exps = [0] * n
+                for i, vi in zip(cs, v):
+                    exps[i] = vi
+                H = GenPoly.term(n, 1, exps)
+            out.append(Match(params=dict(zip(self.names, v)), H_gen=H))
+        return out
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .model import LVSystem
 
 Number = Union[Fraction, int, float]
 
@@ -342,32 +341,6 @@ def simplify(h: Expr) -> Expr:
             return ONE
         return Exp(a)
     raise TypeError(f"not an Expr: {h!r}")
-
-
-def field_exprs(s: LVSystem) -> tuple[Expr, ...]:
-    """Right-hand sides f_i as expressions, exact for rational systems."""
-    out = []
-    for i in range(s.dim):
-        inner = [Const(s.b[i])] + [
-            Mul((Const(s.A[i][j]), Var(j))) for j in range(s.dim)
-        ]
-        fi = Add((Mul((Var(i), Add(tuple(inner)))), Const(s.e[i])))
-        out.append(simplify(fi))
-    return tuple(out)
-
-
-def lie_derivative(h: Expr, s: LVSystem) -> Expr:
-    """f . grad h for the system's vector field."""
-    f = field_exprs(s)
-    terms = []
-    for i in range(s.dim):
-        dh = diff(h, i)
-        if _is_const(dh, 0):
-            continue
-        terms.append(Mul((f[i], dh)))
-    if not terms:
-        return ZERO
-    return simplify(Add(tuple(terms)))
 
 
 def substitute_vars(h: Expr, mapping: dict[int, int]) -> Expr:

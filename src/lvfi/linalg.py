@@ -16,7 +16,8 @@ need no gcd reduction per entry, which every Fraction update pays.  The output
 equals that of Gauss-Jordan elimination over Fractions: each working row is
 a nonzero multiple of the row that elimination would hold, so both choose
 the same pivots, and the reduced row echelon form of a matrix is unique, so
-the rows divided by their pivots are the same rows.
+the rows divided by their pivots are the same rows.  A one-column nullspace
+needs no reduction: it is nonzero only for the zero column.
 """
 
 from __future__ import annotations
@@ -97,8 +98,21 @@ def nullspace(m: Mat) -> list[Vec]:
     component is 1."""
     if not m:
         return []
+    if len(m[0]) == 1:  # one column: a nullspace only when it is zero
+        return [] if any(row[0] for row in m) else [(Fraction(1),)]
     rows, pivots = _rref([list(row) for row in m])
     return _basis(rows, pivots, len(m[0]))
+
+
+def nullspace_candidates(m) -> list[Vec]:
+    """Nullspace basis plus pairwise sums (covers guards that a single basis
+    vector misses when the space is more than one-dimensional)."""
+    basis = nullspace(tuple(tuple(r) for r in m))
+    cands = list(basis)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            cands.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
+    return cands
 
 
 def _basis(rows, pivots: list[int], ncols: int) -> list[Vec]:

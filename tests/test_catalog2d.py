@@ -256,7 +256,8 @@ def test_rule_conditions_reports():
 def test_reported_residuals_vanish_on_manifold():
     """The condition report and the matcher agree: every printed residual
     that compiles to a condition evaluates to zero on sampled on-manifold
-    systems (2D, and 3D wherever a rule's strings compile)."""
+    systems, at each match's direction and exponents (2D, and 3D wherever a
+    rule's strings compile)."""
     rng = random.Random(5)
     checked = set()
     for rule in RULES_2D + RULES_3D:
@@ -269,10 +270,29 @@ def test_reported_residuals_vanish_on_manifold():
             continue
         for _ in range(5):
             s = rule.sample(rng)
-            for text, cond in zip(rule.residuals, conds):
-                assert cond(s.b, s.A, s.e) == 0, (rule.id, text)
+            matches = rule.match(s)
+            assert matches, rule.id
+            for m in matches:
+                d, l = m.ansatz[1:] if m.ansatz else ((), ())
+                for text, cond in zip(rule.residuals, conds):
+                    assert cond(s.b, s.A, s.e, d, l) == 0, (rule.id, text)
         checked.add(rule.id)
     assert {r.id for r in RULES_3D if r.ansatz} <= checked
+
+
+def test_compiled_guards_fail_at_the_zero_point():
+    """A guard that compiles is False where b, A, e, the direction and the
+    exponents all vanish: a guard always True, such as a tuple compared
+    with 0, would let an all-zero column through to a solve."""
+    for rule in RULES_2D + RULES_3D:
+        n = rule.dim
+        zero = ((0,) * n, ((0,) * n,) * n, (0,) * n, (0,) * 3, (0,) * 3)
+        for text in rule.guards:
+            try:
+                guard = condition_function(condition_source(text))
+            except ValueError:
+                continue  # prose
+            assert guard(*zero) is False, (rule.id, text)
 
 
 def test_failed_oracle_match_is_demoted_not_dropped():

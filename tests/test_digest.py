@@ -36,7 +36,7 @@ from lvfi.model import lift_exact, make_system, parse_system, to_float
 from conftest import rand_fraction
 
 PINNED = "b9ea5641593968344a4a77e1d33f7df73753138474e3dd0b049b82156e452ee5"
-PINNED_JSON = "1e99917e6d34d5e0fbb25e3b4e84effe304810b1411e23cee1cb80cc492143a8"
+PINNED_JSON = "d1d264d475a399550de8c700cc842024061fcbfb3442e23ac813fb58ee817e5d"
 SAMPLES_PER_RULE = 3
 NEGATIVES = 50
 

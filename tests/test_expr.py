@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvfi import expr as ex
-from lvfi.model import make_system, parse_system
 
 from conftest import random_expr
 
@@ -73,56 +72,6 @@ def test_diff_matches_finite_differences_sampled():
                 except (ex.EvalDomainError, OverflowError):
                     continue
                 assert abs(got - want) <= 1e-6 * (1.0 + abs(got))
-
-
-def test_lie_derivative_of_constant_is_zero():
-    s = parse_system('{"dim":2,"b":[1,-1],"A":[[0,-1],[1,0]],"e":[0,0]}')
-    assert ex.lie_derivative(ex.Const(Fraction(3)), s) == ex.Const(Fraction(0))
-
-
-def test_lie_derivative_direct_substitution():
-    # x1-dot = x1 when b1 = 1 and everything else vanishes
-    s = make_system(b=(1, 0), A=((0, 0), (0, 0)), e=(0, 0))
-    lie = ex.lie_derivative(ex.Var(0), s)
-    for x in [(0.5, 2.0), (3.0, 1.0)]:
-        assert ex.eval_expr(lie, x) == pytest.approx(x[0], rel=1e-12)
-
-
-def test_lie_derivative_of_volterra_integral_vanishes_on_samples():
-    s = parse_system('{"dim":2,"b":[1,-1],"A":[[0,-1],[1,0]],"e":[0,0]}')
-    h = ex.Add(
-        (
-            ex.LnAbs(ex.Var(1)),
-            ex.Mul((ex.Const(-1), ex.Var(1))),
-            ex.LnAbs(ex.Var(0)),
-            ex.Mul((ex.Const(-1), ex.Var(0))),
-        )
-    )
-    lie = ex.lie_derivative(h, s)
-    rng = random.Random(3)
-    for _ in range(50):
-        x = tuple(0.1 + 9.9 * rng.random() for _ in range(2))
-        assert abs(ex.eval_expr(lie, x)) <= 1e-10
-
-
-def test_lie_derivative_linear_in_h():
-    s = parse_system('{"dim":2,"b":[1,-1],"A":[[1,-2],[-2,1]],"e":[5,7]}')
-    rng = random.Random(11)
-    h1 = random_expr(rng, 2)
-    h2 = random_expr(rng, 2)
-    a, b = Fraction(2, 3), Fraction(-5, 4)
-    combo = ex.Add((ex.Mul((ex.Const(a), h1)), ex.Mul((ex.Const(b), h2))))
-    lhs = ex.lie_derivative(combo, s)
-    r1 = ex.lie_derivative(h1, s)
-    r2 = ex.lie_derivative(h2, s)
-    for _ in range(30):
-        x = tuple(0.3 + 5.0 * rng.random() for _ in range(2))
-        try:
-            want = float(a) * ex.eval_expr(r1, x) + float(b) * ex.eval_expr(r2, x)
-            got = ex.eval_expr(lhs, x)
-        except ex.EvalDomainError:
-            continue
-        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_simplify_spec_examples():
