@@ -2,7 +2,7 @@
 with constant terms."""
 
 from .catalog2d import detect2d, detect2d_full
-from .catalog3d import detect3d, detect3d_full, solve_abg, term_table
+from .catalog3d import detect3d, detect3d_full, term_table
 from .detection import Candidate, Detection
 from .model import (
     LVSystem,
@@ -41,7 +41,6 @@ __all__ = [
     "residual_2d",
     "residual_3d",
     "serialize_system",
-    "solve_abg",
     "term_table",
     "__version__",
 ]

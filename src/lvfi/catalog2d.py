@@ -300,6 +300,7 @@ RULES_2D: list[Rule] = [
         dim=2,
         pattern=(None, False),
         match=DependentRows((1,)),
+        scale_free=True,
         residuals=["b2", "a21", "a22"],
         guards=["e2 = 0"],
         sample=_sample_b_rank0,

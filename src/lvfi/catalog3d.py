@@ -48,7 +48,7 @@ from .detection import (
     gradient_proportional,
     run_rules,
 )
-from .linalg import SolveOutcome, nullspace, nullspace_candidates, solve_constrained
+from .linalg import SolveOutcome, nullspace, nullspace_candidates, primitive, solve_constrained
 from .model import LVSystem, make_system
 from .oracle import _symbolic_system, residual_3d_generic
 from .poly import GenPoly, SymPoly, ratio
@@ -84,32 +84,6 @@ def _term_table_function() -> Callable:
     first use from the names condition_source knows."""
     rows = ", ".join(f"(A{k}1, A{k}2, A{k}3)" for k in (1, 2, 3))
     return condition_function(condition_source(f"((B1, B2, B3), ({rows}))"))
-
-
-def solve_abg(s: LVSystem, zero_entries, fixed: dict | None = None) -> list[tuple]:
-    """Nullspace basis of (alpha, beta, gamma) making the named table entries
-    (B1..B3, A11..A33) vanish; `fixed` pins components, e.g. {"gamma": 0}."""
-    if s.dim != 3:
-        raise ValueError("solve_abg needs a 3D system")
-    fixed = {n: F(v) for n, v in (fixed or {}).items()}
-    free = tuple(n for n in _D_NAMES if n not in fixed)
-    m, _ = _entry_rows(tuple(zero_entries), free)(s.b, s.A, s.e)
-    out = []
-    for v in nullspace(m):
-        values = {**fixed, **dict(zip(free, v))}
-        out.append(tuple(values[n] for n in _D_NAMES))
-    return out
-
-
-@cache
-def _entry_rows(names: tuple, free: tuple) -> Callable:
-    """(b, A, e) -> (m, r): the named term-table entries as rows in the free
-    direction names, the other direction entries taken as zero; compiled
-    once per (names, free)."""
-    b, A, e = _symbolic_system(3)
-    d = tuple(SymPoly.sym(n) if n in free else 0 for n in _D_NAMES)
-    conds = [condition_function(condition_source(n))(b, A, e, d) for n in names]
-    return _affine_rows(conds, free)
 
 
 def _l_candidates(out: SolveOutcome) -> list[tuple]:
@@ -212,6 +186,15 @@ class _ConstantDirection:
     names are not affine, and compiling them raises ValueError.  A guard on
     the coefficients alone is checked with the residuals; every other guard
     must hold at the match's direction and exponents.
+
+    The matcher is scale-free (Rule.scale_free): run_rules calls it on the
+    system's primitive-integer view.  Every residual, guard and row is
+    homogeneous in (b, A, e), each row of a solve of one degree, so the
+    precheck, the nullspaces and the solutions equal those on the Fraction
+    system, and the params (Fractions from the solves and the templates)
+    are the same.  The later rows and the guards are linear in a solved
+    direction, so they read it scaled to primitive integers, and the
+    arithmetic stays in ints.
     """
 
     def __init__(self, rule: Rule):
@@ -289,15 +272,21 @@ class _ConstantDirection:
         b, A, e = s.b, s.A, s.e
         if not self.holds(b, A, e):
             return []
-        found = [{}]  # the free names' values, per candidate
+        # the free names' values per candidate, and the same values with a
+        # solved direction scaled to primitive integers, which the later
+        # rows and the guards read (they are homogeneous in it)
+        found = [({}, {})]
         for names, rows in self.stages:
+            scale = primitive if names[0] in _D_NAMES else tuple
             found = [
-                {**v, **dict(zip(names, w))}
-                for v in found
-                for w in self._solve(names, rows(b, A, e, *_by_position(v)))
+                ({**v, **dict(zip(names, w))}, {**vi, **dict(zip(names, scale(w)))})
+                for v, vi in found
+                for w in self._solve(names, rows(b, A, e, *_by_position(vi)))
             ]
-        matches = [(self.direction(**v), self.exponents(**v)) for v in found]
-        return [self._match(d, l) for d, l in matches if self.admits(b, A, e, d, l)]
+        matches = [(self.direction(**v), self.exponents(**v)) for v, _ in found]
+        return [
+            self._match(d, l) for d, l in matches if self.admits(b, A, e, primitive(d), l)
+        ]
 
     @staticmethod
     def _solve(names, mr) -> list[tuple]:
@@ -953,7 +942,7 @@ def _sample_triv3(rng) -> LVSystem:
 
 def _direction_rule(**fields) -> Rule:
     """A rule whose matcher is derived from its Ansatz template."""
-    rule = Rule(match=None, **fields)
+    rule = Rule(match=None, scale_free=True, **fields)
     rule.match = _ConstantDirection(rule)
     return rule
 
@@ -1141,6 +1130,7 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(True, False, False),
         match=DependentRows((1, 2), ("alpha", "beta"), log=True),
+        scale_free=True,
         residuals=["(b2,a21,a22,a23) proportional to (b3,a31,a32,a33)"],
         guards=[],
         sample=_sample_l4_3,
@@ -1338,6 +1328,7 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(False, False, False),
         match=DependentRows((0, 1), ("beta", "gamma")),
+        scale_free=True,
         residuals=["(b1,a11,a12,a13) proportional to (b2,a21,a22,a23)"],
         guards=[],
         sample=_sample_l5_5,
@@ -1488,6 +1479,7 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(None, None, False),
         match=DependentRows((2,)),
+        scale_free=True,
         residuals=["b3", "a31", "a32", "a33"],
         guards=["e3 = 0"],
         sample=_sample_triv3,

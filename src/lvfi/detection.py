@@ -15,6 +15,21 @@ must pass an exact gate before it becomes a Detection:
 A match whose exact gate fails is demoted to a diagnostic candidate, never
 silently dropped.
 
+The decisions run on integers.  For c > 0, the system with (b, A, e)
+scaled by c is the same flow with time t' = c t, so it has the same first
+integrals, and a condition polynomial homogeneous in (b, A, e) of degree k
+takes c^k times its value, so it has the same zero set.  Every printed
+residual, guard and solve row, every oracle condition row and the
+DependentRows columns are homogeneous (tests/test_integer_view.py checks
+this), each row of a solve homogeneous of one degree, so the row space, the
+nullspace and the solution are unchanged.  run_rules therefore decides the
+scale-free steps on integer_view(s), scaled to primitive integers, and
+reads the Fraction system only where the scale shows: params, the hand
+matchers, the integrals outside GenPoly and the printed-formula
+comparisons.  The integral built on the integer view is a nonzero multiple
+of the one built on the Fraction system, and normalize_for_output removes
+the multiple.
+
 Each integrating factor is gated once per run_rules call.  On a system with
 a coordinate symmetry several (rule, sigma) pairs give the same factor in
 the original coordinates; a match is skipped when an earlier match of the
@@ -44,10 +59,10 @@ from typing import Callable, Optional
 
 from . import expr as ex
 from . import oracle
-from .linalg import nullspace_candidates
+from .linalg import nullspace_candidates, primitive
 from .model import LVSystem, Permutation, lift_exact, permute_system
 from .oracle import AnsatzSpec, residual_2d, residual_3d
-from .poly import GenPoly, ratio
+from .poly import GenPoly, canonical, ratio
 from .potential import (
     ConstructionError,
     genpoly_to_expr,
@@ -90,6 +105,10 @@ class Rule:
     # (kind, direction template, exponent template) when the matcher is
     # derived from the Ansatz (catalog3d._ConstantDirection)
     ansatz: Optional[tuple] = None
+    # The matcher gives the same matches when (b, A, e) is scaled by a
+    # positive constant, so run_rules hands it the primitive-integer view
+    # (DependentRows, catalog3d._ConstantDirection).
+    scale_free: bool = False
 
     @property
     def family(self) -> str:
@@ -240,6 +259,23 @@ class Candidate:
     reason: str
 
 
+def integer_view(s: LVSystem) -> LVSystem:
+    """The exact system s with (b, A, e) scaled by one positive rational to
+    integers with no common factor (linalg.primitive).  It is s with time
+    rescaled, so it has the same first integrals and every condition
+    homogeneous in (b, A, e) has the same zero set on it."""
+    sx = lift_exact(s)
+    n = sx.dim
+    flat = primitive([*sx.b, *(a for row in sx.A for a in row), *sx.e])
+    return LVSystem(
+        dim=n,
+        b=flat[:n],
+        A=tuple(flat[n + i * n : n + (i + 1) * n] for i in range(n)),
+        e=flat[n + n * n :],
+        kind=sx.kind,
+    )
+
+
 def pattern_ok(pattern, s: LVSystem) -> bool:
     if pattern is None:
         return True
@@ -271,23 +307,31 @@ def _permute_genpoly(H: GenPoly, sigma: tuple[int, ...]) -> GenPoly:
 def run_rules(
     s: LVSystem, rules: list[Rule], collect_candidates: bool = True
 ) -> tuple[list[Detection], list[Candidate]]:
-    """Apply every rule under every pattern-compatible relabeling."""
+    """Apply every rule under every pattern-compatible relabeling.
+
+    Each relabeling has two views: the lifted Fraction system, which params,
+    the hand matchers, H_expr integrals and printed forms read, and its
+    integer view (integer_view), which every scale-free step reads: the
+    pattern test, the scale_free matchers, the curl residual, the gradient
+    targets, the potential and the Lie gate.
+    """
     sx = lift_exact(s)
+    sxi = integer_view(sx)
     perms = Permutation.all(s.dim)
     detections: list[Detection] = []
     candidates: list[Candidate] = []
     seen: set = set()
     passed: set = set()  # _factor_key of every match that passed the gate
-    relabeled = [(p, permute_system(sx, p)) for p in perms]
+    relabeled = [(p, permute_system(sx, p), permute_system(sxi, p)) for p in perms]
     for rule in rules:
-        for p, s2 in relabeled:
-            if not pattern_ok(rule.pattern, s2):
+        for p, s2, s2i in relabeled:
+            if not pattern_ok(rule.pattern, s2i):
                 continue
-            for m in rule.match(s2):
+            for m in rule.match(s2i if rule.scale_free else s2):
                 fkey = _factor_key(rule, m, p.sigma)
                 if fkey is not None and fkey in passed:
                     continue
-                det, cand = _gate_and_build(rule, s2, sx, p, m)
+                det, cand = _gate_and_build(rule, s2, s2i, sxi, p, m)
                 if cand is not None:
                     candidates.append(cand)
                     continue
@@ -359,14 +403,31 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
     if kind == "2d-exponents":
         # resolved on the oracle module at call time, so a tracer patching
         # oracle.residual_2d_exponents sees this call
-        return [oracle.residual_2d_exponents((s.b, s.A, s.e), l[0], l[1])]
+        return [oracle.residual_2d_exponents((s.b, s.A, s.e), *map(canonical, l))]
     return residual_3d(s, AnsatzSpec(kind), abg, l)
 
 
-def _gate_and_build(rule: Rule, s2, sx, p: Permutation, m: Match):
+def _gate_and_build(rule: Rule, s2, s2i, sxi, p: Permutation, m: Match):
+    """Gate one match on the relabeled system s2 (Fractions) and its integer
+    view s2i; sxi is the integer view in the original coordinates.
+
+    The T1/T2 direction and the exponents do not scale with (b, A, e), so
+    the residual, the targets and the potential read s2i, with the
+    direction scaled to primitive integers too (each is linear in it).  On
+    these views T f and the potential are positive multiples of those on
+    s2; the zero tests are unchanged, printed forms are compared up to a
+    factor, and normalize_for_output removes the scale.  The separable
+    chart's parameters carry the coefficients' scale, so its residual reads
+    s2.
+    """
     deviation = m.deviation
     if m.ansatz is not None:
-        comps = ansatz_residual(s2, *m.ansatz)
+        kind, abg, l = m.ansatz
+        if kind == "2d-separable":
+            comps = ansatz_residual(s2, kind, abg, l)
+        else:
+            abg = primitive(abg)
+            comps = ansatz_residual(s2i, kind, abg, l)
         if not all(c.is_zero() for c in comps):
             return None, Candidate(
                 rule.id, p.sigma, m.params, "curl residual not identically zero"
@@ -397,19 +458,18 @@ def _gate_and_build(rule: Rule, s2, sx, p: Permutation, m: Match):
     if m.H_gen is not None:
         H2 = m.H_gen
     else:
-        kind, abg, l = m.ansatz
         try:
             if s2.dim == 2:
-                targets = gradient_targets_2d(s2, l)
+                targets = gradient_targets_2d(s2i, l)
             else:
-                targets = gradient_targets_3d(s2, kind, abg, l)
+                targets = gradient_targets_3d(s2i, kind, abg, l)
             H2 = potential(targets)
         except ConstructionError as exc:
             return None, Candidate(rule.id, p.sigma, m.params, f"construction: {exc}")
     if rule.compare_printed is not None and deviation is None:
         deviation = rule.compare_printed(s2, m, H2)
     H = _permute_genpoly(H2, p.sigma)
-    if not lie_genpoly(H, sx).is_zero():
+    if not lie_genpoly(H, sxi).is_zero():
         return None, Candidate(
             rule.id, p.sigma, m.params, "exact Lie derivative nonzero on original system"
         )

@@ -41,6 +41,16 @@ def as_vector(xs) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
+def primitive(v) -> tuple[int, ...]:
+    """v (ints or Fractions) scaled by one positive rational, the lcm of
+    the denominators over the gcd of the numerators, to integers with no
+    common factor; the zero vector gives integer zeros."""
+    d = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (d // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+
+
 def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a rational matrix; returns (rows, pivot
     column list), every entry a Fraction.  The input is not modified.
@@ -151,9 +161,10 @@ def solve_constrained(m: Mat, r) -> SolveOutcome:
     Consistent + full column rank -> unique solution; consistent but rank
     deficient -> particular solution plus nullspace basis; inconsistent ->
     infeasible.  One reduction of [m | r] decides all three: a pivot in the
-    r column means inconsistency.
+    r column means inconsistency.  The entries may be ints or Fractions;
+    the solution and basis are Fractions.
     """
-    rvec = as_vector(r)
+    rvec = tuple(r)
     nrows = len(m)
     if len(rvec) != nrows:
         raise ValueError(f"rhs length {len(rvec)} != rows {nrows}")

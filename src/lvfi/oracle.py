@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import LVSystem, lift_exact
-from .poly import GenPoly, SymPoly
+from .poly import GenPoly, SymPoly, canonical
 
 
 class AnsatzError(ValueError):
@@ -126,8 +126,8 @@ def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[GenPoly]:
     if spec.kind not in ("3d-t1", "3d-t2"):
         raise ValueError(f"3D residual needs a 3D ansatz, got {spec.kind}")
     b, A, e = _coeffs_of(s)
-    abg = tuple(Fraction(v) for v in abg)
-    l = tuple(Fraction(v) for v in l)
+    abg = tuple(map(canonical, abg))
+    l = tuple(map(canonical, l))
     return residual_3d_generic((b, A, e), spec.kind, abg, l)
 
 

@@ -8,13 +8,16 @@ pick up log factors.  For concrete systems the coefficients are Fractions;
 for condition derivation they are SymPoly values, polynomials in named
 parameter symbols (a11, b2, e3, al, l1, ...).  GenPoly only needs +, *,
 unary - and truthiness (zero test) from its coefficient ring, so both plug
-in unchanged.
+in unchanged.  Concrete coefficients may also be ints (a system's integer
+view, detection.integer_view), mixed freely with Fractions; the only
+division, in ``integrate`` and ``normalized``, goes through ``quotient``,
+so an int over an int gives a Fraction, never a float.
 
 Exponent canonical form: a GenPoly power is an ``int`` when it is a whole
 number and a ``Fraction`` only when it is a proper rational.  Rational
-powers enter only through ``GenPoly.term`` (the Ansatz factor
-R = x^(l-1)), which canonicalizes them; the residual and the field are
-built with int powers.  Integer arithmetic then keeps whole powers int
+powers enter only through ``GenPoly.term`` and the Ansatz factor
+R = x^(l-1) (potential._factor), both through ``canonical``; the residual
+and the field are built with int powers.  Integer arithmetic then keeps whole powers int
 through products, derivatives, shifts and antiderivatives.
 """
 
@@ -143,17 +146,29 @@ def ratio(a: dict, b: dict):
     if not a or a.keys() != b.keys():
         return None
     k0 = next(iter(a))
-    q = a[k0] / b[k0]
+    q = quotient(a[k0], b[k0])
     return q if all(b[k] * q == c for k, c in a.items()) else None
 
 
 Key = tuple[tuple, tuple[int, ...]]  # (powers p_i, log powers k_i)
 
 
-def _exponent(p):
-    """Canonical form of a power: int when whole, else Fraction."""
+def canonical(p):
+    """Canonical form of a rational (a power or an Ansatz parameter): int
+    when whole, else Fraction."""
+    if type(p) is int:
+        return p
     q = Fraction(p)
     return q.numerator if q.denominator == 1 else q
+
+
+def quotient(c, d):
+    """c / d in exact arithmetic: an int over an int is an int when d
+    divides c and a Fraction otherwise, never a float."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    return c / d
 
 
 def _acc(out: dict, key, c) -> None:
@@ -172,7 +187,7 @@ def _acc(out: dict, key, c) -> None:
 class GenPoly:
     """Sparse map (powers, log powers) -> coefficient, zero terms dropped.
 
-    Powers enter in canonical form (``term``, see ``_exponent``): whole
+    Powers enter in canonical form (``term``, see ``canonical``): whole
     numbers are ``int`` and only proper rationals are ``Fraction``.  A key
     is a tuple, whose hash is not cached, so every dict copy or lookup
     hashes each power again, and an int hashes far faster than a Fraction.
@@ -207,7 +222,7 @@ class GenPoly:
     def term(nvars: int, coeff, powers, logs=None) -> "GenPoly":
         """One exact rational term (Fraction coefficient and powers)."""
         key = (
-            tuple(map(_exponent, powers)),
+            tuple(map(canonical, powers)),
             tuple(logs) if logs else (0,) * nvars,
         )
         return GenPoly(nvars, {key: Fraction(coeff)})
@@ -305,7 +320,7 @@ class GenPoly:
         if not items:
             return self
         lead = items[0][1]
-        return GenPoly._of(self.nvars, {k: c / lead for k, c in self.terms.items()})
+        return GenPoly._of(self.nvars, {k: quotient(c, lead) for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -336,12 +351,12 @@ def _integrate_term(out: dict, p, k, c, i) -> None:
     if p[i] == -1:
         # x^-1 * ln^k -> ln^(k+1)/(k+1)
         nk = tuple(q + int(j == i) for j, q in enumerate(k))
-        _acc(out, (np, nk), c / (k[i] + 1))
+        _acc(out, (np, nk), quotient(c, k[i] + 1))
         return
     denom = p[i] + 1
-    _acc(out, (np, k), c / denom)
+    _acc(out, (np, k), quotient(c, denom))
     if k[i] == 0:
         return
     # by parts: subtract (k_i/denom) * integral x^p ln^(k-1)
     nk = tuple(q - int(j == i) for j, q in enumerate(k))
-    _integrate_term(out, p, nk, -c * k[i] / denom, i)
+    _integrate_term(out, p, nk, quotient(-c * k[i], denom), i)

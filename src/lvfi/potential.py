@@ -11,15 +11,25 @@ Differentiation, integration in one variable, multiplication and the zero test
 are all exact here, which gives two strong guarantees used by the catalog:
 a reconstructed H satisfies grad H = T f *identically*, and any candidate H
 can be certified by an exact symbolic Lie derivative f . grad H == 0.
+
+The detection gate calls these on the system's primitive-integer view
+(detection.integer_view), with the Ansatz direction scaled to primitive
+integers and R = x^(l-1) held with the int coefficient 1, so T f has int
+coefficients and only the antiderivative divides (poly.quotient, exact).
+Scaling (b, A, e) by c > 0 only rescales time: T f, H and the Lie
+derivative are scaled by a positive constant, every zero test is unchanged,
+and normalize_for_output, which every emitted integral passes through,
+removes the constant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .expr import Add, Const, Expr, LnAbs, Mul, Pow, Var
 from .model import LVSystem, lift_exact
-from .poly import GenPoly
+from .poly import GenPoly, _acc, canonical
 
 
 class ConstructionError(RuntimeError):
@@ -49,13 +59,19 @@ def potential(components: list[GenPoly]) -> GenPoly:
     return H
 
 
+def _factor(nvars: int, l) -> GenPoly:
+    """R = x^(l-1) with the coefficient 1, an int."""
+    powers = tuple(canonical(v) - 1 for v in l)
+    return GenPoly._of(nvars, {(powers, (0,) * nvars): 1})
+
+
 def gradient_targets_3d(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
     """T f as GenPoly components: grad H targets for the 3D Ansatz."""
     from .oracle import _t_components  # internal reuse
 
     sx = lift_exact(s)
-    g = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(Fraction(v) for v in abg))
-    R = GenPoly.term(3, 1, tuple(Fraction(v) - 1 for v in l))
+    g = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(map(canonical, abg)))
+    R = _factor(3, l)
     return [R * gi for gi in g]
 
 
@@ -66,24 +82,47 @@ def gradient_targets_2d(s: LVSystem, l) -> list[GenPoly]:
     sx = lift_exact(s)
     f1 = _f_laurent(2, sx.b, sx.A, sx.e, 0)
     f2 = _f_laurent(2, sx.b, sx.A, sx.e, 1)
-    R = GenPoly.term(2, 1, tuple(Fraction(v) - 1 for v in l))
+    R = _factor(2, l)
     return [-(R * f2), R * f1]
 
 
-def field_genpoly(s: LVSystem) -> list[GenPoly]:
-    from .oracle import _f_laurent
-
-    sx = lift_exact(s)
-    return [_f_laurent(sx.dim, sx.b, sx.A, sx.e, i) for i in range(sx.dim)]
-
-
 def lie_genpoly(H: GenPoly, s: LVSystem) -> GenPoly:
-    """Exact symbolic Lie derivative f . grad H in the GenPoly algebra."""
-    f = field_genpoly(s)
-    out = GenPoly.zero(H.nvars)
-    for i in range(H.nvars):
-        out = out + f[i] * H.diff(i)
-    return out
+    """Exact symbolic Lie derivative f . grad H in the GenPoly algebra, in
+    one pass over H's terms.
+
+    In Euler form f_i d/dx_i = (b_i + sum_j a_ij x_j) theta_i + e_i d/dx_i,
+    with theta_i = x_i d/dx_i.  On a term c x^p ln^k, theta_i gives
+    c p_i x^p ln^k + c k_i x^p ln^(k - u_i) (u_i the i-th unit vector), and
+    d/dx_i gives the same two terms times x^(-u_i); b_i keeps the powers,
+    a_ij adds u_j and e_i subtracts u_i.  So the field is never built as a
+    GenPoly and no product of GenPolys is taken.
+    """
+    sx = lift_exact(s)
+    n = H.nvars
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    # per coordinate i: the nonzero (power shift, coefficient) pairs of f_i/x_i
+    # on theta_i, then of e_i on d/dx_i
+    shifts = []
+    for i in range(n):
+        row = [((0,) * n, sx.b[i])] + [(units[j], sx.A[i][j]) for j in range(n)]
+        row.append((tuple(-u for u in units[i]), sx.e[i]))
+        shifts.append([(d, c) for d, c in row if c])
+    out: dict = {}
+    for (p, k), c in H.terms.items():
+        for i in range(n):
+            pi, ki = p[i], k[i]
+            if not pi and not ki:
+                continue
+            parts = []
+            if pi:
+                parts.append((k, c * pi))
+            if ki:
+                parts.append((tuple(q - u for q, u in zip(k, units[i])), c * ki))
+            for d, fc in shifts[i]:
+                np = tuple(map(add, p, d))
+                for nk, tc in parts:
+                    _acc(out, (np, nk), tc * fc)
+    return GenPoly._of(n, out)
 
 
 def genpoly_to_expr(H: GenPoly) -> Expr:
@@ -108,7 +147,10 @@ def genpoly_to_expr(H: GenPoly) -> Expr:
 
 def normalize_for_output(H: GenPoly) -> GenPoly:
     """Drop the integration constant and scale to primitive integer-like
-    coefficients with a positive leading term (deterministic output form)."""
+    coefficients with a positive leading term (deterministic output form).
+    It is the same for every nonzero multiple of H, so it removes the scale
+    of an integral built on a system's integer view.  The coefficients of
+    the result are Fractions."""
     H = H.drop_constant()
     items = H.items_sorted()
     if not items:

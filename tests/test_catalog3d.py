@@ -8,7 +8,6 @@ from lvfi.catalog3d import (
     SAMPLERS_3D,
     _PrintedForm,
     detect3d,
-    solve_abg,
     term_table,
 )
 from lvfi import detection
@@ -19,6 +18,7 @@ from lvfi.detection import (
     condition_source,
     gradient_proportional,
 )
+from lvfi.linalg import nullspace
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.potential import GenPoly
 
@@ -65,25 +65,41 @@ def test_term_table_identities_1000_draws():
         assert values == list(t.B) + [v for row in t.A for v in row]
 
 
-def test_solve_abg_examples():
+def _entry_directions(s, entries):
+    """Basis of the directions (alpha, beta, 0) making the named A entries
+    of term_table vanish: the table is linear in the direction, so its
+    values at (1, 0, 0) and (0, 1, 0) are the columns of those rows."""
+    cols = [term_table(u, s).A for u in ((1, 0, 0), (0, 1, 0))]
+    rows = [tuple(t[int(n[1]) - 1][int(n[2]) - 1] for t in cols) for n in entries]
+    return [(al, be, 0) for al, be in nullspace(rows)]
+
+
+def test_term_table_entries_vanish_on_solved_directions():
     s = parse_system(
         '{"dim":3,"b":[1,2,3],"A":[[1,2,3],[4,5,6],[7,8,9]],"e":[0,0,0]}'
     )
-    # no constraints: full 3D basis
-    assert len(solve_abg(s, [])) == 3
-    # A22 = A23 = 0 with gamma pinned to 0: nontrivial iff a22 a33 = a23 a32
+    # linear in the direction: the sum of the tables at two directions is
+    # the table at their sum
+    t1, t2 = term_table((1, 0, 2), s), term_table((0, 3, -1), s)
+    t12 = term_table((1, 3, 1), s)
+    assert t12.B == tuple(x + y for x, y in zip(t1.B, t2.B))
+    assert t12.A == tuple(
+        tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(t1.A, t2.A)
+    )
+    # A22 = A23 = 0 with gamma = 0: nontrivial iff a22 a33 = a23 a32
     s_deg = make_system(
         b=(0, 0, 0),
         A=((0, 0, 0), (1, 2, 4), (3, 6, 12)),
         e=(0, 0, 0),
     )
-    sols = solve_abg(s_deg, ["A22", "A23"], fixed={"gamma": 0})
-    assert sols and all(v[2] == 0 for v in sols)
-    al, be, _ = sols[0]
+    sols = _entry_directions(s_deg, ["A22", "A23"])
+    assert sols
+    al, be, ga = sols[0]
     assert s_deg.A[1][1] * al + s_deg.A[2][1] * be == 0
     assert s_deg.A[1][2] * al + s_deg.A[2][2] * be == 0
-    sols_none = solve_abg(s, ["A22", "A23"], fixed={"gamma": 0})
-    assert sols_none == []
+    t = term_table((al, be, ga), s_deg)
+    assert t.A[1][1] == t.A[1][2] == 0
+    assert _entry_directions(s, ["A22", "A23"]) == []
 
 
 def test_l2_iii_symmetric_coupling_instance():
@@ -257,4 +273,6 @@ def test_run_rules_permutes_once_per_relabeling(monkeypatch):
     monkeypatch.setattr(detection, "permute_system", counting)
     s = SAMPLERS_3D["L2-iii"](random.Random(5))
     assert detect3d(s)
-    assert sorted(calls) == sorted(p.sigma for p in Permutation.all(3))
+    # once per relabeling for each view: the Fraction system and its
+    # integer view (detection.integer_view), never once per rule
+    assert sorted(calls) == sorted(2 * [p.sigma for p in Permutation.all(3)])

@@ -26,14 +26,17 @@ VOLTERRA = '{"dim":2,"b":[1,-1],"A":[[0,-1],[1,0]],"e":[0,0]}'
 
 def _ref_run_rules(s, rules):
     sx = lift_exact(s)
+    sxi = detection.integer_view(sx)
     detections, candidates, seen = [], [], set()
-    relabeled = [(p, permute_system(sx, p)) for p in Permutation.all(s.dim)]
+    relabeled = [
+        (p, permute_system(sx, p), permute_system(sxi, p)) for p in Permutation.all(s.dim)
+    ]
     for rule in rules:
-        for p, s2 in relabeled:
-            if not detection.pattern_ok(rule.pattern, s2):
+        for p, s2, s2i in relabeled:
+            if not detection.pattern_ok(rule.pattern, s2i):
                 continue
-            for m in rule.match(s2):
-                det, cand = detection._gate_and_build(rule, s2, sx, p, m)
+            for m in rule.match(s2i if rule.scale_free else s2):
+                det, cand = detection._gate_and_build(rule, s2, s2i, sxi, p, m)
                 if cand is not None:
                     candidates.append(cand)
                     continue
