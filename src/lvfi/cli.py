@@ -111,24 +111,22 @@ _SUBCOMMANDS = {
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for the command line argv.
 
-    Every subcommand is registered, but only the one that argv[0] names gets
-    its arguments; each of them does when argv[0] names none.  Parsing argv,
-    help and usage errors included, is as with every subcommand populated,
-    and a call pays for one subcommand's arguments instead of five.  That
-    saves about 0.5 ms a call, which counts for a caller that runs main many
-    times in one process; a separate lvfi process spends about 110 ms on its
-    imports alone.
+    When argv[0] names a subcommand, only that one is registered, with the
+    full list as the metavar so that usage lines read as before; otherwise
+    every subcommand is.  Parsing argv, help and usage errors included, is
+    as with all five registered, for one subparser's cost instead of five.
     """
     ap = argparse.ArgumentParser(
         prog="lvfi",
         description="Detect and verify first integrals of 2D/3D Lotka-Volterra "
         "systems with constant terms.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    metavar = None if named is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if named in (None, name):
+            p = sub.add_parser(name, help=help_text)
             add_arguments(p)
             _add_common(p)
     return ap

@@ -55,6 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 from . import expr as ex
@@ -337,7 +338,9 @@ def run_rules(
                     continue
                 if fkey is not None:
                     passed.add(fkey)
-                key = _dedup_key(rule, det, m)
+                # a stated integral's factor key is its dedup key
+                stated = m.H_gen is not None and m.ansatz is None
+                key = fkey if stated else _dedup_key(rule, det, m)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -354,7 +357,9 @@ def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]
       c x^w (oracle.T_WEIGHTS; -x^0 at (1, 2) in 2D), so T holds
       c x^(l-1+w) at (sigma(i), sigma(j)) of the original coordinates, and
       -c x^(l-1+w) at (sigma(j), sigma(i)).  The key lists the upper
-      triangle scaled by its first entry.
+      triangle, exponents in canonical form and coefficients scaled to
+      primitive integers with a positive first entry, which is the same
+      vector exactly for proportional factors.
     * A stated integral: its dedup key (_integral_key).
     * An integral outside GenPoly (H_expr, R2D-E): its dedup key in the
       original coordinates (_expr_key), when the match carries one.  The
@@ -371,28 +376,25 @@ def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]
         return _integral_key(rule.family, _canonical_monomial(H))
     kind, abg, l = m.ansatz
     if kind == "2d-exponents":
-        pairs, weights, coefs = ((0, 1),), ((0, 0),), (Fraction(-1),)
-    elif kind in oracle.T_WEIGHTS:
-        pairs, weights = ((0, 1), (0, 2), (1, 2)), oracle.T_WEIGHTS[kind]
-        coefs = tuple(-Fraction(v) for v in abg)
-    else:
+        abg = (1,)
+    elif kind not in oracle.T_WEIGHTS:
         return None
-    lm1 = [Fraction(v) - 1 for v in l]
+    n = len(sigma)
+    lm1 = [canonical(v) - 1 for v in l]
     entries = []
-    for (i, j), w, c in zip(pairs, weights, coefs):
-        if c == 0:
+    for (i, j), w, c in zip(combinations(range(n), 2), oracle.T_WEIGHTS[kind], abg):
+        if not c:
             continue
-        exps = [0] * len(sigma)
+        exps = [0] * n
         for k, q in enumerate(lm1):
             exps[sigma[k]] = q + w[k]
         si, sj = sigma[i], sigma[j]
-        if si < sj:
-            entries.append(((si, sj), c, tuple(exps)))
-        else:
-            entries.append(((sj, si), -c, tuple(exps)))
+        entries.append(((min(si, sj), max(si, sj)), -c if si < sj else c, tuple(exps)))
     entries.sort(key=lambda t: t[0])
-    lead = entries[0][1] if entries else 1
-    return (rule.family, tuple((ij, c / lead, exps) for ij, c, exps in entries))
+    coefs = primitive([c for _, c, _ in entries])
+    if coefs and coefs[0] < 0:
+        coefs = tuple(-c for c in coefs)
+    return (rule.family, tuple((ij, c, exps) for (ij, _, exps), c in zip(entries, coefs)))
 
 
 def ansatz_residual(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:

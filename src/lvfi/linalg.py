@@ -6,18 +6,16 @@ rule catalog produces.  An infeasible system has a certificate, a left
 null vector y of the matrix with y . r != 0, computed on demand by
 ``infeasibility_certificate``.
 
-Every result comes from one row reduction, ``_rref``, which is fraction-free
-(the idea of Bareiss, Math. Comp. 22, 1968, which bounds growth by exact
-division by the previous pivot; here each row is instead kept primitive):
-it scales each row to integers by the lcm of its denominators, eliminates
-by integer cross-multiplication, divides each new row by the gcd of its
-entries, and builds Fractions only from the final rows.  Integer operations
-need no gcd reduction per entry, which every Fraction update pays.  The output
-equals that of Gauss-Jordan elimination over Fractions: each working row is
-a nonzero multiple of the row that elimination would hold, so both choose
-the same pivots, and the reduced row echelon form of a matrix is unique, so
-the rows divided by their pivots are the same rows.  A one-column nullspace
-needs no reduction: it is nonzero only for the zero column.
+Every result comes from one fraction-free row reduction (after Bareiss,
+Math. Comp. 22, 1968; here each row is kept primitive instead).
+``_echelon`` inserts the rows one at a time as integers and stops once the
+answer is decided: at full column rank for ``rank`` and ``nullspace``, and
+for ``solve_constrained`` at the first row that reduces to
+(0, ..., 0 | r != 0), whatever rows follow.  Only then are the kept rows
+back-eliminated (``_reduced``), and only the entries a caller reads become
+Fractions.  Without an early stop the kept rows span the row space, and
+the reduced row echelon form is unique, so every result equals that of
+Gauss-Jordan elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -51,56 +49,57 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
 
-def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a rational matrix; returns (rows, pivot
-    column list), every entry a Fraction.  The input is not modified.
-
-    Fraction-free (see the module docstring): rows are scaled to integers,
-    row i is replaced by pv * row_i - f * pivot_row and divided by the gcd
-    of its entries, and only the final pivot rows are divided by their
-    pivots.  The pivot is the first nonzero entry at or below the current
-    row, as in Gauss-Jordan over the rationals.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    work = []
+def _echelon(rows, stop: int) -> dict[int, list[int]]:
+    """Row echelon form of rows (ints or Fractions) as pivot column ->
+    primitive integer row, its first nonzero entry at that column.  Each row
+    is scaled to integers, reduced at the pivot columns so far and kept
+    primitive; a zero row is dropped.  It stops at a pivot at column
+    ``stop`` or later, or at a pivot in every column."""
+    width = len(rows[0]) if rows else 0
+    piv: dict[int, list[int]] = {}
     for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (d // x.denominator) for x in row])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot_row is None:
+        if not all(type(x) is int for x in row):
+            d = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (d // x.denominator) for x in row]
+        for c in range(width):
+            if row[c]:
+                if c not in piv:
+                    break
+                row = _eliminate(row, piv[c], c)
+        else:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        pv = prow[c]
-        for i in range(nrows):
-            row = work[i]
-            f = row[c]
-            if i != r and f:
-                row = [pv * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                work[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        g = gcd(*row)
+        piv[c] = [a // g for a in row] if g > 1 else row
+        if c >= stop or len(piv) == width:
             break
-    out = [
-        [Fraction(x, row[pc]) if x else _ZERO for x in row]
-        for row, pc in zip(work, pivots)
-    ]
-    out += [[_ZERO] * ncols for _ in range(nrows - r)]
-    return out, pivots
+    return piv
+
+
+def _eliminate(row, prow, c) -> list[int]:
+    """An integer combination of row and prow, zero at column c."""
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f)
+    pv, f = pv // g, f // g
+    return [pv * a - f * b for a, b in zip(row, prow)]
+
+
+def _reduced(piv: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
+    """The echelon rows back-eliminated, as (pivot column, integer row) in
+    pivot order: each row is zero at every other pivot column, so dividing
+    it by its pivot gives the reduced row echelon form."""
+    out: list[tuple[int, list[int]]] = []
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        for c2, row2 in out:
+            if row[c2]:
+                row = _eliminate(row, row2, c2)
+        out.append((c, row))
+    out.reverse()
+    return out
 
 
 def rank(m: Mat) -> int:
-    if not m or not m[0]:
-        return 0
-    rows = [list(row) for row in m]
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_echelon(m, len(m[0]) if m else 0))
 
 
 def nullspace(m: Mat) -> list[Vec]:
@@ -108,10 +107,9 @@ def nullspace(m: Mat) -> list[Vec]:
     component is 1."""
     if not m:
         return []
-    if len(m[0]) == 1:  # one column: a nullspace only when it is zero
-        return [] if any(row[0] for row in m) else [(Fraction(1),)]
-    rows, pivots = _rref([list(row) for row in m])
-    return _basis(rows, pivots, len(m[0]))
+    ncols = len(m[0])
+    piv = _echelon(m, ncols)
+    return _basis(_reduced(piv), ncols) if len(piv) < ncols else []
 
 
 def nullspace_candidates(m) -> list[Vec]:
@@ -125,25 +123,25 @@ def nullspace_candidates(m) -> list[Vec]:
     return cands
 
 
-def _basis(rows, pivots: list[int], ncols: int) -> list[Vec]:
-    """Right nullspace of the first ncols columns of a reduced matrix."""
+def _basis(red, ncols: int) -> list[Vec]:
+    """Right nullspace of the first ncols columns of _reduced rows.  For
+    each free column fc the vector w is integer: w[fc] = the lcm of the
+    pivots of the rows that reach fc, w[pc] = -row[fc] * (lcm / row[pc]);
+    only its entries over its first nonzero one become Fractions."""
+    pivots = {c for c, _ in red}
     basis: list[Vec] = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(_normalize(tuple(v)))
+        scale = lcm(*(row[c] for c, row in red if row[fc]))
+        w = [0] * ncols
+        w[fc] = scale
+        for c, row in red:
+            if row[fc]:
+                w[c] = -row[fc] * (scale // row[c])
+        lead = next(x for x in w if x)
+        basis.append(tuple(Fraction(x, lead) if x else _ZERO for x in w))
     return basis
-
-
-def _normalize(v: Vec) -> Vec:
-    lead = next((x for x in v if x != 0), None)
-    if lead is None or lead == 1:
-        return v
-    return tuple(x / lead for x in v)
 
 
 @dataclass
@@ -161,27 +159,25 @@ def solve_constrained(m: Mat, r) -> SolveOutcome:
     Consistent + full column rank -> unique solution; consistent but rank
     deficient -> particular solution plus nullspace basis; inconsistent ->
     infeasible.  One reduction of [m | r] decides all three: a pivot in the
-    r column means inconsistency.  The entries may be ints or Fractions;
-    the solution and basis are Fractions.
+    r column means inconsistency, and the reduction stops at the first row
+    that gives one.  The entries may be ints or Fractions; the solution and
+    basis are Fractions.
     """
     rvec = tuple(r)
     nrows = len(m)
     if len(rvec) != nrows:
         raise ValueError(f"rhs length {len(rvec)} != rows {nrows}")
     ncols = len(m[0]) if nrows else 0
-    rows, pivots = _rref([list(m[i]) + [rvec[i]] for i in range(nrows)])
-    if pivots and pivots[-1] == ncols:
+    piv = _echelon([(*m[i], rvec[i]) for i in range(nrows)], ncols)
+    if ncols in piv:
         return SolveOutcome(status="infeasible")
-    sol = [Fraction(0)] * ncols
-    for k, pc in enumerate(pivots):
-        sol[pc] = rows[k][ncols]
-    if len(pivots) == ncols:
-        return SolveOutcome(status="unique", solution=tuple(sol))
-    return SolveOutcome(
-        status="underdetermined",
-        solution=tuple(sol),
-        basis=_basis(rows, pivots, ncols),
-    )
+    red = _reduced(piv)
+    sol = [_ZERO] * ncols
+    for c, row in red:
+        if row[ncols]:
+            sol[c] = Fraction(row[ncols], row[c])
+    status = "unique" if len(red) == ncols else "underdetermined"
+    return SolveOutcome(status, tuple(sol), _basis(red, ncols))
 
 
 def infeasibility_certificate(m: Mat, r) -> Vec:

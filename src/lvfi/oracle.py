@@ -11,15 +11,22 @@ trick: only the exponents enter coefficients) and becomes a Laurent polynomial
 identity, held in poly.GenPoly with integer exponents.  The zero polynomial
 is decided in exact rational arithmetic; with symbolic coefficients the same
 expansion yields the parameter condition systems from scratch.
+
+T f/R is read off (b, A, e) in one pass (_t_components), and so is each
+curl component (_curl), with no product of GenPolys.  The same code serves
+int, Fraction and SymPoly coefficients, so concrete residuals,
+derive_conditions and the catalog's condition rows are one expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import add, sub
 
 from .model import LVSystem, lift_exact
-from .poly import GenPoly, SymPoly, canonical
+from .poly import GenPoly, SymPoly, _acc, canonical
 
 
 class AnsatzError(ValueError):
@@ -41,29 +48,19 @@ T1 = AnsatzSpec("3d-t1")
 T2 = AnsatzSpec("3d-t2")
 
 
+def _field_terms(nvars, b, A, e, i) -> list[tuple]:
+    """(powers, coefficient) of f_i = x_i(b_i + sum_j a_ij x_j) + e_i, with
+    zero coefficients; the powers are distinct."""
+    return [(tuple(int(k == i) for k in range(nvars)), b[i]), ((0,) * nvars, e[i])] + [
+        (tuple(int(k == i) + int(k == j) for k in range(nvars)), A[i][j])
+        for j in range(nvars)
+    ]
+
+
 def _f_laurent(nvars, b, A, e, i) -> GenPoly:
-    """f_i = x_i(b_i + sum_j a_ij x_j) + e_i as a Laurent polynomial."""
-    zero = (0,) * nvars  # no log factors
-    terms = {}
-    ei_ = (tuple(int(k == i) for k in range(nvars)), zero)
-    terms[ei_] = b[i]
-    for j in range(nvars):
-        ej = (tuple(int(k == i) + int(k == j) for k in range(nvars)), zero)
-        c = A[i][j]
-        prev = terms.get(ej)
-        terms[ej] = c if prev is None else prev + c
-    const = (zero, zero)
-    prev = terms.get(const)
-    terms[const] = e[i] if prev is None else prev + e[i]
-    return GenPoly(nvars, terms)
-
-
-def _dtilde(g: GenPoly, j: int, lj_minus_1, cj=None) -> GenPoly:
-    """D_j g = dg/dx_j + (l_j - 1) g / x_j (+ c_j g for exponential factors)."""
-    out = g.diff(j) + g.shift(j, -1).scale(lj_minus_1)
-    if cj is not None and cj:
-        out = out + g.scale(cj)
-    return out
+    """f_i as a Laurent polynomial."""
+    z = (0,) * nvars
+    return GenPoly(nvars, {(p, z): c for p, c in _field_terms(nvars, b, A, e, i)})
 
 
 def residual_2d_exponents(s_coeffs, l1, l2, c1=None, c2=None) -> GenPoly:
@@ -72,15 +69,8 @@ def residual_2d_exponents(s_coeffs, l1, l2, c1=None, c2=None) -> GenPoly:
     s_coeffs is (b, A, e) with entries in a common coefficient ring; the
     exponent parameters enter only through l_i - 1 and c_i.
     """
-    b, A, e = s_coeffs
-    f1 = _f_laurent(2, b, A, e, 0)
-    f2 = _f_laurent(2, b, A, e, 1)
-    return _dtilde(f1, 0, l1 - 1, c1) + _dtilde(f2, 1, l2 - 1, c2)
-
-
-def _coeffs_of(s: LVSystem):
-    s = lift_exact(s)
-    return s.b, s.A, s.e
+    g = _t_components(2, *s_coeffs, "2d-exponents", (1,))
+    return _curl(g, (l1 - 1, l2 - 1), (c1, c2))[0]
 
 
 def residual_2d(s: LVSystem, alpha, beta, gamma) -> GenPoly:
@@ -88,35 +78,65 @@ def residual_2d(s: LVSystem, alpha, beta, gamma) -> GenPoly:
     B = exp(-a x2/a21) x2^(g/a21); requires a12 != 0 and a21 != 0."""
     if s.dim != 2:
         raise ValueError("residual_2d needs a 2D system")
-    b, A, e = _coeffs_of(s)
-    a12, a21 = A[0][1], A[1][0]
+    s = lift_exact(s)
+    a12, a21 = s.A[0][1], s.A[1][0]
     if a12 == 0 or a21 == 0:
         raise AnsatzError("separable Ansatz undefined: a12 = 0 or a21 = 0")
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     l1 = beta / a12 + 1
     l2 = gamma / a21 + 1
-    return residual_2d_exponents((b, A, e), l1, l2, alpha / a12, -alpha / a21)
+    return residual_2d_exponents((s.b, s.A, s.e), l1, l2, alpha / a12, -alpha / a21)
 
 
 # Exponents of the monomial weights of the skew entries (1,2), (1,3), (2,3)
-# of T/R, whose coefficients are -alpha, -beta, -gamma (primed for T1).
+# of T/R, whose coefficients are -alpha, -beta, -gamma (primed for T1); in
+# 2D, T/R = [[0, -1], [1, 0]] is the entry (1,2) with direction (1,).
 T_WEIGHTS = {
+    "2d-exponents": ((0, 0),),
     "3d-t1": ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
     "3d-t2": ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
 }
 
 
-def _t_components(nvars, b, A, e, kind: str, abg):
-    """(T f) without the R factor, per Ansatz kind."""
-    f = [_f_laurent(nvars, b, A, e, i) for i in range(nvars)]
-    z = (0,) * nvars
-    w12, w13, w23 = (
-        GenPoly(nvars, {(p, z): c}) for p, c in zip(T_WEIGHTS[kind], abg)
-    )
-    g1 = -(w12 * f[1]) - (w13 * f[2])
-    g2 = (w12 * f[0]) - (w23 * f[2])
-    g3 = (w13 * f[0]) + (w23 * f[1])
-    return g1, g2, g3
+def _t_components(nvars, b, A, e, kind: str, abg) -> list[dict]:
+    """T f/R per component as {powers: coefficient}, in one pass over the
+    skew entries of T/R (T_WEIGHTS, upper entry -c x^w at (i, j) and c x^w
+    at (j, i)) and the terms b_j x_j, a_jk x_j x_k, e_j of each f_j."""
+    f = [_field_terms(nvars, b, A, e, j) for j in range(nvars)]
+    g: list[dict] = [{} for _ in range(nvars)]
+    for (i, j), w, c in zip(combinations(range(nvars), 2), T_WEIGHTS[kind], abg):
+        if not c:
+            continue
+        for gi, fj, cc in ((g[i], f[j], -c), (g[j], f[i], c)):
+            for p, v in fj:
+                if v:
+                    _acc(gi, tuple(map(add, p, w)), cc * v)
+    return g
+
+
+def _curl(g: list[dict], lm1, c=()) -> list[GenPoly]:
+    """curl(R g)/R for the Ansatz factor R with exponents l - 1 = lm1 (and
+    exp(c . x) in 2D), one component per pair (i, j) in curl order:
+    D_i g_j - D_j g_i.  On a term, D_k(v x^p) = v (p_k + l_k - 1)
+    x^(p - u_k) + c_k v x^p, so each component is one pass over the terms
+    of two components of g, with zero products skipped."""
+    n = len(g)
+    z = (0,) * n
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    out = []
+    for i, j in ((0, 1),) if n == 2 else ((1, 2), (2, 0), (0, 1)):
+        comp: dict = {}
+        for k, gk, sign in ((i, g[j], 1), (j, g[i], -1)):
+            lk, uk = lm1[k], units[k]
+            ck = sign * c[k] if c and c[k] else None
+            for p, v in gk.items():
+                fac = sign * (p[k] + lk)
+                if fac:
+                    _acc(comp, (tuple(map(sub, p, uk)), z), v * fac)
+                if ck:
+                    _acc(comp, (p, z), v * ck)
+        out.append(GenPoly._of(n, comp))
+    return out
 
 
 def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[GenPoly]:
@@ -125,20 +145,13 @@ def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[GenPoly]:
         raise ValueError("residual_3d needs a 3D system")
     if spec.kind not in ("3d-t1", "3d-t2"):
         raise ValueError(f"3D residual needs a 3D ansatz, got {spec.kind}")
-    b, A, e = _coeffs_of(s)
-    abg = tuple(map(canonical, abg))
-    l = tuple(map(canonical, l))
-    return residual_3d_generic((b, A, e), spec.kind, abg, l)
+    sx = lift_exact(s)
+    abg, l = tuple(map(canonical, abg)), tuple(map(canonical, l))
+    return residual_3d_generic((sx.b, sx.A, sx.e), spec.kind, abg, l)
 
 
 def residual_3d_generic(s_coeffs, kind: str, abg, l) -> list[GenPoly]:
-    b, A, e = s_coeffs
-    g1, g2, g3 = _t_components(3, b, A, e, kind, abg)
-    lm1 = [li - 1 for li in l]
-    c1 = _dtilde(g3, 1, lm1[1]) - _dtilde(g2, 2, lm1[2])
-    c2 = _dtilde(g1, 2, lm1[2]) - _dtilde(g3, 0, lm1[0])
-    c3 = _dtilde(g2, 0, lm1[0]) - _dtilde(g1, 1, lm1[1])
-    return [c1, c2, c3]
+    return _curl(_t_components(3, *s_coeffs, kind, abg), [li - 1 for li in l])
 
 
 # -- symbolic condition derivation -------------------------------------------

@@ -16,7 +16,7 @@ so an int over an int gives a Fraction, never a float.
 Exponent canonical form: a GenPoly power is an ``int`` when it is a whole
 number and a ``Fraction`` only when it is a proper rational.  Rational
 powers enter only through ``GenPoly.term`` and the Ansatz factor
-R = x^(l-1) (potential._factor), both through ``canonical``; the residual
+R = x^(l-1) (potential._times_factor), both through ``canonical``; the residual
 and the field are built with int powers.  Integer arithmetic then keeps whole powers int
 through products, derivatives, shifts and antiderivatives.
 """
@@ -158,7 +158,7 @@ def canonical(p):
     when whole, else Fraction."""
     if type(p) is int:
         return p
-    q = Fraction(p)
+    q = p if type(p) is Fraction else Fraction(p)
     return q.numerator if q.denominator == 1 else q
 
 

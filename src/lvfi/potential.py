@@ -4,8 +4,9 @@ The gradient targets T f are sums of generalized monomials
 c * prod_i x_i^(p_i) with rational p_i.  Antiderivatives can pick up ln|x_i|
 factors (when an exponent passes through -1), so the working algebra is
 poly.GenPoly, sums of c * prod_i x_i^(p_i) * ln|x_i|^(k_i) -- the same
-algebra in which the oracle expands the curl residual, so the targets are
-built on the oracle's field polynomials without conversion.
+algebra in which the oracle expands the curl residual.  The targets are the
+oracle's T f/R (oracle._t_components) with every exponent shifted by l - 1:
+R = x^(l-1) has the coefficient 1, so no product is taken.
 
 Differentiation, integration in one variable, multiplication and the zero test
 are all exact here, which gives two strong guarantees used by the catalog:
@@ -28,7 +29,9 @@ from fractions import Fraction
 from operator import add
 
 from .expr import Add, Const, Expr, LnAbs, Mul, Pow, Var
+from .linalg import primitive
 from .model import LVSystem, lift_exact
+from .oracle import _t_components
 from .poly import GenPoly, _acc, canonical
 
 
@@ -59,31 +62,28 @@ def potential(components: list[GenPoly]) -> GenPoly:
     return H
 
 
-def _factor(nvars: int, l) -> GenPoly:
-    """R = x^(l-1) with the coefficient 1, an int."""
-    powers = tuple(canonical(v) - 1 for v in l)
-    return GenPoly._of(nvars, {(powers, (0,) * nvars): 1})
+def _times_factor(g: list[dict], l) -> list[GenPoly]:
+    """R g for R = x^(l-1) with the coefficient 1: every exponent of the
+    components g (oracle._t_components) shifted by l - 1, no product."""
+    lm1 = tuple(canonical(v) - 1 for v in l)
+    z = (0,) * len(lm1)
+    return [
+        GenPoly._of(len(lm1), {(tuple(map(add, p, lm1)), z): c for p, c in gi.items()})
+        for gi in g
+    ]
 
 
 def gradient_targets_3d(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
     """T f as GenPoly components: grad H targets for the 3D Ansatz."""
-    from .oracle import _t_components  # internal reuse
-
     sx = lift_exact(s)
     g = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(map(canonical, abg)))
-    R = _factor(3, l)
-    return [R * gi for gi in g]
+    return _times_factor(g, l)
 
 
 def gradient_targets_2d(s: LVSystem, l) -> list[GenPoly]:
     """(T f) = (-R f2, R f1) for the 2D monomial chart R = x1^(l1-1) x2^(l2-1)."""
-    from .oracle import _f_laurent
-
     sx = lift_exact(s)
-    f1 = _f_laurent(2, sx.b, sx.A, sx.e, 0)
-    f2 = _f_laurent(2, sx.b, sx.A, sx.e, 1)
-    R = _factor(2, l)
-    return [-(R * f2), R * f1]
+    return _times_factor(_t_components(2, sx.b, sx.A, sx.e, "2d-exponents", (1,)), l)
 
 
 def lie_genpoly(H: GenPoly, s: LVSystem) -> GenPoly:
@@ -152,20 +152,8 @@ def normalize_for_output(H: GenPoly) -> GenPoly:
     of an integral built on a system's integer view.  The coefficients of
     the result are Fractions."""
     H = H.drop_constant()
-    items = H.items_sorted()
-    if not items:
+    if H.is_zero():
         return H
-    from math import gcd
-
-    nums = [abs(c.numerator) for _, c in items]
-    dens = [c.denominator for _, c in items]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    m = 1
-    for d in dens:
-        m = m * d // gcd(m, d)
-    scale = Fraction(m, g if g else 1)
-    if items[0][1] < 0:
-        scale = -scale
-    return GenPoly(H.nvars, {key: c * scale for key, c in H.terms.items()})
+    sign = -1 if H.terms[min(H.terms)] < 0 else 1
+    coefs = primitive(list(H.terms.values()))
+    return GenPoly(H.nvars, {k: Fraction(sign * c) for k, c in zip(H.terms, coefs)})

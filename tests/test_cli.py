@@ -304,11 +304,12 @@ def test_detect_builds_one_field_per_call(volterra_path, monkeypatch, capsys):
     assert len(builds) == 1
 
 
-# The parser populates only the invoked subcommand; what a command line
-# parses to, and every help and usage text, must be as with all populated.
+# The parser registers only the invoked subcommand; what a command line
+# parses to, and every help and usage text, must be as with all registered.
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["--seed", "3"], ["detect"],
-    ["detect", "--input"], ["detect", "--bogus"], ["sweep", "--rule"],
+    ["detect", "--input"], ["detect", "--bogus"], ["sweep", "--rule"], ["sweep"],
+    ["detect", "--input", "a", "extra"],
     ["oracle", "--input", "s.json", "--ansatz", "t3"],
     *([cmd, "-h"] for cmd in ("detect", "verify", "oracle", "sweep", "catalog")),
     ["detect", "--input", "s.json", "--x0", "1,2", "--seed", "5", "--no-verify"],

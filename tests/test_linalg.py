@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvfi.linalg import (
+    SolveOutcome,
     as_matrix,
     as_vector,
     infeasibility_certificate,
@@ -137,8 +138,10 @@ def test_solve_consistent_rank_deficient_returns_nullspace_basis():
 
 
 # Reference arithmetic: the Gauss-Jordan loop over Fractions that the
-# fraction-free _rref replaced.  The reduced row echelon form is unique, so
-# _rref must reproduce its rows (values and Fraction type) and pivots.
+# fraction-free elimination replaced, and the results read off its rows.
+# The reduced row echelon form is unique, so rank, nullspace,
+# solve_constrained and infeasibility_certificate must reproduce these
+# values, every entry a Fraction.
 
 
 def _ref_rref(rows):
@@ -165,6 +168,61 @@ def _ref_rref(rows):
     return rows, pivots
 
 
+def _ref_basis(rows, pivots, ncols):
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -Fraction(rows[r][fc])
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
+def _ref_nullspace(m):
+    if not m:
+        return []
+    rows, pivots = _ref_rref(m)
+    return _ref_basis(rows, pivots, len(m[0]))
+
+
+def _ref_solve(m, r):
+    ncols = len(m[0]) if m else 0
+    rows, pivots = _ref_rref([list(row) + [x] for row, x in zip(m, r)])
+    if pivots and pivots[-1] == ncols:
+        return SolveOutcome(status="infeasible")
+    sol = [Fraction(0)] * ncols
+    for k, pc in enumerate(pivots):
+        sol[pc] = Fraction(rows[k][ncols])
+    if len(pivots) == ncols:
+        return SolveOutcome(status="unique", solution=tuple(sol))
+    return SolveOutcome("underdetermined", tuple(sol), _ref_basis(rows, pivots, ncols))
+
+
+def _check_against_reference(m, r):
+    """rank, nullspace, solve_constrained and (when infeasible) the
+    certificate of m and r against the reference, values and types."""
+    snapshot = [list(row) for row in m]
+    mq, rq = as_matrix(m), as_vector(r)  # the reference divides: Fractions
+    if m and m[0]:
+        assert rank(m) == len(_ref_rref(mq)[1])
+    ns = nullspace(m)
+    assert repr(ns) == repr(_ref_nullspace(mq))
+    out = solve_constrained(m, r)
+    assert repr(out) == repr(_ref_solve(mq, rq))
+    vecs = list(ns) + list(out.basis) + ([out.solution] if out.solution else [])
+    assert all(type(x) is Fraction for v in vecs for x in v)
+    if out.status == "infeasible":
+        left = _ref_nullspace(tuple(zip(*mq)) or ((Fraction(0),) * len(m),))
+        want = next(y for y in left if sum(a * b for a, b in zip(y, rq)) != 0)
+        assert repr(infeasibility_certificate(m, r)) == repr(want)
+    assert [list(row) for row in m] == snapshot  # the input is not modified
+    return out
+
+
 def _sparse_matrix(rng, nrows, ncols, zero_share):
     """Random rational matrix with mixed denominators, some zero rows and
     columns, and (half the time) rows that combine earlier rows."""
@@ -188,39 +246,62 @@ def _sparse_matrix(rng, nrows, ncols, zero_share):
     return m
 
 
-@pytest.mark.parametrize("shape", [(4, 2), (12, 4), (9, 9), (3, 7), (1, 5), (6, 1)])
+@pytest.mark.parametrize(
+    "shape", [(4, 2), (12, 4), (9, 9), (3, 7), (1, 5), (6, 1), (12, 3), (3, 3)]
+)
 def test_rref_matches_fraction_reference(shape):
-    from lvfi.linalg import _rref
-
     rng = random.Random(100 * shape[0] + shape[1])
+    statuses = set()
     for trial in range(150):
         m = _sparse_matrix(rng, *shape, zero_share=rng.choice((0.0, 0.42, 0.7)))
-        want_rows, want_pivots = _ref_rref(m)
-        snapshot = [list(row) for row in m]
-        rows, pivots = _rref(m)
-        assert m == snapshot  # the input is not modified
-        assert pivots == want_pivots
-        assert rows == want_rows
-        assert all(type(x) is Fraction for row in rows for x in row)
+        if rng.random() < 0.5:  # whole entries as ints, as on an integer view
+            m = [[x.numerator if x.denominator == 1 else x for x in row] for row in m]
+        if rng.random() < 0.5:  # a consistent right-hand side
+            x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(shape[1])]
+            r = [sum(a * b for a, b in zip(row, x)) for row in m]
+        else:
+            r = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 4)))
+                 for _ in range(shape[0])]
+        statuses.add(_check_against_reference(m, r).status)
+    assert "infeasible" in statuses or shape[0] <= shape[1]
+
+
+class _Unread:
+    """An entry that fails when the elimination reads it."""
+
+    @property
+    def denominator(self):
+        raise AssertionError("a row after the decided answer was read")
 
 
 def test_rref_edge_matrices():
-    from lvfi.linalg import _rref
-
+    F = Fraction
     cases = [
-        [[Fraction(0)] * 3 for _ in range(4)],  # all zero
-        [[Fraction(0), Fraction(2, 3)], [Fraction(0), Fraction(-4, 9)]],  # zero column
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(0)], [Fraction(3), Fraction(2)]],
-        [[Fraction(7, 5)]],
+        [[F(0)] * 3 for _ in range(4)],  # all zero
+        [[F(0), F(2, 3)], [F(0), F(-4, 9)]],  # zero column
+        [[F(1, 2), F(1, 3)], [F(0), F(0)], [F(3), F(2)]],
+        [[F(7, 5)]],
+        [[0, F(1, 2)], [2, 0], [0, 0]],  # ints and Fractions mixed in a row
+        [[1, 2, 3], [F(1, 3), F(2, 3), 1], [0, 0, 0], [1, 2, 3], [2, 4, 7]],  # duplicates
+        [[0, 0, 5], [0, 3, 1], [2, 0, 0]],  # pivots found last column first
     ]
     for m in cases:
-        rows, pivots = _rref(m)
-        assert (rows, pivots) == _ref_rref(m)
-        assert all(type(x) is Fraction for row in rows for x in row)
-    # entries may be ints (the derived matchers evaluate "0" to int 0); the
-    # result still holds only Fractions
-    rows, pivots = _rref([[0, Fraction(1, 2)], [2, 0], [0, 0]])
-    assert pivots == [0, 1]
-    assert rows == [[1, 0], [0, 1], [0, 0]]
-    assert all(type(x) is Fraction for row in rows for x in row)
-    assert _rref([]) == ([], [])
+        for r in ([0] * len(m), [1] * len(m), list(range(len(m)))):
+            _check_against_reference(m, r)
+    assert nullspace([[0, F(1, 2)], [2, 0], [0, 0]]) == []
+    assert nullspace([]) == [] and solve_constrained((), ()).status == "unique"
+
+    # full column rank before the last row: the nullspace is {0} and the
+    # rank is the column count, whatever follows
+    poison = [_Unread()] * 2
+    assert nullspace([[1, 2], [F(1, 2), 3], poison]) == []
+    assert rank([[1, 2], [3, 4], poison]) == 2
+    # ... but a solve still reads the rows after it, and an inconsistent one
+    # decides
+    out = solve_constrained([[1, 0], [0, 1], [1, 1], [2, 2]], [1, 2, 3, 7])
+    assert out.status == "infeasible"
+    # an inconsistent row decides a solve, whatever rows follow, even rows
+    # that would be pivots
+    out = solve_constrained([[1, 1, 0], [2, 2, 0], poison + [0], [0, 0, 1]], [1, 3, 0, 5])
+    assert out.status == "infeasible"
+    assert infeasibility_certificate([[1, 1, 0], [2, 2, 0], [0, 0, 1]], [1, 3, 5])

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
-from lvfi.model import make_system, parse_system
+from lvfi.catalog2d import SAMPLERS_2D
+from lvfi.catalog3d import SAMPLERS_3D
+from lvfi.detection import integer_view
+from lvfi.model import lift_exact, make_system, parse_system
+from lvfi.oracle import _f_laurent
+from lvfi.poly import canonical
 from lvfi.potential import (
     ConstructionError,
     GenPoly,
@@ -17,6 +22,7 @@ from lvfi.potential import (
 )
 
 from conftest import rand_fraction
+from test_oracle import _ref_t_components
 
 F = Fraction
 
@@ -126,3 +132,35 @@ def test_exact_lie_zero_certifies_monomial_integral():
     assert lie_genpoly(H, s).is_zero()
     H_bad = GenPoly.term(2, 1, (1, -3))
     assert not lie_genpoly(H_bad, s).is_zero()
+
+
+def _ref_targets(s, l, kind=None, abg=None):
+    """R g with R = x^(l-1) (coefficient 1) as a GenPoly product: the
+    composed form that shifting exponents replaced."""
+    R = GenPoly(s.dim, {(tuple(canonical(v) - 1 for v in l), (0,) * s.dim): 1})
+    if s.dim == 2:
+        g = [-_f_laurent(2, s.b, s.A, s.e, 1), _f_laurent(2, s.b, s.A, s.e, 0)]
+    else:
+        g = _ref_t_components(3, s.b, s.A, s.e, kind, tuple(map(canonical, abg)))
+    return [R * gi for gi in g]
+
+
+def test_gradient_targets_equal_factor_times_components():
+    rng = random.Random(15)
+    params = (0, 1, -1, 2, F(1, 2), F(-2, 3), F(5, 3))
+    systems = [
+        lift_exact(sample(random.Random(name)))
+        for name, sample in {**SAMPLERS_2D, **SAMPLERS_3D}.items()
+    ]
+    systems += [integer_view(s) for s in systems]
+    for s in systems:
+        for _ in range(3):
+            l = tuple(rng.choice(params) for _ in range(s.dim))
+            if s.dim == 2:
+                got, want = gradient_targets_2d(s, l), _ref_targets(s, l)
+            else:
+                kind = rng.choice(("3d-t1", "3d-t2"))
+                abg = tuple(rng.choice(params) for _ in range(3))
+                got = gradient_targets_3d(s, kind, abg, l)
+                want = _ref_targets(s, l, kind, abg)
+            assert [t.terms for t in got] == [t.terms for t in want]
