@@ -45,13 +45,13 @@ from .detection import (
     Rule,
     condition_function,
     condition_source,
-    gradient_proportional,
+    integer_view,
     run_rules,
 )
 from .linalg import SolveOutcome, nullspace, nullspace_candidates, primitive, solve_constrained
 from .model import LVSystem, make_system
 from .oracle import _symbolic_system, residual_3d_generic
-from .poly import GenPoly, SymPoly, ratio
+from .poly import GenPoly, SymPoly, _acc, canonical, ratio
 from .potential import gradient_targets_3d, lie_genpoly, normalize_for_output, potential
 
 F = Fraction
@@ -98,10 +98,14 @@ def _l_candidates(out: SolveOutcome) -> list[tuple]:
 
 
 def _gp(terms) -> GenPoly:
-    out = GenPoly.zero(3)
-    for coeff, *triples in terms:  # powers, and logs when given
-        out = out + GenPoly.term(3, coeff, *triples)
-    return out
+    """The sum of the terms (coefficient, powers) or (coefficient, powers,
+    logs), built in one pass."""
+    out: dict = {}
+    for coeff, powers, *logs in terms:
+        if coeff:
+            key = (tuple(map(canonical, powers)), tuple(logs[0]) if logs else (0, 0, 0))
+            _acc(out, key, Fraction(coeff))
+    return GenPoly._of(3, out)
 
 
 def _affine_rows(conds, free) -> Callable:
@@ -302,9 +306,15 @@ class _ConstantDirection:
 
 
 def _cmp_against(printed: GenPoly, s2: LVSystem, H2: GenPoly, what="formula") -> str:
-    if gradient_proportional(printed, H2) is not None:
+    """Whether the printed integral equals H2 up to a nonzero scalar and an
+    additive constant: distinct GenPoly terms are independent functions, so
+    that is proportionality of the nonconstant terms.  Otherwise whether
+    the printed form is an integral at all, by the exact Lie derivative on
+    the integer view (a zero test, so the scale of the system does not
+    matter)."""
+    if ratio(printed.drop_constant().terms, H2.drop_constant().terms) is not None:
         return f"agrees: printed {what} proportional to constructed integral"
-    if lie_genpoly(printed, s2).is_zero():
+    if lie_genpoly(printed, integer_view(s2)).is_zero():
         return (
             f"deviates: printed {what} is a valid integral but not proportional "
             "to the Ansatz construction"

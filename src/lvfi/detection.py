@@ -30,6 +30,17 @@ comparisons.  The integral built on the integer view is a nonzero multiple
 of the one built on the Fraction system, and normalize_for_output removes
 the multiple.
 
+The exponents stay on integers too.  An Ansatz factor x^(l-1) has rational
+exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
+per match and works on the lattice y_i = x_i^(1/d_i) (potential.lattice).
+The curl residual is scaled by D = lcm(d), so its factors D (p + l - 1) are
+ints; the gradient targets, the potential and the Lie gate are taken in y,
+where every power is an int, and H is mapped back to x once
+(potential.from_lattice).  Each step is a change of variables or a nonzero
+scale, so every zero test is the one in x, and the H mapped back is the
+x-space potential term for term.  Whole exponents are the lattice of all
+ones, where each step is the x-space one.
+
 Each integrating factor is gated once per run_rules call.  On a system with
 a coordinate symmetry several (rule, sigma) pairs give the same factor in
 the original coordinates; a match is skipped when an earlier match of the
@@ -48,6 +59,12 @@ and detections and candidates are those of gating every match:
     constant, so equal keys have the same Lie outcome;
   * a key whose match failed the gate never skips a later match, because
     that match's candidate must still be reported.
+
+A match whose factor differs (L5-8c) may still build an integral that was
+already emitted.  Its dedup key is looked up right after construction, and
+a seen key collapses the match without the printed-form comparison and the
+Lie gate: the same integral up to a scalar and an additive constant has
+the same Lie outcome, and it would be collapsed after the gate anyway.
 """
 
 from __future__ import annotations
@@ -56,6 +73,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Optional
 
 from . import expr as ex
@@ -66,9 +84,11 @@ from .oracle import AnsatzSpec, residual_2d, residual_3d
 from .poly import GenPoly, canonical, ratio
 from .potential import (
     ConstructionError,
+    from_lattice,
     genpoly_to_expr,
     gradient_targets_2d,
     gradient_targets_3d,
+    lattice,
     lie_genpoly,
     normalize_for_output,
     potential,
@@ -332,12 +352,14 @@ def run_rules(
                 fkey = _factor_key(rule, m, p.sigma)
                 if fkey is not None and fkey in passed:
                     continue
-                det, cand = _gate_and_build(rule, s2, s2i, sxi, p, m)
+                det, cand = _gate_and_build(rule, s2, s2i, p, m, seen)
                 if cand is not None:
                     candidates.append(cand)
                     continue
                 if fkey is not None:
                     passed.add(fkey)
+                if det is None:  # an integral already emitted
+                    continue
                 # a stated integral's factor key is its dedup key
                 stated = m.H_gen is not None and m.ansatz is None
                 key = fkey if stated else _dedup_key(rule, det, m)
@@ -397,21 +419,28 @@ def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]
     return (rule.family, tuple((ij, c, exps) for (ij, _, exps), c in zip(entries, coefs)))
 
 
-def ansatz_residual(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
+def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[GenPoly]:
     """Curl-residual components of an Ansatz (kind, abg, l) on system s, in
-    the coordinates of s; all zero exactly when T is an integrating factor."""
+    the coordinates of s, times scale; all zero exactly when T is an
+    integrating factor.  t is T f/R (oracle._t_components) when the caller
+    has it."""
     if kind == "2d-separable":
         return [residual_2d(s, *abg)]
     if kind == "2d-exponents":
         # resolved on the oracle module at call time, so a tracer patching
         # oracle.residual_2d_exponents sees this call
-        return [oracle.residual_2d_exponents((s.b, s.A, s.e), *map(canonical, l))]
-    return residual_3d(s, AnsatzSpec(kind), abg, l)
+        return [
+            oracle.residual_2d_exponents(
+                (s.b, s.A, s.e), *map(canonical, l), t=t, scale=scale
+            )
+        ]
+    return residual_3d(s, AnsatzSpec(kind), abg, l, t=t, scale=scale)
 
 
-def _gate_and_build(rule: Rule, s2, s2i, sxi, p: Permutation, m: Match):
+def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen=frozenset()):
     """Gate one match on the relabeled system s2 (Fractions) and its integer
-    view s2i; sxi is the integer view in the original coordinates.
+    view s2i.  Returns (None, None) for an integral whose dedup key is in
+    seen: it is already emitted.
 
     The T1/T2 direction and the exponents do not scale with (b, A, e), so
     the residual, the targets and the potential read s2i, with the
@@ -421,15 +450,27 @@ def _gate_and_build(rule: Rule, s2, s2i, sxi, p: Permutation, m: Match):
     factor, and normalize_for_output removes the scale.  The separable
     chart's parameters carry the coefficients' scale, so its residual reads
     s2.
+
+    T f/R is built once and read by the residual and the targets; the
+    targets, the potential and the Lie gate work on the match's exponent
+    lattice (module docstring), and a stated integral is gated in x.  The
+    H mapped back to x is what the printed form, the dedup key and the
+    output read.  The Lie gate reads s2i, the original system's integer
+    view with the coordinates renamed, so its zero test is the one in the
+    original coordinates.
     """
     deviation = m.deviation
+    n = s2.dim
     if m.ansatz is not None:
         kind, abg, l = m.ansatz
         if kind == "2d-separable":
             comps = ansatz_residual(s2, kind, abg, l)
         else:
-            abg = primitive(abg)
-            comps = ansatz_residual(s2i, kind, abg, l)
+            l = tuple(map(canonical, l))
+            abg = (1,) if kind == "2d-exponents" else primitive(abg)
+            t = oracle._t_components(n, s2i.b, s2i.A, s2i.e, kind, abg)
+            d = lattice(l)
+            comps = ansatz_residual(s2i, kind, abg, l, t=t, scale=lcm(*d))
         if not all(c.is_zero() for c in comps):
             return None, Candidate(
                 rule.id, p.sigma, m.params, "curl residual not identically zero"
@@ -444,7 +485,7 @@ def _gate_and_build(rule: Rule, s2, s2i, sxi, p: Permutation, m: Match):
             return None, Candidate(
                 rule.id, p.sigma, m.params, "exact Lie-derivative check failed"
             )
-        H_expr = ex.substitute_vars(m.H_expr, {i: p.sigma[i] for i in range(s2.dim)})
+        H_expr = ex.substitute_vars(m.H_expr, {i: p.sigma[i] for i in range(n)})
         det = Detection(
             rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
             citation=rule.citation,
@@ -458,27 +499,30 @@ def _gate_and_build(rule: Rule, s2, s2i, sxi, p: Permutation, m: Match):
         return det, None
 
     if m.H_gen is not None:
-        H2 = m.H_gen
+        Hy, d = m.H_gen, (1,) * n
     else:
         try:
-            if s2.dim == 2:
-                targets = gradient_targets_2d(s2i, l)
+            if n == 2:
+                targets = gradient_targets_2d(s2i, l, t=t, lattice=d)
             else:
-                targets = gradient_targets_3d(s2i, kind, abg, l)
-            H2 = potential(targets)
+                targets = gradient_targets_3d(s2i, kind, abg, l, t=t, lattice=d)
+            Hy = potential(targets)
         except ConstructionError as exc:
             return None, Candidate(rule.id, p.sigma, m.params, f"construction: {exc}")
+    H2 = from_lattice(Hy, d)
+    Hn = normalize_for_output(_permute_genpoly(H2, p.sigma))
+    if Hn.is_zero():
+        # H is constant, so its Lie derivative is zero
+        return None, Candidate(rule.id, p.sigma, m.params, "constant integral")
+    Hn = _canonical_monomial(Hn)
+    if _integral_key(rule.family, Hn) in seen:
+        return None, None
     if rule.compare_printed is not None and deviation is None:
         deviation = rule.compare_printed(s2, m, H2)
-    H = _permute_genpoly(H2, p.sigma)
-    if not lie_genpoly(H, sxi).is_zero():
+    if not lie_genpoly(Hy, s2i, lattice=d).is_zero():
         return None, Candidate(
             rule.id, p.sigma, m.params, "exact Lie derivative nonzero on original system"
         )
-    Hn = normalize_for_output(H)
-    if Hn.is_zero():
-        return None, Candidate(rule.id, p.sigma, m.params, "constant integral")
-    Hn = _canonical_monomial(Hn)
     det = Detection(
         rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
         citation=rule.citation,
@@ -510,8 +554,10 @@ def _canonical_monomial(H: GenPoly) -> GenPoly:
 
 def _integral_key(family: str, Hn: GenPoly) -> tuple:
     """Dedup key of an integral in output form (normalize_for_output, then
-    _canonical_monomial), so powers of one monomial integral share it."""
-    return (family, frozenset(Hn.normalized().terms.items()))
+    _canonical_monomial), which already fixes its scale and sign, so
+    integrals equal up to a nonzero scalar and an additive constant, and
+    powers of one monomial integral, share it."""
+    return (family, frozenset(Hn.terms.items()))
 
 
 def _dedup_key(rule: Rule, det: Detection, m: Match):

@@ -16,6 +16,15 @@ T f/R is read off (b, A, e) in one pass (_t_components), and so is each
 curl component (_curl), with no product of GenPolys.  The same code serves
 int, Fraction and SymPoly coefficients, so concrete residuals,
 derive_conditions and the catalog's condition rows are one expansion.
+
+The exact gate (detection._gate_and_build) builds T f/R once per match and
+hands it in (``t=``), and it asks for the residual scaled by D, the lcm of
+the denominators of the exponents (``scale=``).  Every factor
+D (p_k + l_k - 1) is then an int, so on a system's integer view the whole
+residual stays in ints even when an exponent is a proper fraction.  A
+nonzero scale does not change which coefficients vanish, so the zero test
+is the same; ``lvfi oracle`` asks for no scale and prints the unscaled
+coefficients.
 """
 
 from __future__ import annotations
@@ -63,14 +72,19 @@ def _f_laurent(nvars, b, A, e, i) -> GenPoly:
     return GenPoly(nvars, {(p, z): c for p, c in _field_terms(nvars, b, A, e, i)})
 
 
-def residual_2d_exponents(s_coeffs, l1, l2, c1=None, c2=None) -> GenPoly:
-    """div(R f)/R for R = exp(c1 x1 + c2 x2) x1^(l1-1) x2^(l2-1).
+def residual_2d_exponents(
+    s_coeffs, l1, l2, c1=None, c2=None, *, t=None, scale=1
+) -> GenPoly:
+    """div(R f)/R for R = exp(c1 x1 + c2 x2) x1^(l1-1) x2^(l2-1), times
+    scale.
 
     s_coeffs is (b, A, e) with entries in a common coefficient ring; the
-    exponent parameters enter only through l_i - 1 and c_i.
+    exponent parameters enter only through l_i - 1 and c_i.  t is T f/R
+    (_t_components) when the caller has it.
     """
-    g = _t_components(2, *s_coeffs, "2d-exponents", (1,))
-    return _curl(g, (l1 - 1, l2 - 1), (c1, c2))[0]
+    if t is None:
+        t = _t_components(2, *s_coeffs, "2d-exponents", (1,))
+    return _curl(t, (l1 - 1, l2 - 1), (c1, c2), scale)[0]
 
 
 def residual_2d(s: LVSystem, alpha, beta, gamma) -> GenPoly:
@@ -114,15 +128,19 @@ def _t_components(nvars, b, A, e, kind: str, abg) -> list[dict]:
     return g
 
 
-def _curl(g: list[dict], lm1, c=()) -> list[GenPoly]:
-    """curl(R g)/R for the Ansatz factor R with exponents l - 1 = lm1 (and
-    exp(c . x) in 2D), one component per pair (i, j) in curl order:
-    D_i g_j - D_j g_i.  On a term, D_k(v x^p) = v (p_k + l_k - 1)
+def _curl(g: list[dict], lm1, c=(), scale=1) -> list[GenPoly]:
+    """scale * curl(R g)/R for the Ansatz factor R with exponents
+    l - 1 = lm1 (and exp(c . x) in 2D), one component per pair (i, j) in
+    curl order: D_i g_j - D_j g_i.  On a term, D_k(v x^p) = v (p_k + l_k - 1)
     x^(p - u_k) + c_k v x^p, so each component is one pass over the terms
-    of two components of g, with zero products skipped."""
+    of two components of g, with zero products skipped.  A scale that
+    clears the denominators of lm1 makes every factor an int."""
     n = len(g)
     z = (0,) * n
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    if scale != 1:
+        lm1 = [canonical(scale * v) for v in lm1]
+        c = [scale * v if v else v for v in c]
     out = []
     for i, j in ((0, 1),) if n == 2 else ((1, 2), (2, 0), (0, 1)):
         comp: dict = {}
@@ -130,7 +148,7 @@ def _curl(g: list[dict], lm1, c=()) -> list[GenPoly]:
             lk, uk = lm1[k], units[k]
             ck = sign * c[k] if c and c[k] else None
             for p, v in gk.items():
-                fac = sign * (p[k] + lk)
+                fac = sign * (p[k] * scale + lk)
                 if fac:
                     _acc(comp, (tuple(map(sub, p, uk)), z), v * fac)
                 if ck:
@@ -139,15 +157,17 @@ def _curl(g: list[dict], lm1, c=()) -> list[GenPoly]:
     return out
 
 
-def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l) -> list[GenPoly]:
-    """The three components of curl(T f)/R, exact Laurent polynomials."""
+def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l, *, t=None, scale=1) -> list[GenPoly]:
+    """The three components of curl(T f)/R, exact Laurent polynomials,
+    times scale.  t is T f/R (_t_components) when the caller has it."""
     if s.dim != 3:
         raise ValueError("residual_3d needs a 3D system")
     if spec.kind not in ("3d-t1", "3d-t2"):
         raise ValueError(f"3D residual needs a 3D ansatz, got {spec.kind}")
-    sx = lift_exact(s)
-    abg, l = tuple(map(canonical, abg)), tuple(map(canonical, l))
-    return residual_3d_generic((sx.b, sx.A, sx.e), spec.kind, abg, l)
+    if t is None:
+        sx = lift_exact(s)
+        t = _t_components(3, sx.b, sx.A, sx.e, spec.kind, tuple(map(canonical, abg)))
+    return _curl(t, [canonical(li) - 1 for li in l], scale=scale)
 
 
 def residual_3d_generic(s_coeffs, kind: str, abg, l) -> list[GenPoly]:

@@ -15,10 +15,12 @@ so an int over an int gives a Fraction, never a float.
 
 Exponent canonical form: a GenPoly power is an ``int`` when it is a whole
 number and a ``Fraction`` only when it is a proper rational.  Rational
-powers enter only through ``GenPoly.term`` and the Ansatz factor
-R = x^(l-1) (potential._times_factor), both through ``canonical``; the residual
-and the field are built with int powers.  Integer arithmetic then keeps whole powers int
-through products, derivatives, shifts and antiderivatives.
+powers enter only through ``GenPoly.term``, the Ansatz factor R = x^(l-1)
+off its exponent lattice (potential._times_factor) and the map from the
+lattice back to x (potential.from_lattice), all in canonical form; the
+residual, the field and the exact gate's potential are built with int
+powers.  Integer arithmetic then keeps whole powers int through products,
+derivatives, shifts and antiderivatives.
 """
 
 from __future__ import annotations

@@ -21,18 +21,33 @@ Scaling (b, A, e) by c > 0 only rescales time: T f, H and the Lie
 derivative are scaled by a positive constant, every zero test is unchanged,
 and normalize_for_output, which every emitted integral passes through,
 removes the constant.
+
+The gate also keeps the powers whole.  With d_i the denominator of the
+exponent l_i (1 when l_i is whole), it works in y_i = x_i^(1/d_i), the
+integer exponent lattice of the match (``lattice``).  There a term
+c x^(q+l-1) of (T f)_i is the term c d_i y^(d(q+l-1) + (d_i-1) u_i) of
+dH/dy_i (u_i the i-th unit vector), with int powers, so ``potential`` runs
+unchanged on int keys.  ``from_lattice`` maps H back to x once: y^P is
+x^(P/d) and ln|y_i|^k is ln|x_i|^k / d_i^k.  Distinct GenPoly terms are
+independent functions and the map is one-to-one on terms, so the H mapped
+back is the potential built in x, term for term.  ``lie_genpoly`` with the
+lattice takes the Lie derivative in y, scaled by D = lcm(d); that is the
+image of the one in x times D, so its zero test is the same.  Integer
+exponents are the lattice of all ones, on which every step is the x-space
+one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import lcm
+from operator import add, mul
 
 from .expr import Add, Const, Expr, LnAbs, Mul, Pow, Var
 from .linalg import primitive
 from .model import LVSystem, lift_exact
 from .oracle import _t_components
-from .poly import GenPoly, _acc, canonical
+from .poly import GenPoly, _acc, canonical, quotient
 
 
 class ConstructionError(RuntimeError):
@@ -62,31 +77,68 @@ def potential(components: list[GenPoly]) -> GenPoly:
     return H
 
 
-def _times_factor(g: list[dict], l) -> list[GenPoly]:
-    """R g for R = x^(l-1) with the coefficient 1: every exponent of the
-    components g (oracle._t_components) shifted by l - 1, no product."""
-    lm1 = tuple(canonical(v) - 1 for v in l)
-    z = (0,) * len(lm1)
-    return [
-        GenPoly._of(len(lm1), {(tuple(map(add, p, lm1)), z): c for p, c in gi.items()})
-        for gi in g
-    ]
+def lattice(l) -> tuple[int, ...]:
+    """The denominators d_i of the Ansatz exponents l_i, 1 where l_i is
+    whole: the match works in y_i = x_i^(1/d_i)."""
+    return tuple(1 if type(v) is int else v.denominator for v in map(canonical, l))
 
 
-def gradient_targets_3d(s: LVSystem, kind: str, abg, l) -> list[GenPoly]:
-    """T f as GenPoly components: grad H targets for the 3D Ansatz."""
-    sx = lift_exact(s)
-    g = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(map(canonical, abg)))
-    return _times_factor(g, l)
+def _times_factor(g: list[dict], l, d) -> list[GenPoly]:
+    """R g for R = x^(l-1) with the coefficient 1, on the lattice d:
+    component i times dx_i/dy_i = d_i y_i^(d_i-1), in y = x^(1/d).  Every
+    exponent of g (oracle._t_components) is multiplied by d and shifted by
+    d (l - 1) + (d_i - 1) u_i, so no product is taken."""
+    n = len(d)
+    dlm1 = tuple(canonical(di * (canonical(v) - 1)) for di, v in zip(d, l))
+    z = (0,) * n
+    out = []
+    for i, gi in enumerate(g):
+        di = d[i]
+        shift = tuple(q + (di - 1) * (k == i) for k, q in enumerate(dlm1))
+        terms = {(tuple(map(add, map(mul, d, p), shift)), z): c * di for p, c in gi.items()}
+        out.append(GenPoly._of(n, terms))
+    return out
 
 
-def gradient_targets_2d(s: LVSystem, l) -> list[GenPoly]:
-    """(T f) = (-R f2, R f1) for the 2D monomial chart R = x1^(l1-1) x2^(l2-1)."""
-    sx = lift_exact(s)
-    return _times_factor(_t_components(2, sx.b, sx.A, sx.e, "2d-exponents", (1,)), l)
+def gradient_targets_3d(s: LVSystem, kind: str, abg, l, *, t=None, lattice=None) -> list[GenPoly]:
+    """T f as GenPoly components: grad H targets for the 3D Ansatz, in
+    y = x^(1/d) on the lattice d (default x).  t is T f/R
+    (oracle._t_components) when the caller has it."""
+    if t is None:
+        sx = lift_exact(s)
+        t = _t_components(3, sx.b, sx.A, sx.e, kind, tuple(map(canonical, abg)))
+    return _times_factor(t, l, lattice or (1, 1, 1))
 
 
-def lie_genpoly(H: GenPoly, s: LVSystem) -> GenPoly:
+def gradient_targets_2d(s: LVSystem, l, *, t=None, lattice=None) -> list[GenPoly]:
+    """(T f) = (-R f2, R f1) for the 2D monomial chart R = x1^(l1-1) x2^(l2-1),
+    in y = x^(1/d) on the lattice d (default x)."""
+    if t is None:
+        sx = lift_exact(s)
+        t = _t_components(2, sx.b, sx.A, sx.e, "2d-exponents", (1,))
+    return _times_factor(t, l, lattice or (1, 1))
+
+
+def from_lattice(H: GenPoly, d) -> GenPoly:
+    """H, a function of y = x^(1/d), as a function of x: y^P ln|y|^k is
+    x^(P/d) ln|x|^k / d^k."""
+    if all(di == 1 for di in d):
+        return H
+    out = {}
+    for (p, k), c in H.terms.items():
+        den = 1
+        for di, ki in zip(d, k):
+            if ki:
+                den *= di**ki
+        powers = tuple(
+            q if di == 1 else (q // di if q % di == 0 else Fraction(q, di))
+            for q, di in zip(p, d)
+        )
+        out[(powers, k)] = quotient(c, den) if den != 1 else c
+    return GenPoly._of(H.nvars, out)
+
+
+def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None) -> GenPoly:
     """Exact symbolic Lie derivative f . grad H in the GenPoly algebra, in
     one pass over H's terms.
 
@@ -96,17 +148,28 @@ def lie_genpoly(H: GenPoly, s: LVSystem) -> GenPoly:
     d/dx_i gives the same two terms times x^(-u_i); b_i keeps the powers,
     a_ij adds u_j and e_i subtracts u_i.  So the field is never built as a
     GenPoly and no product of GenPolys is taken.
+
+    On a lattice d, H is a function of y = x^(1/d) and the result is D
+    times the Lie derivative in y, D = lcm(d): theta_i in x is theta_i in y
+    over d_i, x_j is y^(d_j u_j) and 1/x_i is y^(-d_i u_i), so row i is
+    weighted by D/d_i, a_ij adds d_j u_j and e_i subtracts d_i u_i.  With
+    no lattice (all ones) this is the Lie derivative in x.
     """
     sx = lift_exact(s)
     n = H.nvars
+    d = lattice or (1,) * n
+    big = lcm(*d)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     # per coordinate i: the nonzero (power shift, coefficient) pairs of f_i/x_i
     # on theta_i, then of e_i on d/dx_i
     shifts = []
     for i in range(n):
-        row = [((0,) * n, sx.b[i])] + [(units[j], sx.A[i][j]) for j in range(n)]
-        row.append((tuple(-u for u in units[i]), sx.e[i]))
-        shifts.append([(d, c) for d, c in row if c])
+        row = [((0,) * n, sx.b[i])] + [
+            (tuple(d[j] * u for u in units[j]), sx.A[i][j]) for j in range(n)
+        ]
+        row.append((tuple(-d[i] * u for u in units[i]), sx.e[i]))
+        w = big // d[i]
+        shifts.append([(sh, c * w) for sh, c in row if c])
     out: dict = {}
     for (p, k), c in H.terms.items():
         for i in range(n):
@@ -118,8 +181,8 @@ def lie_genpoly(H: GenPoly, s: LVSystem) -> GenPoly:
                 parts.append((k, c * pi))
             if ki:
                 parts.append((tuple(q - u for q, u in zip(k, units[i])), c * ki))
-            for d, fc in shifts[i]:
-                np = tuple(map(add, p, d))
+            for sh, fc in shifts[i]:
+                np = tuple(map(add, p, sh))
                 for nk, tc in parts:
                     _acc(out, (np, nk), tc * fc)
     return GenPoly._of(n, out)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from lvfi import detection
+from lvfi import detection, oracle
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D
 from lvfi.model import Permutation, lift_exact, make_system, parse_system, permute_system, to_float
@@ -36,7 +36,7 @@ def _ref_run_rules(s, rules):
             if not detection.pattern_ok(rule.pattern, s2i):
                 continue
             for m in rule.match(s2i if rule.scale_free else s2):
-                det, cand = detection._gate_and_build(rule, s2, s2i, sxi, p, m)
+                det, cand = detection._gate_and_build(rule, s2, s2i, p, m)
                 if cand is not None:
                     candidates.append(cand)
                     continue
@@ -157,3 +157,46 @@ def test_factor_key_is_the_factor_in_original_coordinates_up_to_scale():
     assert key == ("L2-iii", (((0, 1), 1, (1, -1, 1)), ((0, 2), 2, (1, 0, 0))))
     scaled = detection.Match({}, ansatz=("3d-t2", (-6, 0, 3), (1, 2, 0)))
     assert detection._factor_key(rule, scaled, (2, 0, 1)) == key
+
+
+# The names the gate calls its layers by.  perfbench/spans.py wraps these
+# same names to time each layer, so the gate must keep calling through them
+# (looked up at call time), not around them.
+_GATE_LAYERS = (
+    (detection, "residual_3d"),
+    (oracle, "residual_2d_exponents"),
+    (detection, "gradient_targets_2d"),
+    (detection, "gradient_targets_3d"),
+    (detection, "potential"),
+    (detection, "lie_genpoly"),
+    (detection, "normalize_for_output"),
+)
+
+
+@pytest.mark.parametrize(
+    "key, kind, residual, targets",
+    [
+        ("R2D-C/main", "2d-exponents", "residual_2d_exponents", "gradient_targets_2d"),
+        ("L2-i", "3d-t1", "residual_3d", "gradient_targets_3d"),
+        ("L4-8", "3d-t2", "residual_3d", "gradient_targets_3d"),
+    ],
+)
+def test_gate_calls_every_layer_by_its_traced_name(monkeypatch, key, kind, residual, targets):
+    calls = {name: 0 for _, name in _GATE_LAYERS}
+    for module, name in _GATE_LAYERS:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    samplers = {**SAMPLERS_2D, **SAMPLERS_3D}
+    s = samplers[key](random.Random(0))
+    dets, _ = detection.run_rules(s, _rules(s))
+    ansatz = [d.ansatz for d in dets if d.ansatz and d.ansatz[0] == kind]
+    assert ansatz, key
+    if kind != "3d-t1":  # the T1 samplers' exponents are whole
+        assert any(type(v) is not int for _, _, l in ansatz for v in l), ansatz
+    expected = {residual, targets, "potential", "lie_genpoly", "normalize_for_output"}
+    assert {name for name, k in calls.items() if k} == expected, calls

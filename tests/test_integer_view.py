@@ -6,14 +6,18 @@ marked scale_free, the curl residual, the gradient targets, the potential and
 the Lie gate.  Scaling (b, A, e) by a positive constant rescales time, so
 this is exact as long as every condition those steps test is homogeneous in
 (b, A, e).  The first tests check that invariant on everything the derived
-matchers compile; the next ones keep the Fraction path (no scaling, and the
-Lie derivative as the product sum f_i dH/dx_i) as the reference and require
-equal output.
+matchers compile; the next ones keep the Fraction path (no scaling, the gate
+in x with Fraction powers, and the Lie derivative as the product sum
+f_i dH/dx_i) as the reference and require equal output.  The last ones
+check the integer exponent lattice: the gate in y = x^(1/d) against the gate
+forced to the lattice of all ones, and the lattice Lie derivative against
+the one in x.
 """
 
 import ast
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -25,10 +29,11 @@ from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _ConstantDirection
 from lvfi.detection import DependentRows, condition_function
 from lvfi.model import LVSystem, lift_exact, make_system, to_float
+from lvfi.potential import from_lattice, lie_genpoly
 from lvfi.oracle import _f_laurent, _symbolic_system
 from lvfi.poly import GenPoly, SymPoly
 
-from test_detection import _sparse_integer_systems
+from test_detection import _relabeled_copies, _sparse_integer_systems
 from test_digest import DEGENERATE
 
 F = Fraction
@@ -181,14 +186,28 @@ def _product_lie(H: GenPoly, s) -> GenPoly:
     return out
 
 
+def _x_lattice(l) -> tuple:
+    """The exponent lattice of all ones: the gate works in x."""
+    return (1,) * len(l)
+
+
+def _x_product_lie(H: GenPoly, s, lattice=None) -> GenPoly:
+    assert lattice is None or set(lattice) == {1}, lattice
+    return _product_lie(H, s)
+
+
 def _fraction_path(monkeypatch):
     """run_rules without scaling: the integer view is the lifted Fraction
-    system, directions are not scaled, and the Lie gate is the product
-    form."""
+    system, directions are not scaled, the gate works in x (the exponent
+    lattice of all ones, so powers stay Fractions), and the Lie gate, also
+    the printed form's, is the product form in x."""
     monkeypatch.setattr(detection, "integer_view", lift_exact)
+    monkeypatch.setattr(catalog3d, "integer_view", lift_exact)
     monkeypatch.setattr(detection, "primitive", tuple)
     monkeypatch.setattr(catalog3d, "primitive", tuple)
-    monkeypatch.setattr(detection, "lie_genpoly", _product_lie)
+    monkeypatch.setattr(detection, "lattice", _x_lattice)
+    monkeypatch.setattr(detection, "lie_genpoly", _x_product_lie)
+    monkeypatch.setattr(catalog3d, "lie_genpoly", _x_product_lie)
 
 
 def _outcome(s):
@@ -296,3 +315,118 @@ def test_one_pass_lie_derivative_on_detections():
             assert one_pass.terms == _product_lie(moved, s).terms
             checked += not one_pass.is_zero()
     assert checked > 20
+
+
+# -- the integer exponent lattice ------------------------------------------------
+
+
+def test_exponent_lattice_gives_the_x_space_output(monkeypatch):
+    """The gate on each match's exponent lattice (y = x^(1/d), the residual
+    scaled by lcm(d)) against the gate forced to the lattice of all ones,
+    which is the x-space computation with Fraction powers."""
+    rng = random.Random(31)
+    samplers = sorted(SAMPLERS_2D.items()) + sorted(SAMPLERS_3D.items())
+    drawn = [sampler(rng) for _, sampler in samplers for _ in range(4)]
+    systems = list(
+        itertools.chain(
+            itertools.chain.from_iterable(_relabeled_copies(s) for s in drawn),
+            _sparse_integer_systems(3, 500),
+        )
+    )
+    lattices = []
+
+    def recorded(l):
+        d = potential.lattice(l)
+        lattices.append(d)
+        return d
+
+    monkeypatch.setattr(detection, "lattice", recorded)
+    got = [_outcome(s) for s in systems]
+    monkeypatch.setattr(detection, "lattice", _x_lattice)
+    want = [_outcome(s) for s in systems]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (k, systems[k])
+    fractional = sum(any(di > 1 for di in d) for d in lattices)
+    found = sum(bool(w[0]) for w in want)
+    assert fractional > 500 and found > 1500, (fractional, found)
+
+
+def _to_lattice(H: GenPoly, d) -> GenPoly:
+    """H(x) as a function of y = x^(1/d): x^p ln|x|^k is
+    d^k y^(d p) ln|y|^k (the inverse of potential.from_lattice)."""
+    out = {}
+    for (p, k), c in H.terms.items():
+        scale = 1
+        for di, ki in zip(d, k):
+            scale *= di**ki
+        powers = tuple(int(di * q) for di, q in zip(d, p))
+        out[(powers, k)] = c * scale
+    return GenPoly(H.nvars, out)
+
+
+def _denominators(H: GenPoly) -> tuple:
+    n = H.nvars
+    return tuple(
+        math.lcm(*(F(p[i]).denominator for p, _ in H.terms)) if H.terms else 1
+        for i in range(n)
+    )
+
+
+def _random_lattice_genpoly(rng, n, d) -> GenPoly:
+    H = GenPoly.zero(n)
+    for _ in range(rng.randint(1, 7)):
+        powers = [F(rng.randint(-6, 6), di) for di in d]
+        logs = [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)]
+        coeff = F(rng.randint(-5, 5), rng.randint(1, 4)) or F(1)
+        H = H + GenPoly.term(n, coeff, powers, logs)
+    return H
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lattice_lie_derivative_is_the_x_space_one_times_lcm(n):
+    """lie_genpoly(H_y, s, lattice=d) is lcm(d) times the x-space Lie
+    derivative of H, carried to y term by term, so the two zero tests agree;
+    random H with proper-fraction powers and log terms (nonzero cases)."""
+    rng = random.Random(40 + n)
+    nonzero = 0
+    for _ in range(300):
+        d = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(n))
+        H = _random_lattice_genpoly(rng, n, d)
+        Hy = _to_lattice(H, d)
+        assert from_lattice(Hy, d) == H
+        assert all(type(q) is int for p, _ in Hy.terms for q in p)
+        s = _random_system(rng, n, rng.random() < 0.5)
+        for view in (s, detection.integer_view(s)):
+            want = lie_genpoly(H, view)
+            got = lie_genpoly(Hy, view, lattice=d)
+            scaled = _to_lattice(want, d)
+            big = math.lcm(*d)
+            assert got.terms == {key: big * c for key, c in scaled.terms.items()}
+            assert got.is_zero() == want.is_zero()
+        nonzero += not want.is_zero()
+    assert nonzero > 280
+
+
+def test_lattice_lie_derivative_on_detected_integrals():
+    """Zero cases: every detected integral, carried to the lattice of its
+    own powers' denominators, has a zero lattice Lie derivative; moved off
+    by a term on that lattice it has a nonzero one, as in x."""
+    rng = random.Random(8)
+    zero = moved = 0
+    for _, sampler in sorted(SAMPLERS_2D.items()) + sorted(SAMPLERS_3D.items()):
+        for _ in range(3):
+            s = sampler(rng)
+            rules = RULES_2D if s.dim == 2 else RULES_3D
+            for det in detection.run_rules(s, rules)[0]:
+                if det.H_gen is None:
+                    continue
+                n, H = s.dim, det.H_gen
+                d = _denominators(H)
+                for view in (s, detection.integer_view(s)):
+                    assert lie_genpoly(_to_lattice(H, d), view, lattice=d).is_zero()
+                zero += any(di > 1 for di in d)
+                off = H + GenPoly.term(n, 1, [F(1, di) for di in d], [1] + [0] * (n - 1))
+                got = lie_genpoly(_to_lattice(off, d), s, lattice=d)
+                assert got.is_zero() == lie_genpoly(off, s).is_zero()
+                moved += not got.is_zero()
+    assert zero > 40 and moved > 120, (zero, moved)
