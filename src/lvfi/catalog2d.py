@@ -27,8 +27,8 @@ from . import expr as ex
 from .detection import Candidate, DependentRows, Detection, Match, Rule, run_rules
 from .linalg import rank, solve_constrained
 from .model import LVSystem, Permutation, make_system, permute_system
-from .oracle import _f_laurent
 from .poly import GenPoly
+from .potential import lie_genpoly
 
 
 def _q(rng: random.Random, nonzero=False, num=6, den=3) -> Fraction:
@@ -211,17 +211,12 @@ def _sample_d(rng) -> LVSystem:
 
 
 def _lie_zero_e(s: LVSystem) -> bool:
-    """(a21 f1 - a12 f2)(e1 + a12 x1 x2) + b2 a12 (x2 f1 + x1 f2) == 0."""
-    b, A, e = s.b, s.A, s.e
-    f1 = _f_laurent(2, b, A, e, 0)
-    f2 = _f_laurent(2, b, A, e, 1)
-    P = GenPoly.term(2, e[0], (0, 0)) + GenPoly.term(2, A[0][1], (1, 1))
-    x1 = GenPoly.term(2, 1, (1, 0))
-    x2 = GenPoly.term(2, 1, (0, 1))
-    lhs = (f1.scale(A[1][0]) - f2.scale(A[0][1])) * P + (
-        (x2 * f1) + (x1 * f2)
-    ).scale(s.b[1] * A[0][1])
-    return lhs.is_zero()
+    """P times the Lie derivative of H = G + b2 ln|P| is zero, with
+    G = a21 x1 - a12 x2 and P = e1 + a12 x1 x2: L(G) P + b2 L(P) == 0."""
+    a12, a21 = s.A[0][1], s.A[1][0]
+    G = GenPoly.term(2, a21, (1, 0)) + GenPoly.term(2, -a12, (0, 1))
+    P = GenPoly.term(2, s.e[0], (0, 0)) + GenPoly.term(2, a12, (1, 1))
+    return (lie_genpoly(G, s) * P + lie_genpoly(P, s).scale(s.b[1])).is_zero()
 
 
 def _match_e(s: LVSystem) -> list[Match]:
@@ -234,33 +229,18 @@ def _match_e(s: LVSystem) -> list[Match]:
         return []
     a12, a21, b2, e1 = A[0][1], A[1][0], b[1], e[0]
     alpha = a12 * a21 / b2
-    H = ex.Add(
-        (
-            ex.Mul((ex.Const(a21), ex.Var(0))),
-            ex.Mul((ex.Const(-a12), ex.Var(1))),
-            ex.Mul(
-                (
-                    ex.Const(b2),
-                    ex.LnAbs(
-                        ex.Add(
-                            (
-                                ex.Const(e1),
-                                ex.Mul((ex.Const(a12), ex.Var(0), ex.Var(1))),
-                            )
-                        )
-                    ),
-                )
-            ),
-        )
-    )
-    key = ("permvec", (a21, -a12), (b2,), (e1 / a12,))
+    # H = G + b2 ln|P| (_lie_zero_e)
+    x1, x2 = ex.Var(0), ex.Var(1)
+    P = ex.Add((ex.Const(e1), ex.Mul((ex.Const(a12), x1, x2))))
+    G = (ex.Mul((ex.Const(a21), x1)), ex.Mul((ex.Const(-a12), x2)))
+    H = ex.Add((*G, ex.Mul((ex.Const(b2), ex.LnAbs(P)))))
     return [
         Match(
             params={"alpha": alpha},
             ansatz=("2d-separable", (alpha, Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
             H_expr=H,
             lie_zero_check=_lie_zero_e,
-            dedup_key=key,
+            dedup_key=((a21, -a12), (b2,), (e1 / a12,)),
         )
     ]
 

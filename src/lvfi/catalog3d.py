@@ -52,7 +52,13 @@ from .linalg import SolveOutcome, nullspace, nullspace_candidates, primitive, so
 from .model import LVSystem, make_system
 from .oracle import _symbolic_system, residual_3d_generic
 from .poly import GenPoly, SymPoly, _acc, canonical, ratio
-from .potential import gradient_targets_3d, lie_genpoly, normalize_for_output, potential
+from .potential import (
+    ConstructionError,
+    gradient_targets_3d,
+    lie_genpoly,
+    normalize_for_output,
+    potential,
+)
 
 F = Fraction
 _D_NAMES = ("alpha", "beta", "gamma")
@@ -884,33 +890,34 @@ def _l5_8a_exponent_note(s2, m) -> str:
     )
 
 
+@cache
+def _l5_8c_rows() -> list[Callable]:
+    """L5-8c's oracle rows at alpha = beta = gamma = 1 and e = 0, derived
+    once, symbolic in l.  Each row is linear in b or in A; per side, a
+    function (b, A, e, d, l) -> (m, r) that reads only l: m holds that
+    side's rows at the exponents l, in the columns b1..b3 or a11..a33 row
+    by row, and r is zero."""
+    b, A, _ = _symbolic_system(3)
+    l = tuple(map(SymPoly.sym, _L_NAMES))
+    comps = residual_3d_generic((b, A, (0, 0, 0)), "3d-t2", (1, 1, 1), l)
+    conds = [c for comp in comps for _, c in comp.items_sorted()]
+    out = []
+    for names in ([str(v) for v in b], [str(a) for row in A for a in row]):
+        side = [c for c in conds if any((n, 1) in mono for mono in c.terms for n in names)]
+        out.append(_affine_rows(side, names))
+    return out
+
+
 def _sample_l5_8c(rng) -> LVSystem:
     rule = next(r for r in RULES_3D if r.id == "L5-8c")
+    brows, arows = _l5_8c_rows()
     while True:
-        l1, l2, l3 = _q(rng), _q(rng), _q(rng)
-        if len({l1, l2, l3}) < 3 or 0 in (l1, l2, l3):
+        l = _q(rng), _q(rng), _q(rng)
+        if len(set(l)) < 3 or 0 in l:
             continue
-        # conditions are linear in the 12 coefficients for fixed exponents
-        rows = [
-            # b-rows: (b1, b2, b3)
-            (l1, l2, l2 - l1),
-            (l1, l1 + l3, l3),
-            (l2 - l3, l2, l3),
-        ]
-        arows = [
-            # each: coefficients of (a11..a13, a21..a23, a31..a33)
-            (0, 0, l1, 0, 0, l2, 0, 0, l2 - l1),
-            (0, l1, 0, 0, l1 + l3, 0, 0, l3, 0),
-            (l2 - l3, 0, 0, l2, 0, 0, l3, 0, 0),
-            (l1 + 1, 0, 0, l2, 0, 0, l2 - l1 - 1, 0, 0),
-            (0, l1, 0, 0, l2 + 1, 0, 0, l2 + 1 - l1, 0),
-            (l1 + 1, 0, 0, l1 + 1 + l3, 0, 0, l3, 0, 0),
-            (0, 0, l1, 0, 0, l1 + l3 + 1, 0, 0, l3 + 1),
-            (0, l2 + 1 - l3, 0, 0, l2 + 1, 0, 0, l3, 0),
-            (0, 0, l2 - l3 - 1, 0, 0, l2, 0, 0, l3 + 1),
-        ]
-        bbasis = nullspace(tuple(tuple(F(v) for v in r) for r in rows))
-        abasis = nullspace(tuple(tuple(F(v) for v in r) for r in arows))
+        # the conditions are linear in the 12 coefficients for fixed exponents
+        bbasis = nullspace(brows(None, None, None, l=l)[0])
+        abasis = nullspace(arows(None, None, None, l=l)[0])
         if not abasis:
             continue
         bvec = [F(0)] * 3
@@ -932,7 +939,7 @@ def _sample_l5_8c(rng) -> LVSystem:
         for m2 in rule.match(s):
             try:
                 H = potential(gradient_targets_3d(s, *m2.ansatz))
-            except Exception:
+            except ConstructionError:
                 continue
             if not normalize_for_output(H).is_zero():
                 return s

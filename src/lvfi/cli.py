@@ -40,7 +40,11 @@ def _read_text(path: str) -> str:
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    # argparse reports a ValueError as a usage error, not a ZeroDivisionError
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):

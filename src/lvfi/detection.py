@@ -41,30 +41,24 @@ scale, so every zero test is the one in x, and the H mapped back is the
 x-space potential term for term.  Whole exponents are the lattice of all
 ones, where each step is the x-space one.
 
-Each integrating factor is gated once per run_rules call.  On a system with
-a coordinate symmetry several (rule, sigma) pairs give the same factor in
-the original coordinates; a match is skipped when an earlier match of the
-same rule family with the same _factor_key passed the gate.  This is exact,
-and detections and candidates are those of gating every match:
+Each integrating factor is gated once per run_rules call, and each integral
+is emitted once, with the detections and candidates of gating every match
+and collapsing duplicates afterwards (the reference in
+tests/test_detection.py):
 
-  * if T' = c T in the original coordinates (c != 0), then grad H' =
-    c grad H, so H' = c H + const.  The curl residual, the construction,
-    the exact Lie derivative, the constant-integral test and the normalized
-    dedup key all agree, so the skipped match would have passed the gate
-    and then been collapsed as a duplicate;
-  * a stated monomial x^(c p) is Lie-zero exactly when x^p is, and a stated
-    integral's key is its dedup key;
-  * an integral outside GenPoly (H_expr) is keyed by its dedup key in the
-    original coordinates, which fixes it up to a scalar and an additive
-    constant, so equal keys have the same Lie outcome;
-  * a key whose match failed the gate never skips a later match, because
-    that match's candidate must still be reported.
-
-A match whose factor differs (L5-8c) may still build an integral that was
-already emitted.  Its dedup key is looked up right after construction, and
-a seen key collapses the match without the printed-form comparison and the
-Lie gate: the same integral up to a scalar and an additive constant has
-the same Lie outcome, and it would be collapsed after the gate anyway.
+  * a match is skipped when an earlier match of its rule family with the
+    same _factor_key passed the gate: the factor in the original
+    coordinates up to a scalar, or for an integral outside GenPoly (H_expr)
+    the integral itself (_expr_key).  For T' = c T, H' = c H + const, so
+    every step of the gate agrees, and the skipped match would have been
+    collapsed.  A key whose match failed never skips a later match, whose
+    candidate must still be reported;
+  * the gate keys a GenPoly integral in output form (_integral_key) right
+    after construction, and a key already emitted collapses the match
+    before the printed-form comparison and the Lie gate, whose outcome is
+    the same for the same integral up to a scalar and an additive constant.
+    That is the one collapse of a stated integral, which has no factor key,
+    and of a differing factor that builds an emitted integral (L5-8c).
 """
 
 from __future__ import annotations
@@ -81,7 +75,7 @@ from . import oracle
 from .linalg import nullspace_candidates, primitive
 from .model import LVSystem, Permutation, lift_exact, permute_system
 from .oracle import AnsatzSpec, residual_2d, residual_3d
-from .poly import GenPoly, canonical, ratio
+from .poly import GenPoly, canonical
 from .potential import (
     ConstructionError,
     from_lattice,
@@ -104,8 +98,7 @@ class Match:
     H_gen: Optional[GenPoly] = None  # directly stated integral
     H_expr: Optional[ex.Expr] = None  # integrals outside the GenPoly algebra
     lie_zero_check: Optional[Callable[[LVSystem], bool]] = None  # for H_expr
-    dedup_key: Optional[tuple] = None  # extra key for H_expr rules
-    deviation: Optional[str] = None
+    dedup_key: Optional[tuple] = None  # for H_expr: (vector, scalars, invariants)
     subid: str = ""  # branch label appended to the rule id
 
 
@@ -325,9 +318,7 @@ def _permute_genpoly(H: GenPoly, sigma: tuple[int, ...]) -> GenPoly:
     return GenPoly(H.nvars, out)
 
 
-def run_rules(
-    s: LVSystem, rules: list[Rule], collect_candidates: bool = True
-) -> tuple[list[Detection], list[Candidate]]:
+def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Candidate]]:
     """Apply every rule under every pattern-compatible relabeling.
 
     Each relabeling has two views: the lifted Fraction system, which params,
@@ -341,7 +332,7 @@ def run_rules(
     perms = Permutation.all(s.dim)
     detections: list[Detection] = []
     candidates: list[Candidate] = []
-    seen: set = set()
+    seen: set = set()  # _integral_key of every detection, added by the gate
     passed: set = set()  # _factor_key of every match that passed the gate
     relabeled = [(p, permute_system(sx, p), permute_system(sxi, p)) for p in perms]
     for rule in rules:
@@ -358,21 +349,15 @@ def run_rules(
                     continue
                 if fkey is not None:
                     passed.add(fkey)
-                if det is None:  # an integral already emitted
-                    continue
-                # a stated integral's factor key is its dedup key
-                stated = m.H_gen is not None and m.ansatz is None
-                key = fkey if stated else _dedup_key(rule, det, m)
-                if key in seen:
-                    continue
-                seen.add(key)
-                detections.append(det)
+                if det is not None:  # None: an integral already emitted
+                    detections.append(det)
     return detections, candidates
 
 
 def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]:
     """What a match's gate depends on, in the original coordinates and up to
-    a nonzero scalar, or None when the match must always be gated.
+    a nonzero scalar, or None for a stated integral (H_gen), which the gate
+    keys itself.
 
     * A GenPoly Ansatz match: the integrating factor T = R M, pulled back
       by sigma.  Entry (i, j) of T/R on the relabeled system is a monomial
@@ -382,25 +367,18 @@ def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]
       triangle, exponents in canonical form and coefficients scaled to
       primitive integers with a positive first entry, which is the same
       vector exactly for proportional factors.
-    * A stated integral: its dedup key (_integral_key).
-    * An integral outside GenPoly (H_expr, R2D-E): its dedup key in the
-      original coordinates (_expr_key), when the match carries one.  The
-      rule's key fixes the integral up to a scalar and an additive
-      constant (a permvec key lists H's coefficients over its scale), so
-      the Lie outcome is the same for equal keys.
+    * An integral outside GenPoly (H_expr, R2D-E): the integral in the
+      original coordinates (_expr_key).  The key lists H's coefficients
+      over its scale, so it fixes the integral up to a scalar and an
+      additive constant, and the Lie outcome is the same for equal keys.
     """
     if m.H_expr is not None:
-        return _expr_key(rule, m, sigma) if m.dedup_key is not None else None
+        return _expr_key(rule, m, sigma)
     if m.H_gen is not None:
-        if m.ansatz is not None:
-            return None
-        H = normalize_for_output(_permute_genpoly(m.H_gen, sigma))
-        return _integral_key(rule.family, _canonical_monomial(H))
+        return None
     kind, abg, l = m.ansatz
     if kind == "2d-exponents":
         abg = (1,)
-    elif kind not in oracle.T_WEIGHTS:
-        return None
     n = len(sigma)
     lm1 = [canonical(v) - 1 for v in l]
     entries = []
@@ -437,10 +415,10 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[
     return residual_3d(s, AnsatzSpec(kind), abg, l, t=t, scale=scale)
 
 
-def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen=frozenset()):
+def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set):
     """Gate one match on the relabeled system s2 (Fractions) and its integer
-    view s2i.  Returns (None, None) for an integral whose dedup key is in
-    seen: it is already emitted.
+    view s2i.  Returns (None, None) for a GenPoly integral already in seen
+    (_integral_key), and adds the key of one that passes.
 
     The T1/T2 direction and the exponents do not scale with (b, A, e), so
     the residual, the targets and the potential read s2i, with the
@@ -454,12 +432,11 @@ def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen=frozense
     T f/R is built once and read by the residual and the targets; the
     targets, the potential and the Lie gate work on the match's exponent
     lattice (module docstring), and a stated integral is gated in x.  The
-    H mapped back to x is what the printed form, the dedup key and the
-    output read.  The Lie gate reads s2i, the original system's integer
+    H mapped back to x is what the printed form, the key and the output
+    read.  The Lie gate reads s2i, the original system's integer
     view with the coordinates renamed, so its zero test is the one in the
     original coordinates.
     """
-    deviation = m.deviation
     n = s2.dim
     if m.ansatz is not None:
         kind, abg, l = m.ansatz
@@ -493,7 +470,6 @@ def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen=frozense
             params=m.params,
             integral=ex.simplify(H_expr),
             oracle_kind=oracle_kind,
-            paper_formula_deviation=deviation,
             ansatz=m.ansatz,
         )
         return det, None
@@ -515,14 +491,15 @@ def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen=frozense
         # H is constant, so its Lie derivative is zero
         return None, Candidate(rule.id, p.sigma, m.params, "constant integral")
     Hn = _canonical_monomial(Hn)
-    if _integral_key(rule.family, Hn) in seen:
+    key = _integral_key(rule.family, Hn)
+    if key in seen:
         return None, None
-    if rule.compare_printed is not None and deviation is None:
-        deviation = rule.compare_printed(s2, m, H2)
+    deviation = None if rule.compare_printed is None else rule.compare_printed(s2, m, H2)
     if not lie_genpoly(Hy, s2i, lattice=d).is_zero():
         return None, Candidate(
             rule.id, p.sigma, m.params, "exact Lie derivative nonzero on original system"
         )
+    seen.add(key)
     det = Detection(
         rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
         citation=rule.citation,
@@ -553,50 +530,26 @@ def _canonical_monomial(H: GenPoly) -> GenPoly:
 
 
 def _integral_key(family: str, Hn: GenPoly) -> tuple:
-    """Dedup key of an integral in output form (normalize_for_output, then
+    """Key of an integral in output form (normalize_for_output, then
     _canonical_monomial), which already fixes its scale and sign, so
     integrals equal up to a nonzero scalar and an additive constant, and
     powers of one monomial integral, share it."""
     return (family, frozenset(Hn.terms.items()))
 
 
-def _dedup_key(rule: Rule, det: Detection, m: Match):
-    if det.H_gen is not None:
-        return _integral_key(rule.family, det.H_gen)
-    return _expr_key(rule, m, det.sigma)
-
-
 def _expr_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> tuple:
-    """Dedup key of an integral outside GenPoly, in original coordinates."""
-    key = m.dedup_key
-    if key is None:
-        return (rule.family, sigma, frozenset(m.params.items()))
-    if key and key[0] == "permvec":
-        # (vec over variables, co-scaling scalars, scale-invariants):
-        # permute the vector to original coordinates, then normalize the
-        # common scale so sign/scale-equivalent integrals collide.
-        _, vec, scalars, invariants = key
-        nv = [None] * len(vec)
-        for i, v in enumerate(vec):
-            nv[sigma[i]] = v
-        lead = next((v for v in nv if v), None) or next(
-            (v for v in scalars if v), Fraction(1)
-        )
-        return (
-            rule.family,
-            tuple(v / lead for v in nv),
-            tuple(v / lead for v in scalars),
-            tuple(invariants),
-        )
-    return (rule.family, key)
-
-
-def gradient_proportional(p: GenPoly, q: GenPoly) -> Optional[Fraction]:
-    """Ratio c with grad p == c * grad q (ignores additive constants)."""
-
-    def grad(h: GenPoly) -> dict:
-        return {
-            (i, key): c for i in range(h.nvars) for key, c in h.diff(i).terms.items()
-        }
-
-    return ratio(grad(p), grad(q))
+    """Key of an integral outside GenPoly, in original coordinates: the
+    match's dedup_key with its vector permuted to original coordinates and
+    the common scale normalized, so sign/scale-equivalent integrals
+    collide."""
+    vec, scalars, invariants = m.dedup_key
+    nv = [None] * len(vec)
+    for i, v in enumerate(vec):
+        nv[sigma[i]] = v
+    lead = next((v for v in nv if v), None) or next((v for v in scalars if v), Fraction(1))
+    return (
+        rule.family,
+        tuple(v / lead for v in nv),
+        tuple(v / lead for v in scalars),
+        tuple(invariants),
+    )

@@ -435,7 +435,8 @@ def _num_from_json(v) -> Number:
         return v
     if isinstance(v, str) and "/" in v:
         num, _, den = v.partition("/")
-        return Fraction(int(num), int(den))
+        if int(den):
+            return Fraction(int(num), int(den))
     raise ValueError(f"bad number {v!r}")
 
 
@@ -461,27 +462,33 @@ def to_json_obj(h: Expr):
     raise TypeError(f"not an Expr: {h!r}")
 
 
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"expression node {obj!r} lacks {name!r}")
+    return obj[name]
+
+
 def from_json_obj(obj) -> Expr:
+    """The expression of a JSON AST node; ValueError for a malformed one."""
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValueError(f"bad expression node: {obj!r}")
     op = obj["op"]
     if op == "const":
-        return Const(_num_from_json(obj["value"]))
+        return Const(_num_from_json(_field(obj, "value")))
     if op == "var":
-        i = obj["i"]
+        i = _field(obj, "i")
         if not isinstance(i, int) or i < 1:
             raise ValueError(f"bad variable index {i!r}")
         return Var(i - 1)
-    if op == "add":
-        return Add(tuple(from_json_obj(a) for a in obj["args"]))
-    if op == "mul":
-        return Mul(tuple(from_json_obj(a) for a in obj["args"]))
+    if op in ("add", "mul"):
+        args = _field(obj, "args")
+        if not isinstance(args, list):
+            raise ValueError(f"expression node {obj!r}: args must be a list")
+        return (Add if op == "add" else Mul)(tuple(from_json_obj(a) for a in args))
     if op == "pow":
-        return Pow(from_json_obj(obj["base"]), _num_from_json(obj["exponent"]))
-    if op == "lnabs":
-        return LnAbs(from_json_obj(obj["arg"]))
-    if op == "exp":
-        return Exp(from_json_obj(obj["arg"]))
+        return Pow(from_json_obj(_field(obj, "base")), _num_from_json(_field(obj, "exponent")))
+    if op in ("lnabs", "exp"):
+        return (LnAbs if op == "lnabs" else Exp)(from_json_obj(_field(obj, "arg")))
     raise ValueError(f"unknown op {op!r}")
 
 

@@ -15,7 +15,8 @@ expansion yields the parameter condition systems from scratch.
 T f/R is read off (b, A, e) in one pass (_t_components), and so is each
 curl component (_curl), with no product of GenPolys.  The same code serves
 int, Fraction and SymPoly coefficients, so concrete residuals,
-derive_conditions and the catalog's condition rows are one expansion.
+derive_conditions (the 2D separable chart included) and the catalog's
+condition rows, the L5-8c sampler's among them, are one expansion.
 
 The exact gate (detection._gate_and_build) builds T f/R once per match and
 hands it in (``t=``), and it asks for the residual scaled by D, the lcm of
@@ -66,12 +67,6 @@ def _field_terms(nvars, b, A, e, i) -> list[tuple]:
     ]
 
 
-def _f_laurent(nvars, b, A, e, i) -> GenPoly:
-    """f_i as a Laurent polynomial."""
-    z = (0,) * nvars
-    return GenPoly(nvars, {(p, z): c for p, c in _field_terms(nvars, b, A, e, i)})
-
-
 def residual_2d_exponents(
     s_coeffs, l1, l2, c1=None, c2=None, *, t=None, scale=1
 ) -> GenPoly:
@@ -84,7 +79,11 @@ def residual_2d_exponents(
     """
     if t is None:
         t = _t_components(2, *s_coeffs, "2d-exponents", (1,))
-    return _curl(t, (l1 - 1, l2 - 1), (c1, c2), scale)[0]
+    lm1, c = (l1 - 1, l2 - 1), (c1, c2)
+    if scale != 1:
+        lm1 = [canonical(scale * v) for v in lm1]
+        c = [scale * v if v else v for v in c]
+    return _curl(t, lm1, c, scale)[0]
 
 
 def residual_2d(s: LVSystem, alpha, beta, gamma) -> GenPoly:
@@ -129,18 +128,17 @@ def _t_components(nvars, b, A, e, kind: str, abg) -> list[dict]:
 
 
 def _curl(g: list[dict], lm1, c=(), scale=1) -> list[GenPoly]:
-    """scale * curl(R g)/R for the Ansatz factor R with exponents
-    l - 1 = lm1 (and exp(c . x) in 2D), one component per pair (i, j) in
-    curl order: D_i g_j - D_j g_i.  On a term, D_k(v x^p) = v (p_k + l_k - 1)
+    """scale * curl(R g)/R for the Ansatz factor R = x^(l-1) (times
+    exp(c' . x) in 2D), one component per pair (i, j) in curl order:
+    D_i g_j - D_j g_i.  The caller scales the parameters: lm1 = scale (l - 1)
+    and c = scale c'.  On a term, scale D_k(v x^p) = v (scale p_k + lm1_k)
     x^(p - u_k) + c_k v x^p, so each component is one pass over the terms
-    of two components of g, with zero products skipped.  A scale that
-    clears the denominators of lm1 makes every factor an int."""
+    of two components of g, with zero products skipped.  A scale that clears
+    the denominators of l - 1 makes every factor an int; derive_conditions
+    clears the separable chart's a12 a21 with a symbolic one."""
     n = len(g)
     z = (0,) * n
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    if scale != 1:
-        lm1 = [canonical(scale * v) for v in lm1]
-        c = [scale * v if v else v for v in c]
     out = []
     for i, j in ((0, 1),) if n == 2 else ((1, 2), (2, 0), (0, 1)):
         comp: dict = {}
@@ -167,7 +165,7 @@ def residual_3d(s: LVSystem, spec: AnsatzSpec, abg, l, *, t=None, scale=1) -> li
     if t is None:
         sx = lift_exact(s)
         t = _t_components(3, sx.b, sx.A, sx.e, spec.kind, tuple(map(canonical, abg)))
-    return _curl(t, [canonical(li) - 1 for li in l], scale=scale)
+    return _curl(t, [canonical(scale * (canonical(li) - 1)) for li in l], scale=scale)
 
 
 def residual_3d_generic(s_coeffs, kind: str, abg, l) -> list[GenPoly]:
@@ -198,32 +196,27 @@ def derive_conditions(spec: AnsatzSpec) -> list[ConditionRow]:
     """Expand the residual with fully symbolic coefficients and collect the
     coefficient-vanishing equations.
 
-    2D uses the separable chart cleared of its a12, a21 denominators (the
-    residual is multiplied by a12*a21, so rows match the printed conditions up
-    to that declared clearing factor).  3D rows are polynomial as printed.
+    2D uses the separable chart (residual_2d: l - 1 = (be/a12, ga/a21),
+    c = (al/a12, -al/a21)) cleared of its a12, a21 denominators: the
+    residual is multiplied by a12*a21, so rows match the printed conditions
+    up to that declared clearing factor.  3D rows are polynomial as printed.
     """
     S = SymPoly.sym
+    al, be, ga = S("al"), S("be"), S("ga")
     if spec.kind == "2d-separable":
         b, A, e = _symbolic_system(2)
-        al, be, ga = S("al"), S("be"), S("ga")
         a12, a21 = A[0][1], A[1][0]
-        f1 = _f_laurent(2, b, A, e, 0)
-        f2 = _f_laurent(2, b, A, e, 1)
-        # a12*a21 * [ (al + be/x1)/a12 f1 + (-al + ga/x2)/a21 f2 + div f ]
-        k1 = f1.scale(al * a21) + f1.shift(0, -1).scale(be * a21)
-        k2 = f2.scale(-(al * a12)) + f2.shift(1, -1).scale(ga * a12)
-        divf = f1.diff(0) + f2.diff(1)
-        res = k1 + k2 + divf.scale(a12 * a21)
-        return [ConditionRow(0, exps, c) for (exps, _), c in res.items_sorted()]
-    b, A, e = _symbolic_system(3)
-    abg = (S("al"), S("be"), S("ga"))
-    l = (S("l1"), S("l2"), S("l3"))
-    comps = residual_3d_generic((b, A, e), spec.kind, abg, l)
-    rows: list[ConditionRow] = []
-    for ci, comp in enumerate(comps):
-        for (exps, _), c in comp.items_sorted():
-            rows.append(ConditionRow(ci, exps, c))
-    return rows
+        t = _t_components(2, b, A, e, "2d-exponents", (1,))
+        comps = _curl(t, (be * a21, ga * a12), (al * a21, -(al * a12)), a12 * a21)
+    else:
+        b, A, e = _symbolic_system(3)
+        l = (S("l1"), S("l2"), S("l3"))
+        comps = residual_3d_generic((b, A, e), spec.kind, (al, be, ga), l)
+    return [
+        ConditionRow(ci, exps, c)
+        for ci, comp in enumerate(comps)
+        for (exps, _), c in comp.items_sorted()
+    ]
 
 
 def residual_dump(components) -> list[dict]:

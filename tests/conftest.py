@@ -5,6 +5,7 @@ import pytest
 
 from lvfi import expr as ex
 from lvfi.model import make_system
+from lvfi.poly import ratio
 
 
 def rand_fraction(rng, nonzero=False, num=6, den=3):
@@ -12,6 +13,12 @@ def rand_fraction(rng, nonzero=False, num=6, den=3):
         v = Fraction(rng.randint(-num, num), rng.randint(1, den))
         if not nonzero or v != 0:
             return v
+
+
+def same_integral(p, q) -> bool:
+    """p = c q + const for some c != 0 (GenPolys): the nonconstant terms
+    are proportional, the test catalog3d._cmp_against makes."""
+    return ratio(p.drop_constant().terms, q.drop_constant().terms) is not None
 
 
 def slowed(s, mu=Fraction(1, 8)):

@@ -4,21 +4,22 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
-from lvfi.catalog2d import RULES_2D, SAMPLERS_2D, detect2d
+from lvfi.catalog2d import RULES_2D, SAMPLERS_2D, _lie_zero_e, detect2d
 from lvfi.catalog3d import RULES_3D
 from lvfi.detection import (
     Match,
     Rule,
     condition_function,
     condition_source,
-    gradient_proportional,
     run_rules,
 )
+from lvfi.detection import integer_view
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.oracle import residual_2d_exponents
 from lvfi.potential import GenPoly
 
-from conftest import rand_fraction
+from conftest import rand_fraction, same_integral
+from test_oracle import _f_laurent
 
 F = Fraction
 
@@ -38,7 +39,7 @@ def test_r2da_instance_matches_spec_formula():
         + GenPoly.term(2, 5, (0, 1))
         + GenPoly.term(2, -7, (1, 0))
     )
-    assert gradient_proportional(printed, dets[0].H_gen) is not None
+    assert same_integral(printed, dets[0].H_gen)
 
 
 def test_volterra_detects_double_log_integral():
@@ -52,7 +53,7 @@ def test_volterra_detects_double_log_integral():
         + GenPoly.term(2, 1, (0, 0), (1, 0))
         + GenPoly.term(2, -1, (1, 0))
     )
-    assert gradient_proportional(printed, dets[0].H_gen) is not None
+    assert same_integral(printed, dets[0].H_gen)
 
 
 def test_r2de_spec_instance():
@@ -66,6 +67,40 @@ def test_r2de_spec_instance():
     for x in [(0.7, 1.3), (2.0, 0.4), (5.0, 1.0)]:
         want = 2 * x[0] - 3 * x[1] - 2 * math.log(abs(3 + 3 * x[0] * x[1]))
         assert ex.eval_expr(h, x) == pytest.approx(want, rel=1e-12)
+
+
+def _ref_lie_zero_e(s):
+    """The expanded form: (a21 f1 - a12 f2)(e1 + a12 x1 x2)
+    + b2 a12 (x2 f1 + x1 f2) == 0, from polynomial products."""
+    f1, f2 = _f_laurent(2, s.b, s.A, s.e, 0), _f_laurent(2, s.b, s.A, s.e, 1)
+    a12, a21 = s.A[0][1], s.A[1][0]
+    P = GenPoly.term(2, s.e[0], (0, 0)) + GenPoly.term(2, a12, (1, 1))
+    x1, x2 = GenPoly.term(2, 1, (1, 0)), GenPoly.term(2, 1, (0, 1))
+    lhs = (f1.scale(a21) - f2.scale(a12)) * P + (x2 * f1 + x1 * f2).scale(s.b[1] * a12)
+    return lhs.is_zero()
+
+
+def test_r2de_lie_test_equals_the_expanded_form():
+    """On R2D-E samples, perturbed samples and systems near its manifold,
+    on the Fraction system and its integer view."""
+    rng = random.Random(5)
+    verdicts = []
+    for k in range(600):
+        s = SAMPLERS_2D["R2D-E"](rng)
+        if k % 2:
+            b, A, e = list(s.b), [list(r) for r in s.A], list(s.e)
+            j = rng.randrange(8)
+            if j < 2:
+                b[j] += rand_fraction(rng, True)
+            elif j < 6:
+                A[(j - 2) // 2][j % 2] += rand_fraction(rng, True)
+            else:
+                e[j - 6] += rand_fraction(rng, True)
+            s = make_system(b=b, A=A, e=e)
+        for view in (s, integer_view(s)):
+            verdicts.append(_lie_zero_e(view))
+            assert verdicts[-1] == _ref_lie_zero_e(view), s
+    assert 400 < sum(verdicts) < 1200
 
 
 def test_generic_random_system_detects_nothing():
@@ -169,7 +204,7 @@ def test_printed_templates_match_construction():
             dets = [d for d in detect2d(s) if d.rule_id == key and d.sigma == (0, 1)]
             assert dets, key
             printed = printed_for(key, s, dets[0])
-            assert gradient_proportional(printed, dets[0].H_gen) is not None, key
+            assert same_integral(printed, dets[0].H_gen), key
 
 
 def test_mirror_consistency():

@@ -7,6 +7,7 @@ from lvfi.catalog3d import (
     RULES_3D,
     SAMPLERS_3D,
     _PrintedForm,
+    _l5_8c_rows,
     detect3d,
     term_table,
 )
@@ -16,13 +17,12 @@ from lvfi.detection import (
     _permute_genpoly,
     condition_function,
     condition_source,
-    gradient_proportional,
 )
 from lvfi.linalg import nullspace
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.potential import GenPoly
 
-from conftest import rand_fraction
+from conftest import rand_fraction, same_integral
 
 F = Fraction
 
@@ -119,7 +119,7 @@ def test_l2_iii_symmetric_coupling_instance():
         + GenPoly.term(3, 1, (0, 2, 1))
         + GenPoly.term(3, -1, (0, 1, 2))
     )
-    assert gradient_proportional(expect, d.H_gen) is not None
+    assert same_integral(expect, d.H_gen)
     assert d.paper_formula_deviation.startswith("agrees")
 
 
@@ -141,7 +141,7 @@ def test_l3_1_2d_embedded_instance():
         + GenPoly.term(3, s.e[0], (0, 1, 0))
         + GenPoly.term(3, -s.e[1], (1, 0, 0))
     )
-    assert gradient_proportional(printed, d.H_gen) is not None
+    assert same_integral(printed, d.H_gen)
 
 
 def test_l5_5_proportional_rows_instance():
@@ -155,6 +155,35 @@ def test_l5_5_proportional_rows_instance():
     assert dets
     keys = {next(iter(d.H_gen.terms))[0] for d in dets}
     assert (F(1), F(-2), F(0)) in keys
+
+
+def _hand_l5_8c_rows(l1, l2, l3):
+    """The L5-8c conditions at alpha = beta = gamma = 1 and e = 0, typed
+    out: rows on (b1, b2, b3), then on (a11..a13, a21..a23, a31..a33)."""
+    brows = [(l1, l2, l2 - l1), (l1, l1 + l3, l3), (l2 - l3, l2, l3)]
+    arows = [
+        (0, 0, l1, 0, 0, l2, 0, 0, l2 - l1),
+        (0, l1, 0, 0, l1 + l3, 0, 0, l3, 0),
+        (l2 - l3, 0, 0, l2, 0, 0, l3, 0, 0),
+        (l1 + 1, 0, 0, l2, 0, 0, l2 - l1 - 1, 0, 0),
+        (0, l1, 0, 0, l2 + 1, 0, 0, l2 + 1 - l1, 0),
+        (l1 + 1, 0, 0, l1 + 1 + l3, 0, 0, l3, 0, 0),
+        (0, 0, l1, 0, 0, l1 + l3 + 1, 0, 0, l3 + 1),
+        (0, l2 + 1 - l3, 0, 0, l2 + 1, 0, 0, l3, 0),
+        (0, 0, l2 - l3 - 1, 0, 0, l2, 0, 0, l3 + 1),
+    ]
+    return brows, arows
+
+
+def test_l5_8c_sampler_rows_span_the_typed_conditions():
+    """The oracle's rows that the L5-8c sampler derives give the nullspace
+    bases of the typed rows, zero and repeated exponents included."""
+    rng = random.Random(8)
+    derived = _l5_8c_rows()
+    for k in range(300):
+        l = tuple(F(rng.randint(-1, 1)) if k < 30 else rand_fraction(rng) for _ in range(3))
+        for rows, want in zip(derived, _hand_l5_8c_rows(*l)):
+            assert nullspace(rows(None, None, None, l=l)[0]) == nullspace(want), l
 
 
 def test_generic_random_3d_system_detects_nothing():

@@ -94,6 +94,33 @@ def test_verify_domain_error_exit_2(volterra_path, tmp_path, capsys):
     assert "ln|x2|" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"op": "add"},
+        {"op": "add", "args": 5},
+        {"op": "pow", "base": {"op": "var", "i": 1}},
+        {"op": "var"},
+        {"op": "const", "value": "1/0"},
+    ],
+    ids=["no-args", "args-not-a-list", "no-exponent", "no-index", "zero-denominator"],
+)
+def test_verify_malformed_integral_exit_1(volterra_path, tmp_path, capsys, node):
+    ip = tmp_path / "h.json"
+    ip.write_text(json.dumps(node))
+    assert main(["verify", "--input", volterra_path, "--integral", str(ip)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal" not in err
+
+
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_oracle_bad_fraction_is_a_usage_error(volterra_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--input", volterra_path, "--ansatz", "2d", "--alpha", value])
+    assert exc.value.code == 2
+    assert f"invalid _frac value: '{value}'" in capsys.readouterr().err
+
+
 def test_oracle_zero_and_nonzero(volterra_path, capsys):
     rc = main(
         ["oracle", "--input", volterra_path, "--ansatz", "2d",

@@ -1,9 +1,10 @@
 """run_rules gates each integrating factor once.
 
 A match is skipped when an earlier match of the same rule family with the
-same factor (or stated integral) in the original coordinates passed the
-exact gate.  The skip must be invisible: detections and failed candidates
-equal those of gating every match, which _ref_run_rules below keeps.
+same factor in the original coordinates passed the exact gate, and the gate
+collapses an integral that was already emitted.  Both must be invisible:
+detections and failed candidates equal those of gating every match and
+collapsing duplicates afterwards, which _ref_run_rules below keeps.
 """
 
 import itertools
@@ -36,11 +37,14 @@ def _ref_run_rules(s, rules):
             if not detection.pattern_ok(rule.pattern, s2i):
                 continue
             for m in rule.match(s2i if rule.scale_free else s2):
-                det, cand = detection._gate_and_build(rule, s2, s2i, p, m)
+                det, cand = detection._gate_and_build(rule, s2, s2i, p, m, set())
                 if cand is not None:
                     candidates.append(cand)
                     continue
-                key = detection._dedup_key(rule, det, m)
+                if det.H_gen is not None:
+                    key = detection._integral_key(rule.family, det.H_gen)
+                else:
+                    key = detection._expr_key(rule, m, det.sigma)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -30,11 +30,12 @@ from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _ConstantDirection
 from lvfi.detection import DependentRows, condition_function
 from lvfi.model import LVSystem, lift_exact, make_system, to_float
 from lvfi.potential import from_lattice, lie_genpoly
-from lvfi.oracle import _f_laurent, _symbolic_system
+from lvfi.oracle import _symbolic_system
 from lvfi.poly import GenPoly, SymPoly
 
 from test_detection import _relabeled_copies, _sparse_integer_systems
 from test_digest import DEGENERATE
+from test_oracle import _f_laurent
 
 F = Fraction
 _DIRECTION = ("alpha", "beta", "gamma")

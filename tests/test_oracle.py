@@ -11,7 +11,6 @@ from lvfi.oracle import (
     T_WEIGHTS,
     AnsatzError,
     AnsatzSpec,
-    _f_laurent,
     _symbolic_system,
     derive_conditions,
     residual_2d,
@@ -140,8 +139,25 @@ def test_residual_3d_log_derivative_matches_direct_division():
 
 
 # Reference arithmetic: the composed form that the one-pass residual
-# replaced.  T f/R is built from GenPoly products of the weight monomials
-# with f, and D_j g = dg/dx_j + (l_j - 1) g/x_j (+ c_j g) is a chain of
+# replaced.  f_i is built term by term here, independently of the oracle.
+
+
+def _f_laurent(nvars, b, A, e, i) -> GenPoly:
+    """f_i = x_i (b_i + sum_j a_ij x_j) + e_i as a Laurent polynomial, with
+    coefficients in any ring (Fractions, ints, SymPoly)."""
+    z = (0,) * nvars
+
+    def powers(*ks):
+        return tuple(ks.count(k) for k in range(nvars))
+
+    terms = {(powers(i), z): b[i], (z, z): e[i]}
+    for j in range(nvars):
+        terms[(powers(i, j), z)] = A[i][j]
+    return GenPoly(nvars, terms)
+
+
+# T f/R is built from GenPoly products of the weight monomials with f,
+# and D_j g = dg/dx_j + (l_j - 1) g/x_j (+ c_j g) is a chain of
 # diff, shift, scale and add.  The one-pass form must give equal term dicts.
 
 
@@ -277,6 +293,20 @@ def test_one_pass_residual_matches_composed_form_on_symbolic_rows():
     assert _terms(residual_2d_exponents((b, A, e), *args)) == _terms(
         _ref_residual_2d((b, A, e), *args)
     )
+    # the separable chart cleared of a12 a21:
+    # a12 a21 [(al + be/x1)/a12 f1 + (-al + ga/x2)/a21 f2 + div f]
+    al, be, ga = S("al"), S("be"), S("ga")
+    a12, a21 = A[0][1], A[1][0]
+    f1, f2 = _f_laurent(2, b, A, e, 0), _f_laurent(2, b, A, e, 1)
+    want = (
+        f1.scale(al * a21) + f1.shift(0, -1).scale(be * a21)
+        + f2.scale(-(al * a12)) + f2.shift(1, -1).scale(ga * a12)
+        + (f1.diff(0) + f2.diff(1)).scale(a12 * a21)
+    )
+    rows = [(0, exps, c) for (exps, _), c in want.items_sorted()]
+    assert len(rows) == 7
+    got = derive_conditions(AnsatzSpec("2d-separable"))
+    assert [(r.component, r.exponents, r.poly) for r in got] == rows
 
 
 def test_residual_dump_format():

@@ -8,7 +8,6 @@ from lvfi.catalog2d import SAMPLERS_2D
 from lvfi.catalog3d import SAMPLERS_3D
 from lvfi.detection import integer_view
 from lvfi.model import lift_exact, make_system, parse_system
-from lvfi.oracle import _f_laurent
 from lvfi.poly import canonical
 from lvfi.potential import (
     ConstructionError,
@@ -22,7 +21,7 @@ from lvfi.potential import (
 )
 
 from conftest import rand_fraction
-from test_oracle import _ref_t_components
+from test_oracle import _f_laurent, _ref_t_components
 
 F = Fraction
 
