@@ -15,15 +15,14 @@ L5-6, whose integral is not a nullspace candidate, keeps a hand-written
 matcher.
 
 Printed closed forms are treated as claims: the integral is always rebuilt
-from the Ansatz by exact potential reconstruction, and where transcribed, the
-printed formula is compared against the construction and the outcome recorded
-(several printed formulas are garbled; the exact solve is the arbiter).  A
-printed integral is data in its rule's entry (_PrintedForm): terms in the
-paper's notation, compiled on first use and evaluated at the match's
-direction and exponents.  Five comparisons stay functions, as their messages
-are bespoke and pinned by the detection digest (PINNED_JSON): the printed
-exponent formulas of L5-7a, L5-7d, L5-8b and L5-8c, and the exponent note
-that L5-8a appends to its data form.
+from the Ansatz by exact potential reconstruction, and the exact solve is the
+arbiter (several printed formulas are garbled).  Whether a rule's printed
+integral agrees with the construction is a property of the rule, decided
+once by an audit in the tests (tests/test_printed_forms.py, which holds the
+printed forms as data).  Each rule keeps only the audited verdict
+(_PrintedVerdict): a note, and where the verdict differs on a subvariety, a
+condition on the match that names it.  A detection reports that note as
+paper_formula_deviation, and `lvfi catalog` lists it among the rule's notes.
 
 The permutation engine covers all index-relabeled cases mechanically.
 """
@@ -34,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 from .catalog2d import _q
 from .detection import (
@@ -45,17 +44,15 @@ from .detection import (
     Rule,
     condition_function,
     condition_source,
-    integer_view,
     run_rules,
 )
 from .linalg import SolveOutcome, nullspace, nullspace_candidates, primitive, solve_constrained
 from .model import LVSystem, make_system
 from .oracle import _symbolic_system, residual_3d_generic
-from .poly import GenPoly, SymPoly, _acc, canonical, ratio
+from .poly import GenPoly, SymPoly, ratio
 from .potential import (
     ConstructionError,
     gradient_targets_3d,
-    lie_genpoly,
     normalize_for_output,
     potential,
 )
@@ -93,25 +90,9 @@ def _term_table_function() -> Callable:
 
 
 def _l_candidates(out: SolveOutcome) -> list[tuple]:
-    if out.status == "unique":
-        return [out.solution]
-    if out.status == "underdetermined":
-        cands = [out.solution]
-        for bvec in out.basis:
-            cands.append(tuple(a + b for a, b in zip(out.solution, bvec)))
-        return cands
-    return []
-
-
-def _gp(terms) -> GenPoly:
-    """The sum of the terms (coefficient, powers) or (coefficient, powers,
-    logs), built in one pass."""
-    out: dict = {}
-    for coeff, powers, *logs in terms:
-        if coeff:
-            key = (tuple(map(canonical, powers)), tuple(logs[0]) if logs else (0, 0, 0))
-            _acc(out, key, Fraction(coeff))
-    return GenPoly._of(3, out)
+    if out.solution is None:  # infeasible
+        return []
+    return [out.solution, *(tuple(a + b for a, b in zip(out.solution, v)) for v in out.basis)]
 
 
 def _affine_rows(conds, free) -> Callable:
@@ -311,64 +292,45 @@ class _ConstantDirection:
         return Match(params=params, ansatz=(self.kind, abg, l))
 
 
-def _cmp_against(printed: GenPoly, s2: LVSystem, H2: GenPoly, what="formula") -> str:
-    """Whether the printed integral equals H2 up to a nonzero scalar and an
-    additive constant: distinct GenPoly terms are independent functions, so
-    that is proportionality of the nonconstant terms.  Otherwise whether
-    the printed form is an integral at all, by the exact Lie derivative on
-    the integer view (a zero test, so the scale of the system does not
-    matter)."""
-    if ratio(printed.drop_constant().terms, H2.drop_constant().terms) is not None:
-        return f"agrees: printed {what} proportional to constructed integral"
-    if lie_genpoly(printed, integer_view(s2)).is_zero():
-        return (
-            f"deviates: printed {what} is a valid integral but not proportional "
-            "to the Ansatz construction"
-        )
-    return (
-        f"deviates: printed {what} fails the exact Lie-derivative check; "
-        "oracle-derived coefficients used"
-    )
+_AGREES = "agrees: printed formula proportional to constructed integral"
+_FAILS = (
+    "deviates: printed formula fails the exact Lie-derivative check; "
+    "oracle-derived coefficients used"
+)
 
 
-class _PrintedForm:
-    """A printed closed-form integral as data (``Rule.compare_printed``).
+class _PrintedVerdict:
+    """A rule's audited verdict on the paper's printed integral
+    (``Rule.compare_printed``), reported as paper_formula_deviation.
 
-    Each term is (coefficient, powers) or (coefficient, powers, logs) in the
-    paper's notation: a coefficient is a condition string (condition_source,
-    which also knows the exponents l1..l3), a power a number or such a
-    string.  The terms are compiled on first use and evaluated at the
-    match's direction and exponents (``Match.ansatz``); a form undefined
-    there (a zero denominator) gives no comparison (None).  ``what`` names
-    the form in the outcome; ``note``, a string or a function (s2, Match) ->
-    str, is appended to it.
+    Each exception is (condition, note): a condition on the match, as a
+    guard is, naming a subvariety where the verdict differs; the first that
+    holds wins.  A call evaluates no printed term and leaves the constructed
+    integral H2 to the audit (tests/test_printed_forms.py), which evaluates
+    the printed forms at every match of seeded sampler draws under every
+    relabeling and asserts that the outcome is the note returned there.
     """
 
-    def __init__(self, *terms, what: str = "formula", note="") -> None:
-        self.terms, self.what, self.note = terms, what, note
+    def __init__(self, verdict: str, *exceptions: tuple[str, str]) -> None:
+        self.verdict, self.exceptions = verdict, exceptions
 
     # Compiled on first use, so importing the catalog compiles nothing.
     @cached_property
-    def evaluate(self) -> Callable:
-        """(b, A, e, d, l) -> the terms with their values, as _gp takes them."""
+    def tests(self) -> list[tuple[Callable, str]]:
+        return [(condition_function(condition_source(c)), note) for c, note in self.exceptions]
 
-        def entries(values) -> str:
-            return "(" + "".join(f"({v})," for v in values) + ")"
+    def __call__(self, s2: LVSystem, m: Match, H2: GenPoly) -> str:
+        _, d, l = m.ansatz
+        for holds, note in self.tests:
+            if holds(s2.b, s2.A, s2.e, d, l):
+                return note
+        return self.verdict
 
-        text = ", ".join(
-            f"(({coeff}), {', '.join(map(entries, triples))})"
-            for coeff, *triples in self.terms
-        )
-        return condition_function(condition_source(f"({text},)"))
-
-    def __call__(self, s2: LVSystem, m: Match, H2: GenPoly):
-        _, abg, l = m.ansatz
-        try:
-            terms = self.evaluate(s2.b, s2.A, s2.e, abg, l)
-        except ZeroDivisionError:
-            return None
-        note = self.note(s2, m) if callable(self.note) else self.note
-        return _cmp_against(_gp(terms), s2, H2, self.what) + note
+    def notes(self) -> list[str]:
+        """The verdict and its exceptions, as `lvfi catalog` lists them."""
+        return [f"printed integral (audited): {self.verdict}"] + [
+            f"printed integral where {c}: {note}" for c, note in self.exceptions
+        ]
 
 
 # =============================================================================
@@ -491,14 +453,7 @@ def _sample_l4_3(rng) -> LVSystem:
 
 def _sample_l4_4(rng) -> LVSystem:
     while True:
-        lam, b2, a21, a22, a13, a23 = (
-            _q(rng, True),
-            _q(rng),
-            _q(rng),
-            _q(rng),
-            _q(rng),
-            _q(rng),
-        )
+        lam, b2, a21, a22, a13, a23 = _q(rng, True), *(_q(rng) for _ in range(5))
         if a13 - lam * a23 == 0:  # A33 with (beta, gamma) = (1, -lam)
             continue
         b1, a11, a12 = lam * b2, lam * a21, lam * a22
@@ -699,18 +654,6 @@ def _sample_l5_6(rng) -> LVSystem:
     )
 
 
-def _cmp_l5_7a(s2, m, H2):
-    A = term_table(m.ansatz[1], s2).A
-    l2 = m.params["l2"]
-    printed_l2 = -A[0][2] / A[2][2]  # -A13/A33
-    if printed_l2 == l2:
-        return "agrees: printed l2 formula matches exact solve"
-    return (
-        f"deviates: printed l2 = -A13/A33 = {printed_l2} but the exact solve "
-        f"gives l2 = A13/A33 = {l2} (sign typo in the printed exponent)"
-    )
-
-
 def _sample_l5_7a(rng) -> LVSystem:
     while True:
         lam = _q(rng, True)
@@ -765,19 +708,6 @@ def _sample_l5_7c(rng) -> LVSystem:
         )
 
 
-def _cmp_l5_7d(s2, m, H2):
-    A = s2.A
-    l2 = m.params["l2"]
-    printed_l2 = -(A[2][2] - A[0][2]) * (A[0][2] + A[1][2])
-    if printed_l2 == l2:
-        return "agrees: printed l2 formula matches exact solve"
-    return (
-        f"deviates: printed l2 = -(a33-a13)(a13+a23) = {printed_l2} but the "
-        f"exact solve gives l2 = -(a33-a13)/(a13+a23) = {l2} "
-        "(division missing in the printed formula)"
-    )
-
-
 def _sample_l5_7d(rng) -> LVSystem:
     while True:
         b1, a11, a12 = _q(rng), _q(rng), _q(rng)
@@ -811,19 +741,6 @@ def _sample_l5_8a(rng) -> LVSystem:
         )
 
 
-def _cmp_l5_8b(s2, m, H2):
-    A = s2.A
-    l2 = m.params["l2"]
-    den = -A[0][1] * (A[1][2] - A[2][2]) + A[0][2] * (A[1][1] - A[2][1])
-    printed_l2 = A[0][1] * (A[1][2] - A[2][2]) / den
-    if printed_l2 == l2:
-        return "agrees: printed l2 formula matches exact solve"
-    return (
-        f"deviates: printed l2 formula gives {printed_l2}, which is the exact "
-        f"l3 = {m.params['l3']}; solved l2 = {l2} (l2/l3 swapped in print)"
-    )
-
-
 def _sample_l5_8b(rng) -> LVSystem:
     while True:
         b2, a21 = _q(rng), _q(rng)
@@ -841,56 +758,6 @@ def _sample_l5_8b(rng) -> LVSystem:
         )
 
 
-def _cmp_l5_8c(s2, m, H2):
-    t = term_table((F(1), F(1), F(1)), s2)
-    A1, A2, A3 = t.A
-    l1, l2, l3 = m.params["l1"], m.params["l2"], m.params["l3"]
-    d12 = A1[0] * A2[1] - A2[0] * A1[1]
-    d3 = A3[0] * A2[2] - A2[0] * A3[2]
-    parts = []
-    if d12 != 0:
-        p1 = A2[1] * (A2[0] - A1[0]) / d12
-        p2 = A1[0] * (A1[1] - A2[1]) / d12
-        parts.append(
-            "printed l1,l2 formulas "
-            + ("match" if (p1, p2) == (l1, l2) else f"give ({p1},{p2}) vs exact ({l1},{l2})")
-        )
-    if d3 != 0:
-        p3 = A3[0] * (A3[2] - A2[2]) / d3
-        parts.append(
-            "printed l3 formula "
-            + ("matches" if p3 == l3 else f"gives {p3} vs exact {l3}")
-        )
-    if not parts:
-        return "printed closed forms undefined here (zero denominators); exact solve used"
-    joined = "; ".join(parts)
-    if "vs exact" in joined:
-        return "deviates: " + joined + " (fragmented conditions in print; exact solve used)"
-    return "agrees: " + joined
-
-
-def _l5_8a_exponent_note(s2, m) -> str:
-    """The printed exponent formulas l2 = -b1*alpha/B2, l3 = b1*beta/B2, with
-    (alpha, beta) solving A22 = A23 = 0, against the exact solve."""
-    b, A = s2.b, s2.A
-    l2, l3 = m.params["l2"], m.params["l3"]
-    ab = nullspace_candidates([(A[1][1], A[2][1]), (A[1][2], A[2][2])])
-    if not ab:
-        return ""
-    al, be = ab[0]
-    B2 = b[1] * al + b[2] * be
-    if B2 == 0:
-        return ""
-    pl2, pl3 = -b[0] * al / B2, b[0] * be / B2
-    if (pl2, pl3) == (l2, l3):
-        return "; printed l2,l3 formulas match the exact solve"
-    return (
-        f"; printed l2,l3 formulas give ({pl2},{pl3}) vs exact "
-        f"({l2},{l3}) - scale/sign garbled in print"
-    )
-
-
-@cache
 def _l5_8c_rows() -> list[Callable]:
     """L5-8c's oracle rows at alpha = beta = gamma = 1 and e = 0, derived
     once, symbolic in l.  Each row is linear in b or in A; per side, a
@@ -930,11 +797,7 @@ def _sample_l5_8c(rng) -> LVSystem:
             avec = [x + c * y for x, y in zip(avec, v)]
         if all(v == 0 for v in avec) and all(v == 0 for v in bvec):
             continue
-        s = make_system(
-            b=tuple(bvec),
-            A=(tuple(avec[0:3]), tuple(avec[3:6]), tuple(avec[6:9])),
-            e=(0, 0, 0),
-        )
+        s = make_system(b=bvec, A=(avec[0:3], avec[3:6], avec[6:9]), e=(0, 0, 0))
         # keep only instances where the rule produces a nonconstant integral
         for m2 in rule.match(s):
             try:
@@ -957,21 +820,13 @@ def _sample_triv3(rng) -> LVSystem:
 # registry
 # =============================================================================
 
-def _direction_rule(**fields) -> Rule:
-    """A rule whose matcher is derived from its Ansatz template."""
-    rule = Rule(match=None, scale_free=True, **fields)
+def _direction_rule(*, printed: Optional[_PrintedVerdict] = None, notes=(), **fields) -> Rule:
+    """A rule whose matcher is derived from its Ansatz template, with the
+    audited verdict on its printed integral when the paper prints one."""
+    notes = [*notes, *(printed.notes() if printed else ())]
+    rule = Rule(match=None, scale_free=True, compare_printed=printed, notes=notes, **fields)
     rule.match = _ConstantDirection(rule)
     return rule
-
-
-# L3-1's 2D-embedded integral is L2-i's printed formula
-_L2I_PRINTED = _PrintedForm(
-    ("b1", (1, 1, 0)),
-    ("a11", (2, 1, 0)),
-    ("-a22", (1, 2, 0)),
-    ("e1", (0, 1, 0)),
-    ("-e2", (1, 0, 0)),
-)
 
 
 RULES_3D: list[Rule] = [
@@ -984,7 +839,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "2*a11+a21", "2*a22+a12", "a13", "a23"],
         guards=["alpha' != 0"],
         sample=_sample_l2i,
-        compare_printed=_L2I_PRINTED,
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L2-ii",
@@ -1003,18 +858,7 @@ RULES_3D: list[Rule] = [
         ],
         guards=["alpha' != 0", "beta' != 0"],
         sample=_sample_l2ii,
-        compare_printed=_PrintedForm(
-            ("-2*b1*a33", (1, 0, 1)),
-            ("-2*b1*a22", (1, 1, 0)),
-            ("-2*a11*a33", (2, 0, 1)),
-            ("2*a11*a22", (2, 1, 0)),
-            ("2*a33^2", (1, 0, 2)),
-            ("2*a22^2", (1, 2, 0)),
-            ("4*a22*a33", (1, 1, 1)),
-            ("2*(e3*a33 + e2*a22)", (1, 0, 0)),
-            ("-2*e1*a33", (0, 0, 1)),
-            ("2*e1*a22", (0, 1, 0)),
-        ),
+        printed=_PrintedVerdict(_FAILS, ("a11*a22 == 0 and e1*a22 == 0", _AGREES)),
         notes=["printed formula has sign typos on the x1^2*x2 and x2 terms"],
     ),
     _direction_rule(
@@ -1036,17 +880,7 @@ RULES_3D: list[Rule] = [
         ],
         guards=["alpha' != 0", "beta' != 0", "gamma' != 0"],
         sample=_sample_l2iii,
-        compare_printed=_PrintedForm(
-            ("a11^2*a22", (2, 1, 0)),
-            ("-a11^2*a33", (2, 0, 1)),
-            ("-a11*a22^2", (1, 2, 0)),
-            ("a11*a33^2", (1, 0, 2)),
-            ("a22^2*a33", (0, 2, 1)),
-            ("-a22*a33^2", (0, 1, 2)),
-            ("-a11*a22*e2 + a11*a33*e3", (1, 0, 0)),
-            ("a11*a22*e1 - a22*a33*e3", (0, 1, 0)),
-            ("a22*a33*e2 - a11*a33*e1", (0, 0, 1)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L3-1",
@@ -1057,7 +891,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "2*a11+a21", "a12+2*a22", "a13", "a23"],
         guards=[],
         sample=_sample_l3_1,
-        compare_printed=_L2I_PRINTED,
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L3-2",
@@ -1076,9 +910,7 @@ RULES_3D: list[Rule] = [
         ],
         guards=["a13-a23 != 0"],
         sample=_sample_l3_2,
-        compare_printed=_PrintedForm(
-            ("(a13-a23)/2", (1, 1, 2)), ("e1", (0, 1, 1)), ("-e2", (1, 0, 1))
-        ),
+        printed=_PrintedVerdict(_AGREES),
         notes=[
             "printed condition a12-a32=0 deviates: the oracle system requires "
             "a12-a22=0 (with a22+a32=0)"
@@ -1105,8 +937,8 @@ RULES_3D: list[Rule] = [
         ],
         guards=["(b3, a31, a32, a33) != (0, 0, 0, 0)"],
         sample=_sample_l3_3,
-        compare_printed=_PrintedForm(
-            ("e1", (0, 1, "l3")), ("-e2", (1, 0, "l3")), what="formula (with exact-solved l3)"
+        printed=_PrintedVerdict(
+            "agrees: printed formula (with exact-solved l3) proportional to constructed integral"
         ),
         notes=[
             "printed defining equation b1 - b3*l3 = 0 has a sign typo; the "
@@ -1123,12 +955,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1", "a11", "a12", "a13", "a22*a33 - a23*a32"],
         guards=[],
         sample=_sample_l4_1,
-        compare_printed=_PrintedForm(
-            ("-B2", (1, 0, 0)),
-            ("-A21/2", (2, 0, 0)),
-            ("alpha*e1", (0, 0, 0), (0, 1, 0)),
-            ("beta*e1", (0, 0, 0), (0, 0, 1)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L4-2",
@@ -1139,7 +966,7 @@ RULES_3D: list[Rule] = [
         residuals=["b2", "a21", "a22", "b1+b3", "a11+a31", "a12+a32", "a13+a33"],
         guards=["a23 != 0"],
         sample=_sample_l4_2,
-        compare_printed=_PrintedForm(("-a23", (1, 0, 1)), ("e1", (0, 0, 0), (0, 1, 0))),
+        printed=_PrintedVerdict(_AGREES),
     ),
     Rule(
         id="L4-3",
@@ -1170,11 +997,7 @@ RULES_3D: list[Rule] = [
         ],
         guards=["A33 != 0"],
         sample=_sample_l4_4,
-        compare_printed=_PrintedForm(
-            ("A33", (1, 0, 1)),
-            ("beta*e1", (0, 0, 0), (0, 0, 1)),
-            ("-gamma*e1", (0, 0, 0), (0, 1, 0)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L4-5",
@@ -1185,12 +1008,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "b1+b3", "a11+a21", "a11+a31", "a12+a22", "a13+a33"],
         guards=["a12+a32 != 0", "a13+a23 != 0"],
         sample=_sample_l4_5,
-        compare_printed=_PrintedForm(
-            ("a13+a23", (0, 0, 1)),
-            ("-(a12+a32)", (0, 1, 0)),
-            ("e1", (0, 0, 0), (0, 0, 1)),
-            ("-e1", (0, 0, 0), (0, 1, 0)),
-        ),
+        printed=_PrintedVerdict(_FAILS),
         notes=["printed formula drops the x1 factors of the quadratic terms"],
     ),
     _direction_rule(
@@ -1202,12 +1020,7 @@ RULES_3D: list[Rule] = [
         residuals=["b2", "a21", "a22", "b1+b3", "a11+a31", "a12+a32"],
         guards=["a23 != 0", "a13+a33 != 0"],
         sample=_sample_l4_6,
-        compare_printed=_PrintedForm(
-            ("-a23", (1, "l2", 1)),
-            ("e1/l2", (0, "l2", 0)),
-            note=" (printed conditions say b1=a21=a22=0; the oracle system "
-            "requires b2=a21=a22=0)",
-        ),
+        printed=_PrintedVerdict(_AGREES),
         notes=["printed condition b1=0 deviates: the oracle system requires b2=0"],
     ),
     _direction_rule(
@@ -1228,9 +1041,7 @@ RULES_3D: list[Rule] = [
         ],
         guards=["(l2, l3) != (0, 0)"],
         sample=_sample_l4_7,
-        compare_printed=_PrintedForm(
-            ("b1", (1, "l2", "l3")), ("a11", (2, "l2", "l3")), ("e1", (0, "l2", "l3"))
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L4-8",
@@ -1251,7 +1062,7 @@ RULES_3D: list[Rule] = [
         ],
         guards=["a13+a33 != 0", "A23 != 0", "A33 != 0", "gamma != 0"],
         sample=_sample_l4_8,
-        compare_printed=_PrintedForm(("a13+a33", (1, "l2", "l3+1")), ("e1", (0, "l2", "l3"))),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L4-9",
@@ -1268,10 +1079,8 @@ RULES_3D: list[Rule] = [
         ],
         guards=["a12+a22 != 0", "a22-a32 != 0", "a13+a33 != 0", "a23-a33 != 0"],
         sample=_sample_l4_9,
-        compare_printed=_PrintedForm(
-            ("(a12+a22)/l3", (1, "l2+1", "l3")),
-            ("(a13+a23)/(l3+1)", (1, "l2", "l3+1")),
-            ("e1/l3", (0, "l2", "l3")),
+        printed=_PrintedVerdict(
+            _AGREES, ("l3*(l3+1) == 0", "printed formula undefined here (zero denominator)")
         ),
     ),
     _direction_rule(
@@ -1283,12 +1092,7 @@ RULES_3D: list[Rule] = [
         residuals=["a11", "a12", "a13", "a22*a33 - a32*a23"],
         guards=["b1 != 0"],
         sample=_sample_l5_1,
-        compare_printed=_PrintedForm(
-            ("alpha*b1", (0, 0, 0), (0, 1, 0)),
-            ("-alpha*b2 - beta*b3", (0, 0, 0), (1, 0, 0)),
-            ("-alpha*a21 - beta*a31", (1, 0, 0)),
-            ("beta*b1", (0, 0, 0), (0, 0, 1)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L5-2",
@@ -1299,12 +1103,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1", "a12", "a13", "a22*a33 - a32*a23"],
         guards=["a11 != 0"],
         sample=_sample_l5_2,
-        compare_printed=_PrintedForm(
-            ("alpha*b2 + beta*b3", (-1, 0, 0)),
-            ("-alpha*a21 - beta*a31", (0, 0, 0), (1, 0, 0)),
-            ("alpha*a11", (0, 0, 0), (0, 1, 0)),
-            ("beta*a11", (0, 0, 0), (0, 0, 1)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L5-3",
@@ -1315,12 +1114,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1-b2", "a12-a22", "a13-a23", "b1*a33 - b3*a13"],
         guards=["A22 != 0", "(A11, A31) != (0, 0)"],
         sample=_sample_l5_3,
-        compare_printed=_PrintedForm(
-            ("A31", (0, 0, 0), (0, 0, 1)),
-            ("A11", (0, 0, 0), (0, 1, 0)),
-            ("-A21", (0, 0, 0), (1, 0, 0)),
-            ("A22", (-1, 1, 0)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     _direction_rule(
         id="L5-4",
@@ -1331,13 +1125,7 @@ RULES_3D: list[Rule] = [
         residuals=["b1-b2", "b1-b3", "a12-a22", "a13-a33"],
         guards=["(a11-a31, a11-a21) != (0,0)", "a22-a32 != 0", "a23-a33 != 0"],
         sample=_sample_l5_4,
-        compare_printed=_PrintedForm(
-            ("-(a11-a21)", (0, 0, 0), (0, 0, 1)),
-            ("a11-a31", (0, 0, 0), (0, 1, 0)),
-            ("-(a21-a31)", (0, 0, 0), (1, 0, 0)),
-            ("a22-a32", (-1, 1, 0)),
-            ("-(a13-a23)", (-1, 0, 1)),
-        ),
+        printed=_PrintedVerdict(_AGREES),
     ),
     Rule(
         id="L5-5",
@@ -1378,8 +1166,10 @@ RULES_3D: list[Rule] = [
         ],
         guards=["A33 != 0", "A13 != 0", "A23 != 0", "A12 != 0"],
         sample=_sample_l5_7a,
-        compare_printed=_cmp_l5_7a,
-        notes=["printed l2 has a sign typo (exact solve gives +A13/A33)"],
+        printed=_PrintedVerdict(
+            "deviates: printed l2 = -A13/A33 but the exact solve gives l2 = A13/A33 "
+            "(sign typo in the printed exponent)"
+        ),
     ),
     _direction_rule(
         id="L5-7b",
@@ -1415,11 +1205,7 @@ RULES_3D: list[Rule] = [
             "a13-a23 != 0",
         ],
         sample=_sample_l5_7c,
-        compare_printed=_PrintedForm(
-            ("(a21-a31)/(l1+1)", ("l1+1", "l2", 0)),
-            ("(a22-a32)/l2", ("l1", "l2+1", 0)),
-            ("a13-a23", ("l1", "l2", 1)),
-        ),
+        printed=_PrintedVerdict(_FAILS, ("2*l1+1 == 0 and 2*l2+1 == 0", _AGREES)),
         notes=[
             "printed formula is garbled: the exact construction gives "
             "x1^l1 x2^l2 ((a11-a31)x1/l2 + (a12-a32)x2/(l2+1) + (a23-a13)x3)"
@@ -1434,8 +1220,11 @@ RULES_3D: list[Rule] = [
         residuals=["b1+b2", "a11+a21", "a12+a22", "a12-a32", "(b1-b3)*a23 - (b2+b3)*a13"],
         guards=["a13+a23 != 0"],
         sample=_sample_l5_7d,
-        compare_printed=_cmp_l5_7d,
-        notes=["printed l2 formula is missing a division by (a13+a23)"],
+        printed=_PrintedVerdict(
+            "deviates: printed l2 = -(a33-a13)(a13+a23) is missing the division of the "
+            "exact l2 = -(a33-a13)/(a13+a23)",
+            ("(a33-a13)*((a13+a23)^2 - 1) == 0", "agrees: printed l2 formula matches exact solve"),
+        ),
     ),
     _direction_rule(
         id="L5-8a",
@@ -1454,8 +1243,9 @@ RULES_3D: list[Rule] = [
         ],
         guards=["b1^2 + a11^2 != 0", "(l2, l3) != (0, 0) or (b1 != 0 and l1 != 0)"],
         sample=_sample_l5_8a,
-        compare_printed=_PrintedForm(
-            ("b1", ("l1", "l2", "l3")), ("a11", ("l1+1", "l2", "l3")), note=_l5_8a_exponent_note
+        printed=_PrintedVerdict(
+            _AGREES + "; printed l2,l3 formulas give (l2/l1, -l3/l1) for the exact (l2, l3)",
+            ("b1*l1 == 0 or (a22, a23, a32, a33) == (0, 0, 0, 0)", _AGREES),
         ),
     ),
     _direction_rule(
@@ -1473,8 +1263,10 @@ RULES_3D: list[Rule] = [
             "a12*(a23-a33) - a13*(a22-a32) != 0",
         ],
         sample=_sample_l5_8b,
-        compare_printed=_cmp_l5_8b,
-        notes=["printed l2 formula equals the exact l3 (swap typo)"],
+        printed=_PrintedVerdict(
+            "deviates: printed l2 formula gives the exact l3 (l2/l3 swapped in print)",
+            ("l2 == l3", "agrees: printed l2 formula matches exact solve"),
+        ),
     ),
     _direction_rule(
         id="L5-8c",
@@ -1483,7 +1275,13 @@ RULES_3D: list[Rule] = [
         pattern=(False, False, False),
         ansatz=("3d-t2", (1, 1, 1), ("l1", "l2", "l3")),
         sample=_sample_l5_8c,
-        compare_printed=_cmp_l5_8c,
+        printed=_PrintedVerdict(
+            "agrees: the printed exponent formulas defined here match the exact solve",
+            (
+                "(A11*A22 - A21*A12, A31*A23 - A21*A33) == (0, 0)",
+                "printed closed forms undefined here (zero denominators); exact solve used",
+            ),
+        ),
         notes=[
             "the 12-row condition system at alpha=beta=gamma=1 is consistent",
             "printed condition list is fragmented; implemented by the exact "

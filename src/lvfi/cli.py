@@ -47,6 +47,14 @@ def _frac(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _count(text: str) -> int:
+    # a sweep of no samples has no worst case to report: a usage error
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: LVFI_SEED or 42)")
     p.add_argument("--points", type=int, default=50, help="Lie-check sample count")
@@ -99,7 +107,7 @@ def _oracle_arguments(p: argparse.ArgumentParser):
 
 def _sweep_arguments(p: argparse.ArgumentParser):
     p.add_argument("--rule", required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_count, default=20)
 
 
 # name: (help, the subcommand's own arguments)

@@ -25,10 +25,10 @@ this), each row of a solve homogeneous of one degree, so the row space, the
 nullspace and the solution are unchanged.  run_rules therefore decides the
 scale-free steps on integer_view(s), scaled to primitive integers, and
 reads the Fraction system only where the scale shows: params, the hand
-matchers, the integrals outside GenPoly and the printed-formula
-comparisons.  The integral built on the integer view is a nonzero multiple
-of the one built on the Fraction system, and normalize_for_output removes
-the multiple.
+matchers, the integrals outside GenPoly and the conditions of the printed
+forms' audited verdicts (Rule.compare_printed).  The integral built on the
+integer view is a nonzero multiple of the one built on the Fraction system,
+and normalize_for_output removes the multiple.
 
 The exponents stay on integers too.  An Ansatz factor x^(l-1) has rational
 exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
@@ -55,8 +55,8 @@ tests/test_detection.py):
     candidate must still be reported;
   * the gate keys a GenPoly integral in output form (_integral_key) right
     after construction, and a key already emitted collapses the match
-    before the printed-form comparison and the Lie gate, whose outcome is
-    the same for the same integral up to a scalar and an additive constant.
+    before the Lie gate, whose outcome is the same for the same integral up
+    to a scalar and an additive constant.
     That is the one collapse of a stated integral, which has no factor key,
     and of a differing factor that builds an emitted integral (L5-8c).
 """
@@ -112,8 +112,9 @@ class Rule:
     residuals: list[str] = field(default_factory=list)
     guards: list[str] = field(default_factory=list)
     sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
-    # (s2, Match, GenPoly) -> str|None: a printed closed form, compiled from
-    # data (catalog3d._PrintedForm), or a function for a bespoke message
+    # (s2, Match, H2) -> str: the audited verdict on the paper's printed
+    # integral (catalog3d._PrintedVerdict), a detection's
+    # paper_formula_deviation
     compare_printed: Optional[Callable] = None
     notes: list[str] = field(default_factory=list)
     # (kind, direction template, exponent template) when the matcher is
@@ -322,8 +323,8 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
     """Apply every rule under every pattern-compatible relabeling.
 
     Each relabeling has two views: the lifted Fraction system, which params,
-    the hand matchers, H_expr integrals and printed forms read, and its
-    integer view (integer_view), which every scale-free step reads: the
+    the hand matchers, H_expr integrals and printed-form verdicts read, and
+    its integer view (integer_view), which every scale-free step reads: the
     pattern test, the scale_free matchers, the curl residual, the gradient
     targets, the potential and the Lie gate.
     """
@@ -424,18 +425,18 @@ def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set):
     the residual, the targets and the potential read s2i, with the
     direction scaled to primitive integers too (each is linear in it).  On
     these views T f and the potential are positive multiples of those on
-    s2; the zero tests are unchanged, printed forms are compared up to a
-    factor, and normalize_for_output removes the scale.  The separable
-    chart's parameters carry the coefficients' scale, so its residual reads
-    s2.
+    s2; the zero tests are unchanged, and normalize_for_output removes the
+    scale.  The separable chart's parameters carry the coefficients' scale,
+    so its residual reads s2.
 
     T f/R is built once and read by the residual and the targets; the
     targets, the potential and the Lie gate work on the match's exponent
     lattice (module docstring), and a stated integral is gated in x.  The
-    H mapped back to x is what the printed form, the key and the output
-    read.  The Lie gate reads s2i, the original system's integer
-    view with the coordinates renamed, so its zero test is the one in the
-    original coordinates.
+    H mapped back to x is what the key and the output read.  The Lie gate
+    reads s2i, the original system's integer view with the coordinates
+    renamed, so its zero test is the one in the original coordinates.  A
+    detection's paper_formula_deviation is its rule's audited verdict on the
+    printed integral (Rule.compare_printed), taken once the gate has passed.
     """
     n = s2.dim
     if m.ansatz is not None:
@@ -494,12 +495,12 @@ def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set):
     key = _integral_key(rule.family, Hn)
     if key in seen:
         return None, None
-    deviation = None if rule.compare_printed is None else rule.compare_printed(s2, m, H2)
     if not lie_genpoly(Hy, s2i, lattice=d).is_zero():
         return None, Candidate(
             rule.id, p.sigma, m.params, "exact Lie derivative nonzero on original system"
         )
     seen.add(key)
+    deviation = None if rule.compare_printed is None else rule.compare_printed(s2, m, H2)
     det = Detection(
         rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
         citation=rule.citation,

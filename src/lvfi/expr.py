@@ -492,10 +492,6 @@ def from_json_obj(obj) -> Expr:
     raise ValueError(f"unknown op {op!r}")
 
 
-def to_json(h: Expr) -> str:
-    return json.dumps(to_json_obj(h))
-
-
 def from_json(text: str) -> Expr:
     return from_json_obj(json.loads(text))
 

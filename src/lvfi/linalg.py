@@ -31,10 +31,6 @@ Mat = tuple[Vec, ...]
 _ZERO = Fraction(0)
 
 
-def as_matrix(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def as_vector(xs) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
@@ -190,10 +186,6 @@ def infeasibility_certificate(m: Mat, r) -> Vec:
     if y is None:
         raise ValueError("m @ l = r is consistent: no infeasibility certificate")
     return y
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def vec_dot(a: Vec, b: Vec) -> Fraction:

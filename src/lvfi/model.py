@@ -245,26 +245,6 @@ def lift_exact(s: LVSystem) -> LVSystem:
     )
 
 
-def to_float(s: LVSystem) -> tuple[LVSystem, bool]:
-    """Float version of a system plus a flag marking lossy conversion."""
-    lossy = False
-    if s.kind == RATIONAL:
-        for v in s.entries():
-            if Fraction(float(v)) != v:
-                lossy = True
-                break
-    return (
-        LVSystem(
-            dim=s.dim,
-            b=tuple(float(v) for v in s.b),
-            A=tuple(tuple(float(v) for v in row) for row in s.A),
-            e=tuple(float(v) for v in s.e),
-            kind=FLOAT,
-        ),
-        lossy,
-    )
-
-
 FIELD_PARAMETERS = "b0, b1, b2, e0, e1, e2, a00, a01, a02, a10, a11, a12, a20, a21, a22"
 
 

@@ -10,7 +10,7 @@ parameter symbols (a11, b2, e3, al, l1, ...).  GenPoly only needs +, *,
 unary - and truthiness (zero test) from its coefficient ring, so both plug
 in unchanged.  Concrete coefficients may also be ints (a system's integer
 view, detection.integer_view), mixed freely with Fractions; the only
-division, in ``integrate`` and ``normalized``, goes through ``quotient``,
+division, in ``integrate`` and ``ratio``, goes through ``quotient``,
 so an int over an int gives a Fraction, never a float.
 
 Exponent canonical form: a GenPoly power is an ``int`` when it is a whole
@@ -92,24 +92,6 @@ class SymPoly:
         return SymPoly(out)
 
     __rmul__ = __mul__
-
-    def proportional(self, other: "SymPoly"):
-        """Return q with self == q * other (q a nonzero Fraction), else None."""
-        return ratio(self.terms, other.terms)
-
-    def subs_partial(self, values: dict[str, Fraction]) -> "SymPoly":
-        """Substitute Fractions for a subset of symbols."""
-        out = SymPoly()
-        for m, c in self.terms.items():
-            coef = c
-            rest = []
-            for name, p in m:
-                if name in values:
-                    coef *= Fraction(values[name]) ** p
-                else:
-                    rest.append((name, p))
-            out = out + SymPoly({tuple(sorted(rest)): coef})
-        return out
 
     def __str__(self) -> str:
         if not self.terms:
@@ -282,16 +264,6 @@ class GenPoly:
                 _acc(out, (np, nk), c * k[i])
         return GenPoly._of(self.nvars, out)
 
-    def shift(self, i: int, k: int) -> "GenPoly":
-        """Multiply by x_i^k."""
-        return GenPoly._of(
-            self.nvars,
-            {
-                (tuple(q + k * int(j == i) for j, q in enumerate(p)), lg): c
-                for (p, lg), c in self.terms.items()
-            },
-        )
-
     def integrate(self, i: int) -> "GenPoly":
         """Exact antiderivative in x_i (constant of integration zero)."""
         out: dict[Key, object] = {}
@@ -302,10 +274,6 @@ class GenPoly:
     def depends_on(self, i: int) -> bool:
         return any(p[i] != 0 or k[i] != 0 for p, k in self.terms)
 
-    def coeff(self, powers, logs=None):
-        key = (tuple(powers), tuple(logs) if logs else (0,) * self.nvars)
-        return self.terms.get(key)
-
     def drop_constant(self) -> "GenPoly":
         zero = (0,) * self.nvars
         out = dict(self.terms)
@@ -314,15 +282,6 @@ class GenPoly:
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def normalized(self) -> "GenPoly":
-        """Canonical scaling: divide by the leading coefficient so the first
-        term in canonical order has coefficient 1."""
-        items = self.items_sorted()
-        if not items:
-            return self
-        lead = items[0][1]
-        return GenPoly._of(self.nvars, {k: quotient(c, lead) for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
-from lvfi.model import make_system
-from lvfi.poly import ratio
+from lvfi.linalg import Mat
+from lvfi.model import FLOAT, RATIONAL, LVSystem, make_system
+from lvfi.poly import GenPoly, SymPoly, quotient, ratio
 
 
 def rand_fraction(rng, nonzero=False, num=6, den=3):
@@ -17,8 +18,54 @@ def rand_fraction(rng, nonzero=False, num=6, den=3):
 
 def same_integral(p, q) -> bool:
     """p = c q + const for some c != 0 (GenPolys): the nonconstant terms
-    are proportional, the test catalog3d._cmp_against makes."""
+    are proportional, the test the printed-form audit makes
+    (printed_forms.cmp_against)."""
     return ratio(p.drop_constant().terms, q.drop_constant().terms) is not None
+
+
+def normalized(H: GenPoly) -> GenPoly:
+    """H divided by the coefficient of its first term in canonical order."""
+    items = H.items_sorted()
+    if not items:
+        return H
+    lead = items[0][1]
+    return GenPoly._of(H.nvars, {k: quotient(c, lead) for k, c in H.terms.items()})
+
+
+def shift(g: GenPoly, i: int, k) -> GenPoly:
+    """g times x_i^k."""
+    return GenPoly._of(
+        g.nvars,
+        {
+            (tuple(q + k * int(j == i) for j, q in enumerate(p)), lg): c
+            for (p, lg), c in g.terms.items()
+        },
+    )
+
+
+def subs_partial(p: SymPoly, values: dict) -> SymPoly:
+    """p with Fractions substituted for some of its symbols."""
+    out = SymPoly()
+    for m, c in p.terms.items():
+        coef, rest = c, []
+        for name, k in m:
+            if name in values:
+                coef *= Fraction(values[name]) ** k
+            else:
+                rest.append((name, k))
+        out = out + SymPoly({tuple(sorted(rest)): coef})
+    return out
+
+
+def as_matrix(rows) -> Mat:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def to_float(s: LVSystem) -> tuple[LVSystem, bool]:
+    """Float copy of a system, and whether converting a rational one lost
+    precision."""
+    lossy = s.kind == RATIONAL and any(Fraction(float(v)) != v for v in s.entries())
+    return make_system(s.b, s.A, s.e, kind=FLOAT), lossy
 
 
 def slowed(s, mu=Fraction(1, 8)):

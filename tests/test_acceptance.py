@@ -17,11 +17,12 @@ from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, detect3d
 from lvfi.detection import _canonical_monomial, _permute_genpoly, ansatz_residual
 from lvfi.model import Permutation, make_system, permute_system
 from lvfi.oracle import AnsatzSpec, derive_conditions
-from lvfi.poly import SymPoly
+from lvfi.poly import SymPoly, ratio
 from lvfi.potential import lie_genpoly
 from lvfi.verify import conservation_report, integrate, lie_check
 
-from conftest import rand_fraction, random_expr, slowed
+from conftest import normalized, rand_fraction, random_expr, slowed, subs_partial
+from printed_forms import audit
 
 F = Fraction
 LIE_TOL = 1e-10
@@ -308,15 +309,15 @@ def _sym(name):
 def _dedup_sympoly(polys):
     out = []
     for p in polys:
-        if p and not any(p.proportional(q) is not None for q in out):
+        if p and not any(ratio(p.terms, q.terms) is not None for q in out):
             out.append(p)
     return out
 
 
 def _sets_match(derived, printed):
     return all(
-        any(p.proportional(q) is not None for q in derived) for p in printed
-    ) and all(any(q.proportional(p) is not None for p in printed) for q in derived)
+        any(ratio(p.terms, q.terms) is not None for q in derived) for p in printed
+    ) and all(any(ratio(q.terms, p.terms) is not None for p in printed) for q in derived)
 
 
 def test_criterion_5_derivation_equivalence():
@@ -348,7 +349,7 @@ def test_criterion_5_derivation_equivalence():
     # 3D T1 at unit exponents: the twelve printed parameter conditions
     rows_t1 = derive_conditions(AnsatzSpec("3d-t1"))
     ones = {"l1": F(1), "l2": F(1), "l3": F(1)}
-    derived_t1 = _dedup_sympoly([r.poly.subs_partial(ones) for r in rows_t1])
+    derived_t1 = _dedup_sympoly([subs_partial(r.poly, ones) for r in rows_t1])
     printed_t1 = [
         al * (b[1] + b[2]),
         be * (b[1] + b[3]),
@@ -374,14 +375,14 @@ def test_criterion_5_derivation_equivalence():
     ):
         forced = set()
         for r in rows_t1:
-            p = r.poly.subs_partial(others)
+            p = subs_partial(r.poly, others)
             if not p:
                 continue
             names = {nm for mono in p.terms for nm, _ in mono}
             if branch not in names or not any(f"e{i}" in names for i in (1, 2, 3)):
                 continue
             for j in (1, 2, 3):
-                if f"l{j}" in names and not p.subs_partial({f"l{j}": F(1)}):
+                if f"l{j}" in names and not subs_partial(p, {f"l{j}": F(1)}):
                     forced.add(j)
         assert forced == {1, 2, 3}, f"branch {branch} does not force unit exponents"
 
@@ -436,10 +437,12 @@ def test_criterion_6_typo_arbitration():
             assert dets, rule_id
             d = dets[0]
             assert _exact_zero_certificate(d, s)
-            assert d.paper_formula_deviation is not None, (
-                f"{rule_id}: no printed-formula comparison recorded"
-            )
-            if d.paper_formula_deviation.startswith("agrees"):
+            # the audit's verdict on the printed formula at that detection,
+            # which is the note the detection reports
+            verdict, note = next((v, n) for rid, v, n in audit([s]) if rid == rule_id)
+            assert verdict == note == d.paper_formula_deviation
+            assert verdict is not None, f"{rule_id}: no printed-formula comparison recorded"
+            if verdict.startswith("agrees"):
                 agree += 1
             else:
                 deviate += 1
@@ -466,7 +469,7 @@ def _canonical_detections(dets, sigma=None):
         if sigma is not None:
             H = _permute_genpoly(H, sigma)
         H = _canonical_monomial(H.drop_constant())
-        out.add((_family(d), frozenset(H.normalized().terms.items())))
+        out.add((_family(d), frozenset(normalized(H).terms.items())))
     return out
 
 

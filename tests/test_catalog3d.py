@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lvfi.catalog3d import (
-    RULES_3D,
-    SAMPLERS_3D,
-    _PrintedForm,
-    _l5_8c_rows,
-    detect3d,
-    term_table,
-)
+from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _l5_8c_rows, detect3d, term_table
 from lvfi import detection
 from lvfi.detection import (
     _canonical_monomial,
@@ -22,7 +15,8 @@ from lvfi.linalg import nullspace
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.potential import GenPoly
 
-from conftest import rand_fraction, same_integral
+from conftest import normalized, rand_fraction, same_integral
+from printed_forms import PRINTED, UNDEFINED, PrintedForm, audit, printed_calls
 
 F = Fraction
 
@@ -120,7 +114,7 @@ def test_l2_iii_symmetric_coupling_instance():
         + GenPoly.term(3, -1, (0, 1, 2))
     )
     assert same_integral(expect, d.H_gen)
-    assert d.paper_formula_deviation.startswith("agrees")
+    assert _first_verdict(s, "L2-iii").startswith("agrees")
 
 
 def test_l3_1_2d_embedded_instance():
@@ -223,7 +217,7 @@ def test_equivariance_smoke():
                 H = _permute_genpoly(H, sigma)
             H = _canonical_monomial(H.drop_constant())
             out.add(
-                (d.rule_id.split("/")[0], frozenset(H.normalized().terms.items()))
+                (d.rule_id.split("/")[0], frozenset(normalized(H).terms.items()))
             )
         return out
 
@@ -253,34 +247,39 @@ def test_rule_conditions_lookup():
     assert (rep["id"], rep["dim"]) == ("L5-7d", 3)
 
 
+def _first_verdict(s, rule_id):
+    """The audited verdict on the printed form at the first detection of
+    rule_id on s, which must be the note that detection reports."""
+    d = next(x for x in detect3d(s) if x.rule_id == rule_id)
+    verdict, note = next((v, note) for rid, v, note in audit([s]) if rid == rule_id)
+    assert verdict == note == d.paper_formula_deviation
+    return verdict
+
+
 def test_printed_formula_comparison_outcomes():
     rng = random.Random(8)
     # L4-1: printed formula is consistent with the construction
-    s = SAMPLERS_3D["L4-1"](rng)
-    d = [x for x in detect3d(s) if x.rule_id == "L4-1"][0]
-    assert d.paper_formula_deviation.startswith("agrees")
+    assert _first_verdict(SAMPLERS_3D["L4-1"](rng), "L4-1").startswith("agrees")
     # L4-5: printed formula is garbled (missing x1 factors)
-    s = SAMPLERS_3D["L4-5"](rng)
-    d = [x for x in detect3d(s) if x.rule_id == "L4-5"][0]
-    assert d.paper_formula_deviation.startswith("deviates")
+    assert _first_verdict(SAMPLERS_3D["L4-5"](rng), "L4-5").startswith("deviates")
     # L5-7d: printed exponent formula lacks a division
-    s = SAMPLERS_3D["L5-7d"](rng)
-    d = [x for x in detect3d(s) if x.rule_id == "L5-7d"][0]
-    assert d.paper_formula_deviation is not None
+    assert _first_verdict(SAMPLERS_3D["L5-7d"](rng), "L5-7d") is not None
     # L4-9 at l2 = 1: the printed form divides by l3 + 1 = 0, so there is
     # no comparison (draw 3 of its sampler at seed 1)
     rng = random.Random(1)
     s = [SAMPLERS_3D["L4-9"](rng) for _ in range(4)][3]
-    d = [x for x in detect3d(s) if x.rule_id == "L4-9"][0]
-    assert d.ansatz[2] == (1, 1, -1)
-    assert d.paper_formula_deviation is None
+    _, s2, m, H2, note = next(c for c in printed_calls([s]) if c[0] == "L4-9")
+    assert m.ansatz[2] == (1, 1, -1)
+    assert PRINTED["L4-9"](s2, m, H2) == note == UNDEFINED
 
 
 def test_printed_forms_compile_and_evaluate_at_their_matches():
-    rules = [r for r in RULES_3D if isinstance(r.compare_printed, _PrintedForm)]
-    assert len({id(r.compare_printed) for r in rules}) == 19  # L2-i, L3-1 share
-    for rule in rules:
-        form = rule.compare_printed
+    forms = {rid: f for rid, f in PRINTED.items() if isinstance(f, PrintedForm)}
+    assert len({id(f) for f in forms.values()}) == 19  # L2-i, L3-1 share
+    for rule in RULES_3D:
+        form = forms.get(rule.id)
+        if form is None:
+            continue
         s = rule.sample(random.Random(rule.id))
         matches = rule.match(s)
         assert matches, rule.id

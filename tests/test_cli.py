@@ -121,6 +121,14 @@ def test_oracle_bad_fraction_is_a_usage_error(volterra_path, capsys, value):
     assert f"invalid _frac value: '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_sweep_count_below_one_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--rule", "L2-i", "--count", value])
+    assert exc.value.code == 2
+    assert f"argument --count: must be at least 1, got '{value}'" in capsys.readouterr().err
+
+
 def test_oracle_zero_and_nonzero(volterra_path, capsys):
     rc = main(
         ["oracle", "--input", volterra_path, "--ansatz", "2d",
@@ -193,7 +201,7 @@ def test_catalog_lists_rules(capsys):
 
 # sha256 of `lvfi catalog --format json`; a new value means the printed
 # conditions changed and must be justified.
-CATALOG_JSON_SHA256 = "d5172e6eed475f508549076f52c17e766a358887bb1216985f3606440bdab1e9"
+CATALOG_JSON_SHA256 = "5e1ac3fef2cb5bcdb8c985466e745fac7e6d319c7f654cce36d39aaef1fa9e60"
 
 
 def test_catalog_json_is_pinned(capsys):

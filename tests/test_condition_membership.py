@@ -16,9 +16,11 @@ import pytest
 
 from lvfi.catalog3d import RULES_3D
 from lvfi.detection import condition_function, condition_source
-from lvfi.linalg import as_matrix, solve_constrained
+from lvfi.linalg import solve_constrained
 from lvfi.oracle import AnsatzSpec, derive_conditions
 from lvfi.poly import SymPoly
+
+from conftest import as_matrix, subs_partial
 
 F = Fraction
 S = SymPoly.sym
@@ -45,7 +47,7 @@ def _specialized_rows(rule) -> list[SymPoly]:
         if want is False:
             values[f"e{i + 1}"] = F(0)
     rows = derive_conditions(AnsatzSpec(kind))
-    return [p for p in (row.poly.subs_partial(values) for row in rows) if p]
+    return [p for p in (subs_partial(row.poly, values) for row in rows) if p]
 
 
 def _in_linear_span(target: SymPoly, basis: list[SymPoly]) -> bool:

@@ -16,7 +16,9 @@ import pytest
 from lvfi import detection, oracle
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D
-from lvfi.model import Permutation, lift_exact, make_system, parse_system, permute_system, to_float
+from lvfi.model import Permutation, lift_exact, make_system, parse_system, permute_system
+
+from conftest import to_float
 
 VOLTERRA = '{"dim":2,"b":[1,-1],"A":[[0,-1],[1,0]],"e":[0,0]}'
 

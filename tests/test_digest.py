@@ -31,12 +31,12 @@ import pytest
 from lvfi import expr as ex
 from lvfi.catalog2d import SAMPLERS_2D, detect2d, detect2d_full
 from lvfi.catalog3d import SAMPLERS_3D, detect3d, detect3d_full
-from lvfi.model import lift_exact, make_system, parse_system, to_float
+from lvfi.model import lift_exact, make_system, parse_system
 
-from conftest import rand_fraction
+from conftest import rand_fraction, to_float
 
 PINNED = "b9ea5641593968344a4a77e1d33f7df73753138474e3dd0b049b82156e452ee5"
-PINNED_JSON = "d1d264d475a399550de8c700cc842024061fcbfb3442e23ac813fb58ee817e5d"
+PINNED_JSON = "21ed0c7d75010bc1a0c4e336ea643970d2e0800046cd1e292d823144316daae7"
 SAMPLES_PER_RULE = 3
 NEGATIVES = 50
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
-from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _gp, _l_candidates, detect3d
+from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _l_candidates, detect3d
 from lvfi.detection import (
     DependentRows,
     Match,
@@ -31,11 +31,12 @@ from lvfi.detection import (
     pattern_ok,
 )
 from lvfi.linalg import nullspace_candidates, solve_constrained
-from lvfi.model import LVSystem, Permutation, lift_exact, make_system, permute_system, to_float
+from lvfi.model import LVSystem, Permutation, lift_exact, make_system, permute_system
 from lvfi.poly import GenPoly
 from lvfi.potential import gradient_targets_3d, lie_genpoly, potential
 
-from conftest import same_integral
+from conftest import same_integral, to_float
+from printed_forms import _gp
 from test_digest import DEGENERATE
 
 F = Fraction

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -101,7 +102,7 @@ def test_json_round_trip():
     rng = random.Random(5)
     for _ in range(25):
         h = random_expr(rng, 3)
-        assert ex.from_json(ex.to_json(h)) == h
+        assert ex.from_json(json.dumps(ex.to_json_obj(h))) == h
 
 
 def test_pretty_prints_fraction_exponents():

@@ -28,11 +28,12 @@ from lvfi import catalog3d, detection, potential
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _ConstantDirection
 from lvfi.detection import DependentRows, condition_function
-from lvfi.model import LVSystem, lift_exact, make_system, to_float
+from lvfi.model import LVSystem, lift_exact, make_system
 from lvfi.potential import from_lattice, lie_genpoly
 from lvfi.oracle import _symbolic_system
 from lvfi.poly import GenPoly, SymPoly
 
+from conftest import to_float
 from test_detection import _relabeled_copies, _sparse_integer_systems
 from test_digest import DEGENERATE
 from test_oracle import _f_laurent
@@ -200,15 +201,13 @@ def _x_product_lie(H: GenPoly, s, lattice=None) -> GenPoly:
 def _fraction_path(monkeypatch):
     """run_rules without scaling: the integer view is the lifted Fraction
     system, directions are not scaled, the gate works in x (the exponent
-    lattice of all ones, so powers stay Fractions), and the Lie gate, also
-    the printed form's, is the product form in x."""
+    lattice of all ones, so powers stay Fractions), and the Lie gate is the
+    product form in x."""
     monkeypatch.setattr(detection, "integer_view", lift_exact)
-    monkeypatch.setattr(catalog3d, "integer_view", lift_exact)
     monkeypatch.setattr(detection, "primitive", tuple)
     monkeypatch.setattr(catalog3d, "primitive", tuple)
     monkeypatch.setattr(detection, "lattice", _x_lattice)
     monkeypatch.setattr(detection, "lie_genpoly", _x_product_lie)
-    monkeypatch.setattr(catalog3d, "lie_genpoly", _x_product_lie)
 
 
 def _outcome(s):

@@ -10,8 +10,9 @@ from lvfi.model import (
     parse_system,
     permute_system,
     serialize_system,
-    to_float,
 )
+
+from conftest import to_float
 
 
 def test_parse_classic_volterra_is_rational():

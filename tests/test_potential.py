@@ -20,7 +20,7 @@ from lvfi.potential import (
     potential,
 )
 
-from conftest import rand_fraction
+from conftest import normalized, rand_fraction
 from test_oracle import _f_laurent, _ref_t_components
 
 F = Fraction
@@ -94,7 +94,7 @@ def test_l2_iii_construction_is_integral():
         ((F(0), F(2), F(1)), (0, 0, 0)): F(1),
         ((F(0), F(1), F(2)), (0, 0, 0)): F(-1),
     }
-    terms = Hn.normalized().terms
+    terms = normalized(Hn).terms
     scale = terms[((F(2), F(1), F(0)), (0, 0, 0))]
     assert {k: v / scale for k, v in terms.items()} == expect
 
