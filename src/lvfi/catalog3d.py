@@ -12,7 +12,7 @@ printed residuals, solves the free entries from the printed solve rows and
 the oracle's condition rows, and evaluates the guards at each match.  The
 stated integrals L4-3, L5-5 and R3D-TRIV share detection.DependentRows; only
 L5-6, whose integral is not a nullspace candidate, keeps a hand-written
-matcher.
+matcher, built from the nullspaces of two DependentRows pairs.
 
 Printed closed forms are treated as claims: the integral is always rebuilt
 from the Ansatz by exact potential reconstruction, and the exact solve is the
@@ -179,11 +179,12 @@ class _ConstantDirection:
     must hold at the match's direction and exponents.
 
     The matcher is scale-free (Rule.scale_free): run_rules calls it on the
-    system's primitive-integer view.  Every residual, guard and row is
-    homogeneous in (b, A, e), each row of a solve of one degree, so the
-    precheck, the nullspaces and the solutions equal those on the Fraction
-    system, and the params (Fractions from the solves and the templates)
-    are the same.  The later rows and the guards are linear in a solved
+    system's primitive-integer view, and the direction solves read its
+    table of row nullspaces (detection.RowNullspaces).  Every residual,
+    guard and row is homogeneous in (b, A, e), each row of a solve of one
+    degree, so the precheck, the nullspaces and the solutions equal those
+    on the Fraction system, and the params (Fractions from the solves and
+    the templates) are the same.  The later rows and the guards are linear in a solved
     direction, so they read it scaled to primitive integers, and the
     arithmetic stays in ints.
     """
@@ -259,8 +260,9 @@ class _ConstantDirection:
             stages.append((unsolved, _affine_rows(conds, unsolved)))
         return stages
 
-    def __call__(self, s: LVSystem) -> list[Match]:
+    def __call__(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
         b, A, e = s.b, s.A, s.e
+        nullspaces = nullspaces or nullspace_candidates
         if not self.holds(b, A, e):
             return []
         # the free names' values per candidate, and the same values with a
@@ -272,7 +274,7 @@ class _ConstantDirection:
             found = [
                 ({**v, **dict(zip(names, w))}, {**vi, **dict(zip(names, scale(w)))})
                 for v, vi in found
-                for w in self._solve(names, rows(b, A, e, *_by_position(vi)))
+                for w in self._solve(names, rows(b, A, e, *_by_position(vi)), nullspaces)
             ]
         matches = [(self.direction(**v), self.exponents(**v)) for v, _ in found]
         return [
@@ -280,10 +282,10 @@ class _ConstantDirection:
         ]
 
     @staticmethod
-    def _solve(names, mr) -> list[tuple]:
+    def _solve(names, mr, nullspaces) -> list[tuple]:
         m, r = mr
         if names[0] in _D_NAMES:
-            return nullspace_candidates(m)
+            return nullspaces(m)
         return _l_candidates(solve_constrained(m, r))
 
     def _match(self, abg, l) -> Match:
@@ -613,14 +615,16 @@ def _sample_l5_5(rng) -> LVSystem:
     )
 
 
-def _match_l5_6(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    ns23 = nullspace_candidates(
-        [(b[1], b[2]), (A[1][0], A[2][0]), (A[1][1], A[2][1]), (A[1][2], A[2][2])]
-    )
-    ns12 = nullspace_candidates(
-        [(b[0], b[1]), (A[0][0], A[1][0]), (A[0][1], A[1][1]), (A[0][2], A[1][2])]
-    )
+_ROWS_12, _ROWS_23 = DependentRows((0, 1)), DependentRows((1, 2))
+
+
+def _match_l5_6(s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
+    """The rows of both pairs are homogeneous in (b, A, e), so scaling
+    leaves their nullspaces, and the params taken from them, unchanged: the
+    matcher is scale-free.  It reads the pairs' nullspaces from run_rules'
+    table, which L4-3 and L5-5 share."""
+    ns23 = _ROWS_23.nullspace(s, nullspaces)
+    ns12 = _ROWS_12.nullspace(s, nullspaces)
     out = []
     for al, be in ns23:
         if be == 0:
@@ -1144,6 +1148,7 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(False, False, False),
         match=_match_l5_6,
+        scale_free=True,
         residuals=["rows 1,2 proportional", "rows 2,3 proportional"],
         guards=["beta != 0 in both solves"],
         sample=_sample_l5_6,

@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: detect, verify, oracle, sweep, catalog.  Exit-code contract:
-0 success/found, 1 input error, 2 internal/domain error, 3 clean negative
-(no detection, nonzero residual, failed sweep samples).
+0 success/found, 1 input error, 2 usage or internal/domain error, 3 clean
+negative (no detection, nonzero residual, failed sweep samples).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -39,8 +40,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+# Type functions: a bad value is a usage error (exit 2) when the command line
+# is parsed, before any detection runs.  argparse reports a ValueError as
+# "invalid <type> value" and an ArgumentTypeError with its message.
+
+
 def _frac(text: str) -> Fraction:
-    # argparse reports a ValueError as a usage error, not a ZeroDivisionError
+    # a ValueError, not a ZeroDivisionError, which argparse would not catch
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -48,19 +54,45 @@ def _frac(text: str) -> Fraction:
 
 
 def _count(text: str) -> int:
-    # a sweep of no samples has no worst case to report: a usage error
+    # a sweep of no samples has no worst case to report, and a Lie check of
+    # no points checks nothing
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return n
 
 
+def _positive(text: str) -> float:
+    # a step or a time span that is not positive integrates nothing
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return x
+
+
+def _region(text: str) -> tuple[float, float]:
+    lo, sep, hi = text.partition(",")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"must be lo,hi, got {text!r}")
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"must be lo,hi with lo < hi, got {text!r}")
+    return lo, hi
+
+
+def _point(text: str) -> tuple[float, ...]:
+    x0 = tuple(float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in x0):
+        raise argparse.ArgumentTypeError(f"must be finite numbers, got {text!r}")
+    return x0
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: LVFI_SEED or 42)")
-    p.add_argument("--points", type=int, default=50, help="Lie-check sample count")
-    p.add_argument("--region", default="0.1,10", help="sampling box lo,hi per axis")
-    p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--points", type=_count, default=50, help="Lie-check sample count")
+    p.add_argument("--region", type=_region, default="0.1,10", help="sampling box lo,hi per axis")
+    p.add_argument("--t-end", type=_positive, default=10.0, dest="t_end")
+    p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
     p.add_argument("--tol-lie", type=float, default=1e-10, dest="tol_lie")
     p.add_argument("--tol-drift", type=float, default=1e-6, dest="tol_drift")
@@ -74,24 +106,18 @@ def _seed_of(args) -> int:
     return int(env) if env else 42
 
 
-def _region_of(args) -> tuple[float, float]:
-    lo, _, hi = args.region.partition(",")
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise ValueError(f"bad region {args.region!r}")
-    return lo, hi
-
-
 def _detect_arguments(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="system JSON path or - for stdin")
     p.add_argument("--no-verify", action="store_true", help="skip numerical verification")
-    p.add_argument("--x0", default=None, help="initial point for conservation, comma separated")
+    p.add_argument(
+        "--x0", type=_point, default=None, help="initial point for conservation, comma separated"
+    )
 
 
 def _verify_arguments(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True)
     p.add_argument("--integral", required=True, help="integral AST JSON path or - for stdin")
-    p.add_argument("--x0", default=None)
+    p.add_argument("--x0", type=_point, default=None)
 
 
 def _oracle_arguments(p: argparse.ArgumentParser):
@@ -146,7 +172,6 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 def _detections_payload(s, dets, args, do_verify: bool, x0=None):
     seed = _seed_of(args)
-    region = _region_of(args)
     out = []
     # every detection of one system checks the same field, built once
     field = rhs_floats(s) if do_verify and dets else None
@@ -157,7 +182,7 @@ def _detections_payload(s, dets, args, do_verify: bool, x0=None):
             ver: dict = {}
             try:
                 ver["lie_max"] = lie_check(
-                    d.integral, s, n=args.points, region=region, seed=seed, field=field
+                    d.integral, s, n=args.points, region=args.region, seed=seed, field=field
                 )
             except DomainViolation as exc:
                 ver["lie_max"] = None
@@ -239,10 +264,7 @@ def cmd_detect(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     dets, cands = detect2d_full(s) if s.dim == 2 else detect3d_full(s)
-    payload = _detections_payload(
-        s, dets, args, do_verify=not args.no_verify,
-        x0=_parse_x0(args.x0) if args.x0 else None,
-    )
+    payload = _detections_payload(s, dets, args, do_verify=not args.no_verify, x0=args.x0)
     doc = {
         "detections": payload,
         "candidates_failed_oracle": [
@@ -277,10 +299,6 @@ def cmd_detect(args) -> int:
     return EXIT_OK if dets else EXIT_NEGATIVE
 
 
-def _parse_x0(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 def cmd_verify(args) -> int:
     try:
         s = parse_system(_read_text(args.input))
@@ -291,13 +309,12 @@ def cmd_verify(args) -> int:
     if ex.max_var_index(h) >= s.dim:
         print("error: integral uses variables beyond the system dimension", file=sys.stderr)
         return EXIT_INPUT
-    x0 = _parse_x0(args.x0) if args.x0 else None
     try:
-        lie = lie_check(h, s, n=args.points, region=_region_of(args), seed=_seed_of(args))
+        lie = lie_check(h, s, n=args.points, region=args.region, seed=_seed_of(args))
     except (DomainViolation, ex.EvalDomainError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    start, rep = _drift_from_point(h, s, args, x0, {})
+    start, rep = _drift_from_point(h, s, args, args.x0, {})
     if start is None:
         print(f"domain error: {rep}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -374,7 +391,7 @@ def cmd_sweep(args) -> int:
             results.append({"index": k, "pass": False, "reason": "no detection"})
             continue
         d = hits[0]
-        lie = lie_check(d.integral, s, n=args.points, region=_region_of(args), seed=_seed_of(args))
+        lie = lie_check(d.integral, s, n=args.points, region=args.region, seed=_seed_of(args))
         rec = {
             "index": k,
             "pass": lie <= args.tol_lie,

@@ -20,8 +20,8 @@ scaled by c is the same flow with time t' = c t, so it has the same first
 integrals, and a condition polynomial homogeneous in (b, A, e) of degree k
 takes c^k times its value, so it has the same zero set.  Every printed
 residual, guard and solve row, every oracle condition row and the
-DependentRows columns are homogeneous (tests/test_integer_view.py checks
-this), each row of a solve homogeneous of one degree, so the row space, the
+DependentRows and L5-6 columns are homogeneous (tests/test_integer_view.py
+checks this), each row of a solve homogeneous of one degree, so the row space, the
 nullspace and the solution are unchanged.  run_rules therefore decides the
 scale-free steps on integer_view(s), scaled to primitive integers, and
 reads the Fraction system only where the scale shows: params, the hand
@@ -32,7 +32,7 @@ and normalize_for_output removes the multiple.
 
 The exponents stay on integers too.  An Ansatz factor x^(l-1) has rational
 exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
-per match and works on the lattice y_i = x_i^(1/d_i) (potential.lattice).
+per factor and works on the lattice y_i = x_i^(1/d_i) (potential.lattice).
 The curl residual is scaled by D = lcm(d), so its factors D (p + l - 1) are
 ints; the gradient targets, the potential and the Lie gate are taken in y,
 where every power is an int, and H is mapped back to x once
@@ -41,22 +41,29 @@ scale, so every zero test is the one in x, and the H mapped back is the
 x-space potential term for term.  Whole exponents are the lattice of all
 ones, where each step is the x-space one.
 
-Each integrating factor is gated once per run_rules call, and each integral
-is emitted once, with the detections and candidates of gating every match
-and collapsing duplicates afterwards (the reference in
-tests/test_detection.py):
+Exact work that rules and relabelings share is done once per run_rules
+call, in tables that live only for that call.  The nullspace of each set of
+rows is computed once (RowNullspaces), so L4-3, L5-5 and L5-6 share the
+nullspaces of each coordinate pair.  Each relabeling's integer view is
+permuted once, and its Fraction view only when a hand matcher or a gate
+reads it.  Each integrating factor is gated once, and each integral is
+emitted once, with the detections and candidates of gating every match and
+collapsing duplicates afterwards (the reference in tests/test_detection.py):
 
+  * the gate's outcome, the failure reason or the integral, is kept under
+    _factor_key: the factor in the original coordinates up to a scalar,
+    whatever rule family or relabeling built it.  For T' = c T,
+    H' = c H + const, so every step of the gate agrees, and a later match
+    with that factor reuses the outcome for its own Detection or Candidate;
   * a match is skipped when an earlier match of its rule family with the
-    same _factor_key passed the gate: the factor in the original
-    coordinates up to a scalar, or for an integral outside GenPoly (H_expr)
-    the integral itself (_expr_key).  For T' = c T, H' = c H + const, so
-    every step of the gate agrees, and the skipped match would have been
-    collapsed.  A key whose match failed never skips a later match, whose
-    candidate must still be reported;
+    same factor passed the gate, or for an integral outside GenPoly
+    (H_expr) the same integral (_expr_key): it would have been collapsed.
+    A factor whose match failed never skips a later match, whose candidate
+    must still be reported;
   * the gate keys a GenPoly integral in output form (_integral_key) right
-    after construction, and a key already emitted collapses the match
-    before the Lie gate, whose outcome is the same for the same integral up
-    to a scalar and an additive constant.
+    after construction, and a key the rule family already emitted collapses
+    the match before the Lie gate, whose outcome is the same for the same
+    integral up to a scalar and an additive constant.
     That is the one collapse of a stated integral, which has no factor key,
     and of a differing factor that builds an emitted integral (L5-8c).
 """
@@ -122,7 +129,8 @@ class Rule:
     ansatz: Optional[tuple] = None
     # The matcher gives the same matches when (b, A, e) is scaled by a
     # positive constant, so run_rules hands it the primitive-integer view
-    # (DependentRows, catalog3d._ConstantDirection).
+    # and its table of row nullspaces, as match(s, nullspaces)
+    # (RowNullspaces; DependentRows, L5-6, catalog3d._ConstantDirection).
     scale_free: bool = False
 
     @property
@@ -212,11 +220,17 @@ class DependentRows:
     def __init__(self, coords: tuple, names: tuple = (), log: bool = False) -> None:
         self.coords, self.names, self.log = coords, names, log
 
-    def __call__(self, s: LVSystem) -> list[Match]:
+    def nullspace(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list:
+        """nullspace_candidates of the columns, or nullspaces(rows) when
+        run_rules hands over its table (RowNullspaces)."""
+        cs = self.coords
+        rows = [tuple(s.b[i] for i in cs)] + [tuple(s.A[i][j] for i in cs) for j in range(s.dim)]
+        return nullspace_candidates(rows) if nullspaces is None else nullspaces(rows)
+
+    def __call__(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
         n, cs = s.dim, self.coords
-        rows = [tuple(s.b[i] for i in cs)] + [tuple(s.A[i][j] for i in cs) for j in range(n)]
         out = []
-        for v in nullspace_candidates(rows):
+        for v in self.nullspace(s, nullspaces):
             if self.log:
                 H = GenPoly.zero(n)
                 for i, vi in zip(cs, v):
@@ -228,6 +242,24 @@ class DependentRows:
                 H = GenPoly.term(n, 1, exps)
             out.append(Match(params=dict(zip(self.names, v)), H_gen=H))
         return out
+
+
+class RowNullspaces:
+    """nullspace_candidates of each set of rows, computed once per run_rules
+    call and read by the scale-free matchers.  The candidates depend on the
+    row space alone (the reduced row echelon form is unique, linalg), so the
+    rows are keyed as a set: two relabelings list the columns of one pair of
+    coordinates in different orders (L5-6, and L5-5's DependentRows)."""
+
+    def __init__(self) -> None:
+        self.table: dict = {}
+
+    def __call__(self, rows) -> list:
+        key = frozenset(rows)
+        found = self.table.get(key)
+        if found is None:
+            found = self.table[key] = nullspace_candidates(rows)
+        return found
 
 
 @dataclass
@@ -322,80 +354,94 @@ def _permute_genpoly(H: GenPoly, sigma: tuple[int, ...]) -> GenPoly:
 def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Candidate]]:
     """Apply every rule under every pattern-compatible relabeling.
 
-    Each relabeling has two views: the lifted Fraction system, which params,
-    the hand matchers, H_expr integrals and printed-form verdicts read, and
-    its integer view (integer_view), which every scale-free step reads: the
-    pattern test, the scale_free matchers, the curl residual, the gradient
-    targets, the potential and the Lie gate.
+    Each relabeling has an integer view (integer_view, permuted once per
+    relabeling), which every scale-free step reads: the pattern test, the
+    scale_free matchers, the curl residual, the gradient targets, the
+    potential and the Lie gate.  Its Fraction view, which the hand matchers,
+    H_expr integrals and printed-form verdicts read, is permuted when first
+    read.  The exact work that rules and relabelings share is done once per
+    call: the nullspace of each set of rows (RowNullspaces) and the gate of
+    each integrating factor (_gate_and_build).
     """
     sx = lift_exact(s)
     sxi = integer_view(sx)
-    perms = Permutation.all(s.dim)
+    relabeled = [(p, permute_system(sxi, p)) for p in Permutation.all(s.dim)]
+    fraction_views: dict = {}
+
+    def fraction_view(p: Permutation) -> LVSystem:
+        if p.sigma not in fraction_views:
+            fraction_views[p.sigma] = permute_system(sx, p)
+        return fraction_views[p.sigma]
+
+    nullspaces = RowNullspaces()
+    gates: dict = {}  # _factor_key -> _Gate of that integrating factor
     detections: list[Detection] = []
     candidates: list[Candidate] = []
     seen: set = set()  # _integral_key of every detection, added by the gate
-    passed: set = set()  # _factor_key of every match that passed the gate
-    relabeled = [(p, permute_system(sx, p), permute_system(sxi, p)) for p in perms]
+    passed: set = set()  # (family, factor) of every match that passed the gate
     for rule in rules:
-        for p, s2, s2i in relabeled:
+        for p, s2i in relabeled:
             if not pattern_ok(rule.pattern, s2i):
                 continue
-            for m in rule.match(s2i if rule.scale_free else s2):
-                fkey = _factor_key(rule, m, p.sigma)
-                if fkey is not None and fkey in passed:
+            if rule.scale_free:
+                matches = rule.match(s2i, nullspaces)
+            else:
+                matches = rule.match(fraction_view(p))
+            for m in matches:
+                if m.H_expr is not None:
+                    fkey, pkey = None, _expr_key(rule, m, p.sigma)
+                else:
+                    fkey = _factor_key(m, p.sigma)
+                    pkey = None if fkey is None else (rule.family, fkey)
+                if pkey in passed:
                     continue
-                det, cand = _gate_and_build(rule, s2, s2i, p, m, seen)
+                det, cand = _gate_and_build(rule, fraction_view(p), s2i, p, m, seen, gates, fkey)
                 if cand is not None:
                     candidates.append(cand)
                     continue
-                if fkey is not None:
-                    passed.add(fkey)
+                if pkey is not None:
+                    passed.add(pkey)
                 if det is not None:  # None: an integral already emitted
                     detections.append(det)
     return detections, candidates
 
 
-def _factor_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> Optional[tuple]:
-    """What a match's gate depends on, in the original coordinates and up to
-    a nonzero scalar, or None for a stated integral (H_gen), which the gate
-    keys itself.
+def _factor_key(m: Match, sigma: tuple[int, ...]) -> Optional[tuple]:
+    """The integrating factor of an Ansatz match in the original coordinates
+    and up to a nonzero scalar, or None for a match that states its
+    integral (H_gen, H_expr).
 
-    * A GenPoly Ansatz match: the integrating factor T = R M, pulled back
-      by sigma.  Entry (i, j) of T/R on the relabeled system is a monomial
-      c x^w (oracle.T_WEIGHTS; -x^0 at (1, 2) in 2D), so T holds
-      c x^(l-1+w) at (sigma(i), sigma(j)) of the original coordinates, and
-      -c x^(l-1+w) at (sigma(j), sigma(i)).  The key lists the upper
-      triangle, exponents in canonical form and coefficients scaled to
-      primitive integers with a positive first entry, which is the same
-      vector exactly for proportional factors.
-    * An integral outside GenPoly (H_expr, R2D-E): the integral in the
-      original coordinates (_expr_key).  The key lists H's coefficients
-      over its scale, so it fixes the integral up to a scalar and an
-      additive constant, and the Lie outcome is the same for equal keys.
+    Entry (i, j) of T/R on the relabeled system is a monomial c x^w
+    (oracle.T_WEIGHTS; -x^0 at (1, 2) in 2D), so T holds c x^(l-1+w) at
+    (sigma(i), sigma(j)) of the original coordinates, and -c x^(l-1+w) at
+    (sigma(j), sigma(i)).  The key is D, the common denominator of the
+    exponents l, and the upper triangle of T: the exponents times D as ints,
+    and the coefficients scaled to primitive integers with a positive first
+    entry.  Every exponent vector holds all of l - 1, so equal factors have
+    one D, and the key is the same exactly for proportional factors,
+    whatever the rule or the relabeling.
     """
-    if m.H_expr is not None:
-        return _expr_key(rule, m, sigma)
-    if m.H_gen is not None:
+    if m.ansatz is None or m.H_expr is not None:
         return None
     kind, abg, l = m.ansatz
     if kind == "2d-exponents":
         abg = (1,)
     n = len(sigma)
-    lm1 = [canonical(v) - 1 for v in l]
+    den = lcm(*(v.denominator for v in l))
+    lm1 = [v.numerator * (den // v.denominator) - den for v in l]
     entries = []
-    for (i, j), w, c in zip(combinations(range(n), 2), oracle.T_WEIGHTS[kind], abg):
+    for (i, j), w, c in zip(combinations(range(n), 2), oracle.T_WEIGHTS[kind], primitive(abg)):
         if not c:
             continue
         exps = [0] * n
         for k, q in enumerate(lm1):
-            exps[sigma[k]] = q + w[k]
+            exps[sigma[k]] = q + den * w[k]
         si, sj = sigma[i], sigma[j]
-        entries.append(((min(si, sj), max(si, sj)), -c if si < sj else c, tuple(exps)))
-    entries.sort(key=lambda t: t[0])
-    coefs = primitive([c for _, c, _ in entries])
-    if coefs and coefs[0] < 0:
-        coefs = tuple(-c for c in coefs)
-    return (rule.family, tuple((ij, c, exps) for (ij, _, exps), c in zip(entries, coefs)))
+        entries.append(((si, sj), -c, tuple(exps)) if si < sj else ((sj, si), c, tuple(exps)))
+    entries.sort()
+    if entries and entries[0][1] < 0:
+        entries = [(ij, -c, exps) for ij, c, exps in entries]
+    return den, tuple(entries)
 
 
 def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[GenPoly]:
@@ -416,68 +462,49 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[
     return residual_3d(s, AnsatzSpec(kind), abg, l, t=t, scale=scale)
 
 
-def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set):
-    """Gate one match on the relabeled system s2 (Fractions) and its integer
-    view s2i.  Returns (None, None) for a GenPoly integral already in seen
-    (_integral_key), and adds the key of one that passes.
+@dataclass
+class _Gate:
+    """The gate's outcome for one integrating factor, or for one stated
+    integral: why it failed, or the integral.  H is normalize_for_output of
+    the integral in the original coordinates, Hn its output form
+    (_canonical_monomial).  lie holds (H on the lattice, the integer view it
+    was built on, the lattice) until the Lie gate has run or is known to
+    pass; expr is genpoly_to_expr(Hn), built for the first detection."""
+
+    reason: Optional[str] = None
+    H: Optional[GenPoly] = None
+    Hn: Optional[GenPoly] = None
+    lie: Optional[tuple] = None
+    expr: Optional[ex.Expr] = None
+
+
+def _construct(s2i, p: Permutation, m: Match) -> _Gate:
+    """The integral of a GenPoly match on the integer view s2i of relabeling
+    p, up to its Lie gate.
 
     The T1/T2 direction and the exponents do not scale with (b, A, e), so
     the residual, the targets and the potential read s2i, with the
     direction scaled to primitive integers too (each is linear in it).  On
     these views T f and the potential are positive multiples of those on
-    s2; the zero tests are unchanged, and normalize_for_output removes the
-    scale.  The separable chart's parameters carry the coefficients' scale,
-    so its residual reads s2.
-
-    T f/R is built once and read by the residual and the targets; the
-    targets, the potential and the Lie gate work on the match's exponent
-    lattice (module docstring), and a stated integral is gated in x.  The
-    H mapped back to x is what the key and the output read.  The Lie gate
-    reads s2i, the original system's integer view with the coordinates
-    renamed, so its zero test is the one in the original coordinates.  A
-    detection's paper_formula_deviation is its rule's audited verdict on the
-    printed integral (Rule.compare_printed), taken once the gate has passed.
+    the Fraction system; the zero tests are unchanged, and
+    normalize_for_output removes the scale.  T f/R is built once and read
+    by the residual and the targets; the targets and the potential work on
+    the match's exponent lattice (module docstring), and a stated integral
+    is taken in x.  H mapped back to x and to the original coordinates is
+    what the key and the output read.
     """
-    n = s2.dim
-    if m.ansatz is not None:
-        kind, abg, l = m.ansatz
-        if kind == "2d-separable":
-            comps = ansatz_residual(s2, kind, abg, l)
-        else:
-            l = tuple(map(canonical, l))
-            abg = (1,) if kind == "2d-exponents" else primitive(abg)
-            t = oracle._t_components(n, s2i.b, s2i.A, s2i.e, kind, abg)
-            d = lattice(l)
-            comps = ansatz_residual(s2i, kind, abg, l, t=t, scale=lcm(*d))
-        if not all(c.is_zero() for c in comps):
-            return None, Candidate(
-                rule.id, p.sigma, m.params, "curl residual not identically zero"
-            )
-        oracle_kind = "curl-residual-zero"
-    else:
-        oracle_kind = "exact-lie-zero"
-
-    if m.H_expr is not None:
-        # Integral outside the GenPoly algebra (log of a polynomial).
-        if m.lie_zero_check is not None and not m.lie_zero_check(s2):
-            return None, Candidate(
-                rule.id, p.sigma, m.params, "exact Lie-derivative check failed"
-            )
-        H_expr = ex.substitute_vars(m.H_expr, {i: p.sigma[i] for i in range(n)})
-        det = Detection(
-            rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
-            citation=rule.citation,
-            sigma=p.sigma,
-            params=m.params,
-            integral=ex.simplify(H_expr),
-            oracle_kind=oracle_kind,
-            ansatz=m.ansatz,
-        )
-        return det, None
-
+    n = s2i.dim
     if m.H_gen is not None:
         Hy, d = m.H_gen, (1,) * n
     else:
+        kind, abg, l = m.ansatz
+        l = tuple(map(canonical, l))
+        abg = (1,) if kind == "2d-exponents" else primitive(abg)
+        t = oracle._t_components(n, s2i.b, s2i.A, s2i.e, kind, abg)
+        d = lattice(l)
+        comps = ansatz_residual(s2i, kind, abg, l, t=t, scale=lcm(*d))
+        if not all(c.is_zero() for c in comps):
+            return _Gate("curl residual not identically zero")
         try:
             if n == 2:
                 targets = gradient_targets_2d(s2i, l, t=t, lattice=d)
@@ -485,34 +512,93 @@ def _gate_and_build(rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set):
                 targets = gradient_targets_3d(s2i, kind, abg, l, t=t, lattice=d)
             Hy = potential(targets)
         except ConstructionError as exc:
-            return None, Candidate(rule.id, p.sigma, m.params, f"construction: {exc}")
-    H2 = from_lattice(Hy, d)
-    Hn = normalize_for_output(_permute_genpoly(H2, p.sigma))
-    if Hn.is_zero():
+            return _Gate(f"construction: {exc}")
+    H = normalize_for_output(_permute_genpoly(from_lattice(Hy, d), p.sigma))
+    if H.is_zero():
         # H is constant, so its Lie derivative is zero
-        return None, Candidate(rule.id, p.sigma, m.params, "constant integral")
-    Hn = _canonical_monomial(Hn)
-    key = _integral_key(rule.family, Hn)
-    if key in seen:
-        return None, None
-    if not lie_genpoly(Hy, s2i, lattice=d).is_zero():
-        return None, Candidate(
-            rule.id, p.sigma, m.params, "exact Lie derivative nonzero on original system"
-        )
+        return _Gate("constant integral")
+    return _Gate(H=H, Hn=_canonical_monomial(H), lie=(Hy, s2i, d))
+
+
+def _gate_and_build(
+    rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set,
+    gates: Optional[dict] = None, fkey: Optional[tuple] = None,
+):
+    """Gate one match on the relabeled system s2 (Fractions) and its integer
+    view s2i.  Returns (None, None) for an integral already in seen
+    (_integral_key), and adds the key of one that passes.
+
+    A GenPoly match's gate outcome (_Gate) is looked up in gates under its
+    integrating factor fkey (_factor_key), and built (_construct) and stored
+    there when missing.  For T' = c T, H' = c H + const, and a relabeling
+    renames the coordinates, so every step of the gate agrees on matches
+    with one key, whatever their family or relabeling; each still yields
+    its own Candidate or Detection.  The key of an emitted integral is
+    checked before the Lie gate: an integral already emitted passed it, up
+    to a scalar and an additive constant.  The Lie gate reads the integer
+    view the integral was built on, the original system's integer view with
+    the coordinates renamed, so its zero test is the one in the original
+    coordinates.  A detection's paper_formula_deviation is its rule's
+    audited verdict on the printed integral (Rule.compare_printed), which
+    reads s2 and H pulled back to the coordinates of s2.
+    """
+    if m.H_expr is not None:
+        return _gate_expr(rule, s2, p, m)
+    gate = None if gates is None else gates.get(fkey)
+    if gate is None:
+        gate = _construct(s2i, p, m)
+        if gates is not None and fkey is not None:
+            gates[fkey] = gate
+    if gate.reason is None:
+        key = _integral_key(rule.family, gate.Hn)
+        if key in seen:
+            gate.lie = None
+            return None, None
+        if gate.lie is not None:
+            Hy, si, d = gate.lie
+            gate.lie = None
+            if not lie_genpoly(Hy, si, lattice=d).is_zero():
+                gate.reason = "exact Lie derivative nonzero on original system"
+    if gate.reason is not None:
+        return None, Candidate(rule.id, p.sigma, m.params, gate.reason)
     seen.add(key)
-    deviation = None if rule.compare_printed is None else rule.compare_printed(s2, m, H2)
-    det = Detection(
+    deviation = None
+    if rule.compare_printed is not None:
+        H2 = _permute_genpoly(gate.H, p.inverse().sigma)
+        deviation = rule.compare_printed(s2, m, H2)
+    if gate.expr is None:
+        gate.expr = genpoly_to_expr(gate.Hn)
+    return _detection(
+        rule, p, m, gate.expr,
+        "curl-residual-zero" if m.ansatz is not None else "exact-lie-zero",
+        paper_formula_deviation=deviation, H_gen=gate.Hn,
+    ), None
+
+
+def _gate_expr(rule: Rule, s2, p: Permutation, m: Match):
+    """Gate an integral outside the GenPoly algebra (log of a polynomial)
+    on the Fraction system s2.  The separable chart's parameters carry the
+    coefficients' scale, so its residual reads s2 too."""
+    if m.ansatz is not None and not all(c.is_zero() for c in ansatz_residual(s2, *m.ansatz)):
+        return None, Candidate(rule.id, p.sigma, m.params, "curl residual not identically zero")
+    if m.lie_zero_check is not None and not m.lie_zero_check(s2):
+        return None, Candidate(rule.id, p.sigma, m.params, "exact Lie-derivative check failed")
+    H_expr = ex.substitute_vars(m.H_expr, {i: p.sigma[i] for i in range(s2.dim)})
+    oracle_kind = "curl-residual-zero" if m.ansatz is not None else "exact-lie-zero"
+    return _detection(rule, p, m, ex.simplify(H_expr), oracle_kind), None
+
+
+def _detection(rule: Rule, p: Permutation, m: Match, integral, oracle_kind, **kw) -> Detection:
+    return Detection(
         rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
         citation=rule.citation,
         sigma=p.sigma,
         params=m.params,
-        integral=genpoly_to_expr(Hn),
+        integral=integral,
         oracle_kind=oracle_kind,
-        paper_formula_deviation=deviation,
-        H_gen=Hn,
         ansatz=m.ansatz,
+        **kw,
     )
-    return det, None
 
 
 def _canonical_monomial(H: GenPoly) -> GenPoly:

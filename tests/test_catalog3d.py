@@ -292,15 +292,33 @@ def test_printed_forms_compile_and_evaluate_at_their_matches():
 
 
 def test_run_rules_permutes_once_per_relabeling(monkeypatch):
-    calls = []
+    integer_views, permuted, gated = [], [], []
+    integer_view, gate = detection.integer_view, detection._gate_and_build
+
+    def viewed(s):
+        integer_views.append(integer_view(s))
+        return integer_views[-1]
 
     def counting(s, p):
-        calls.append(p.sigma)
+        permuted.append((s is integer_views[-1], p.sigma))
         return permute_system(s, p)
 
+    def gating(rule, s2, s2i, p, *args):
+        gated.append(p.sigma)
+        return gate(rule, s2, s2i, p, *args)
+
+    monkeypatch.setattr(detection, "integer_view", viewed)
     monkeypatch.setattr(detection, "permute_system", counting)
+    monkeypatch.setattr(detection, "_gate_and_build", gating)
     s = SAMPLERS_3D["L2-iii"](random.Random(5))
     assert detect3d(s)
-    # once per relabeling for each view: the Fraction system and its
-    # integer view (detection.integer_view), never once per rule
-    assert sorted(calls) == sorted(2 * [p.sigma for p in Permutation.all(3)])
+    # the integer view (detection.integer_view) once per relabeling, never
+    # once per rule
+    assert len(integer_views) == 1
+    relabelings = [p.sigma for p in Permutation.all(3)]
+    assert sorted(sigma for is_int, sigma in permuted if is_int) == relabelings
+    # the Fraction view once for each relabeling whose match reached a gate,
+    # and for no other: T1 with direction (1, 1, 1) is one factor under all
+    # six relabelings, gated under the first
+    fractions = sorted(sigma for is_int, sigma in permuted if not is_int)
+    assert fractions == sorted(set(gated)) == [(0, 1, 2)]

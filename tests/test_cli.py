@@ -129,6 +129,54 @@ def test_sweep_count_below_one_is_a_usage_error(capsys, value):
     assert f"argument --count: must be at least 1, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--points", "0"], "argument --points: must be at least 1, got '0'"),
+        (["--points", "0", "--no-verify"], "argument --points: must be at least 1, got '0'"),
+        (["--step", "0"], "argument --step: must be a positive number, got '0'"),
+        (["--t-end", "-1"], "argument --t-end: must be a positive number, got '-1'"),
+        (["--t-end", "inf"], "argument --t-end: must be a positive number, got 'inf'"),
+        (["--region", "5,1"], "argument --region: must be lo,hi with lo < hi, got '5,1'"),
+        (["--region", "1"], "argument --region: must be lo,hi, got '1'"),
+        (["--region", "a,2"], "argument --region: invalid _region value: 'a,2'"),
+        (["--x0", "abc"], "argument --x0: invalid _point value: 'abc'"),
+        (["--x0", "1,nan"], "argument --x0: must be finite numbers, got '1,nan'"),
+    ],
+)
+def test_bad_verification_flags_are_usage_errors(
+    volterra_path, monkeypatch, capsys, flags, message
+):
+    # rejected while parsing, before any detection runs
+    monkeypatch.setattr(cli, "detect2d_full", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--input", volterra_path, *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verification_flags_reach_the_checks(volterra_path, monkeypatch, capsys):
+    seen = {}
+
+    def lie(h, s, n, region, seed, field=None):
+        seen.update(n=n, region=region)
+        return 0.0
+
+    def integrate(s, x0, t_end, h, method):
+        seen.update(t_end=t_end, h=h)
+        return cli_integrate(s, x0, t_end, h, method)
+
+    cli_integrate = cli.integrate
+    monkeypatch.setattr(cli, "lie_check", lie)
+    monkeypatch.setattr(cli, "integrate", integrate)
+    argv = ["detect", "--input", volterra_path, "--points", "7", "--region", "0.5,2",
+            "--x0", "1.5,0.5", "--t-end", "0.5", "--step", "0.01", "--format", "json"]
+    assert main(argv) == 0
+    dets = json.loads(capsys.readouterr().out)["detections"]
+    assert seen == {"n": 7, "region": (0.5, 2.0), "t_end": 0.5, "h": 0.01}
+    assert dets and all(d["verification"]["x0"] == [1.5, 0.5] for d in dets)
+
+
 def test_oracle_zero_and_nonzero(volterra_path, capsys):
     rc = main(
         ["oracle", "--input", volterra_path, "--ansatz", "2d",

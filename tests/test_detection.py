@@ -1,15 +1,18 @@
 """run_rules gates each integrating factor once.
 
 A match is skipped when an earlier match of the same rule family with the
-same factor in the original coordinates passed the exact gate, and the gate
-collapses an integral that was already emitted.  Both must be invisible:
-detections and failed candidates equal those of gating every match and
-collapsing duplicates afterwards, which _ref_run_rules below keeps.
+same factor in the original coordinates passed the exact gate; a match of
+another family or relabeling with that factor reuses its gate's outcome;
+and the gate collapses an integral that was already emitted.  All three
+must be invisible: detections and failed candidates equal those of gating
+every match and collapsing duplicates afterwards, which _ref_run_rules
+below keeps.
 """
 
 import itertools
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -17,6 +20,7 @@ from lvfi import detection, oracle
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D
 from lvfi.model import Permutation, lift_exact, make_system, parse_system, permute_system
+from lvfi.poly import GenPoly
 
 from conftest import to_float
 
@@ -153,16 +157,80 @@ def test_each_factor_is_gated_once(monkeypatch, s, calls, found):
 
 
 def test_factor_key_is_the_factor_in_original_coordinates_up_to_scale():
-    rule = next(r for r in RULES_3D if r.id == "L2-iii")
     # On the relabeled system y, T/R holds -2 y3 at (1, 2) and y1 at (2, 3),
     # and R = y2 / y3.  With sigma = (3, 1, 2), y = (x3, x1, x2): T holds
-    # -2 x1 at (3, 1), so 2 x1 at (1, 3), and x1 x3 / x2 at (1, 2).
+    # -2 x1 at (3, 1), so 2 x1 at (1, 3), and x1 x3 / x2 at (1, 2).  The
+    # exponents are whole, so their common denominator is 1.
     key = detection._factor_key(
-        rule, detection.Match({}, ansatz=("3d-t2", (2, 0, -1), (1, 2, 0))), (2, 0, 1)
+        detection.Match({}, ansatz=("3d-t2", (2, 0, -1), (1, 2, 0))), (2, 0, 1)
     )
-    assert key == ("L2-iii", (((0, 1), 1, (1, -1, 1)), ((0, 2), 2, (1, 0, 0))))
+    assert key == (1, (((0, 1), 1, (1, -1, 1)), ((0, 2), 2, (1, 0, 0))))
     scaled = detection.Match({}, ansatz=("3d-t2", (-6, 0, 3), (1, 2, 0)))
-    assert detection._factor_key(rule, scaled, (2, 0, 1)) == key
+    assert detection._factor_key(scaled, (2, 0, 1)) == key
+    # l = (1/2, 1, 0) multiplies T by y1^(-1/2) y2^-1 = x3^(-1/2) x1^-1:
+    # x3^(1/2) / x2 at (1, 2) and 2 x3^(-1/2) at (1, 3), the exponents over
+    # their common denominator 2
+    half = detection.Match({}, ansatz=("3d-t2", (2, 0, -1), (F(1, 2), 1, 0)))
+    assert detection._factor_key(half, (2, 0, 1)) == (
+        2, (((0, 1), 1, (0, -2, 1)), ((0, 2), 2, (0, 0, -1)))
+    )
+    # a stated integral has no factor
+    assert detection._factor_key(detection.Match({}, H_gen=GenPoly.zero(3)), (0, 1, 2)) is None
+
+
+# Sampler draws on which two or more rule families build one factor: L2-i
+# (T1) and L3-1 (T2), and L5-7a, L5-7d and L5-8c.
+SHARED = [("L3-1", {"L2-i", "L3-1"}), ("L5-7d", {"L5-7a", "L5-7d", "L5-8c"})]
+
+
+def _gates_by_factor(s, run):
+    """_outcome of run(s, rules), {factor key: [family of each gated
+    match]} and {factor key: potential calls}."""
+    families: dict = {}
+    built: dict = {}
+    current = []
+    gate, construct = detection._gate_and_build, detection.potential
+
+    def gated(rule, s2, s2i, p, m, *args):
+        current[:] = [detection._factor_key(m, p.sigma)]
+        families.setdefault(current[0], []).append(rule.family)
+        return gate(rule, s2, s2i, p, m, *args)
+
+    def counted(*args, **kwargs):
+        built[current[0]] = built.get(current[0], 0) + 1
+        return construct(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "_gate_and_build", gated)
+        mp.setattr(detection, "potential", counted)
+        return _outcome(*run(s, _rules(s))), families, built
+
+
+@pytest.mark.parametrize("key, shared", SHARED, ids=[k for k, _ in SHARED])
+def test_families_sharing_a_factor_gate_it_once(key, shared):
+    s = SAMPLERS_3D[key](random.Random(0))
+    got, families, built = _gates_by_factor(s, detection.run_rules)
+    want, _, ref_built = _gates_by_factor(s, _ref_run_rules)
+    assert got == want
+    assert shared <= {json.loads(d)["rule"].split("/")[0] for d, _ in got[0]}
+    # the families gate one factor, whose potential is built once, where
+    # the reference builds it for every match; so is every other factor
+    factor = next(k for k, fams in families.items() if k is not None and shared <= set(fams))
+    assert built[factor] == 1 and ref_built[factor] >= len(shared)
+    assert set(built.values()) == {1}, built
+
+
+@pytest.mark.parametrize("key, shared", SHARED, ids=[k for k, _ in SHARED])
+def test_a_shared_factor_that_fails_gives_each_family_its_candidate(monkeypatch, key, shared):
+    s = SAMPLERS_3D[key](random.Random(0))
+    one = GenPoly.term(3, 1, (0, 0, 0))
+    monkeypatch.setattr(detection, "lie_genpoly", lambda H, s2i, lattice=None: one)
+    dets, cands = detection.run_rules(s, RULES_3D)
+    assert _outcome(dets, cands) == _outcome(*_ref_run_rules(s, RULES_3D))
+    assert not dets
+    reasons = {c.rule_id.split("/")[0]: c.reason for c in cands}
+    assert shared <= set(reasons)
+    assert {reasons[f] for f in shared} == {"exact Lie derivative nonzero on original system"}
 
 
 # The names the gate calls its layers by.  perfbench/spans.py wraps these

@@ -146,23 +146,28 @@ def test_solve_and_stage_rows_are_homogeneous_row_by_row():
 
 
 def test_dependent_rows_columns_are_homogeneous(monkeypatch):
+    """The columns of DependentRows and of L5-6's two pairs, whose params
+    are ratios within the pairs' nullspaces, so L5-6 is scale-free too."""
     b, A, e, _, _ = _symbols()
     seen = []
     monkeypatch.setattr(detection, "nullspace_candidates", lambda rows: seen.append(rows) or [])
-    matchers = [r.match for r in RULES_2D + RULES_3D if isinstance(r.match, DependentRows)]
-    assert len(matchers) == 4
-    for matcher in matchers:
-        n = 2 if matcher in [r.match for r in RULES_2D] else 3
+    rules = [r for r in RULES_2D + RULES_3D if isinstance(r.match, DependentRows)]
+    assert len(rules) == 4
+    rules.append(next(r for r in RULES_3D if r.id == "L5-6"))
+    for rule in rules:
+        n = rule.dim
         s = LVSystem(n, b[:n], tuple(row[:n] for row in A[:n]), e[:n], "symbolic")
-        assert matcher(s) == []
-        for row in seen.pop():
-            assert _homogeneous(row, _coefficient)
+        assert rule.match(s) == []
+        assert len(seen) == (2 if rule.id == "L5-6" else 1), rule.id
+        while seen:
+            for row in seen.pop():
+                assert _homogeneous(row, _coefficient)
 
 
 def test_the_scale_free_rules_are_the_derived_and_dependent_rows_matchers():
     for rule in RULES_2D + RULES_3D:
         derived = isinstance(rule.match, (DependentRows, _ConstantDirection))
-        assert rule.scale_free == derived, rule.id
+        assert rule.scale_free == (derived or rule.id == "L5-6"), rule.id
 
 
 def test_integer_view_scales_by_a_positive_constant():
