@@ -3,10 +3,10 @@
 Rule map (e-pattern -> applicability conditions -> integral):
 
   R2D-A      e1,e2 != 0: b1+b2 = 2a11+a21 = a12+2a22 = 0, exponents 1.
-  R2D-B      e1 != 0, e2 = 0: l1 = 1 and l2 from the exact solve of the 3x1
-             exponent system (the closed form -2a11/a21 when a21 != 0); the
-             l2 = 0 branch produces the log form, the all-zero-column case the
-             trivial integral x2.
+  R2D-B      e1 != 0, e2 = 0: l1 = 1 and l2 from the exact solve (the
+             closed form -2a11/a21 when a21 != 0); l2 = 0 is the log form
+             R2D-B/l2=0.  A zero column (a21, a22, b2), where any l2 solves,
+             is R2D-B/rank0, the trivial integral x2.
   R2D-C      e1 = e2 = 0, exponent matrix of full rank: (l1, l2) from the
              exact constrained solve; subcases by the zero pattern of l.
   R2D-D      e1 = e2 = 0, coefficient rows proportional: monomial integral
@@ -14,40 +14,29 @@ Rule map (e-pattern -> applicability conditions -> integral):
   R2D-E      a11 = a22 = 0, e2 a12 = e1 a21, b1+b2 = 0 (exponential Ansatz
              factor): linear-plus-log integral around e1 + a12 x1 x2.
 
+R2D-A, R2D-B and R2D-C are data for the 3D Ansatz rules' matcher
+(catalog3d._ConstantDirection): the factor x1^(l1-1) x2^(l2-1), with
+(l1, l2) solved from the oracle's rows, and subcases as labels read off
+(l1, l2) (Rule.subcases).
+
 Mirrored cases are obtained by coordinate relabeling in the engine, not by
 hand-written twin rules.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import expr as ex
+from .catalog3d import _direction_rule, _q
 from .detection import Candidate, DependentRows, Detection, Match, Rule, run_rules
-from .linalg import rank, solve_constrained
+from .linalg import solve_constrained  # noqa: F401  (perfbench/spans.py wraps this name)
 from .model import LVSystem, Permutation, make_system, permute_system
 from .poly import GenPoly
 from .potential import lie_genpoly
 
 
-def _q(rng: random.Random, nonzero=False, num=6, den=3) -> Fraction:
-    """Small random rational; the draw shared by the 2D and 3D samplers."""
-    while True:
-        v = Fraction(rng.randint(-num, num), rng.randint(1, den))
-        if not nonzero or v != 0:
-            return v
-
-
 # -- R2D-A --------------------------------------------------------------------
-
-
-def _match_a(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    if b[0] + b[1] or 2 * A[0][0] + A[1][0] or A[0][1] + 2 * A[1][1]:
-        return []
-    one = Fraction(1)
-    return [Match(params={"l1": one, "l2": one}, ansatz=("2d-exponents", (), (one, one)))]
 
 
 def _sample_a(rng) -> LVSystem:
@@ -60,26 +49,6 @@ def _sample_a(rng) -> LVSystem:
 
 
 # -- R2D-B (incl. l2 = 0 branch and rank-zero trivial integral) ---------------
-
-
-def _match_b(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    col = (A[1][0], A[1][1], b[1])
-    if col == (0, 0, 0):
-        return []  # trivial-row rule covers this
-    m = ((col[0],), (col[1],), (col[2],))
-    r = (-2 * A[0][0], -(A[1][1] + A[0][1]), -b[0])
-    out = solve_constrained(m, r)
-    if out.status != "unique":
-        return []
-    l2 = out.solution[0]
-    return [
-        Match(
-            params={"l1": Fraction(1), "l2": l2},
-            ansatz=("2d-exponents", (), (Fraction(1), l2)),
-            subid="l2=0" if l2 == 0 else "",
-        )
-    ]
 
 
 def _sample_b(rng) -> LVSystem:
@@ -104,30 +73,6 @@ def _sample_b_rank0(rng) -> LVSystem:
 
 
 # -- R2D-C --------------------------------------------------------------------
-
-
-def _match_c(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    m = ((A[0][0], A[1][0]), (A[0][1], A[1][1]), (b[0], b[1]))
-    if rank(m) != 2:
-        return []
-    out = solve_constrained(m, (-A[0][0], -A[1][1], Fraction(0)))
-    if out.status != "unique":
-        return []
-    l1, l2 = out.solution
-    if l1 == 0 and l2 == 0:
-        subid = "l1=l2=0"
-    elif l1 == 0 and l2 == -1:
-        subid = "l1=0,l2=-1"
-    elif l1 == 0:
-        subid = "l1=0"
-    elif l2 != 0:
-        subid = "main"
-    else:
-        return []  # l2 = 0, l1 != 0: found as an l1 subcase of the mirror run
-    return [
-        Match(params={"l1": l1, "l2": l2}, ansatz=("2d-exponents", (), (l1, l2)), subid=subid)
-    ]
 
 
 def _sample_c_main(rng) -> LVSystem:
@@ -254,25 +199,27 @@ def _sample_e(rng) -> LVSystem:
 
 
 RULES_2D: list[Rule] = [
-    Rule(
+    _direction_rule(
         id="R2D-A",
         citation="2D case e1,e2 != 0 (unit exponents)",
         dim=2,
         pattern=(True, True),
-        match=_match_a,
+        ansatz=("2d-exponents", (), ("l1", "l2")),
         residuals=["b1+b2", "2*a11+a21", "a12+2*a22"],
         guards=["e1 != 0", "e2 != 0"],
         sample=_sample_a,
     ),
-    Rule(
+    _direction_rule(
         id="R2D-B",
         citation="2D case e1 != 0, e2 = 0 (power/log integral in x2)",
         dim=2,
         pattern=(True, False),
-        match=_match_b,
+        ansatz=("2d-exponents", (), ("l1", "l2")),
         residuals=["2*a11*a22 - a22*a21 - a12*a21", "2*b2*a11 - b1*a21"],
-        guards=["e1 != 0", "e2 = 0", "a21 != 0 (closed form; exact solve covers a21 = 0)"],
+        guards=["(a21, a22, b2) != (0, 0, 0)"],
+        subcases=[("l2 == 0", "l2=0"), ("l2 != 0", "")],
         sample=_sample_b,
+        notes=["closed form l2 = -2*a11/a21 where a21 != 0; the exact solve covers a21 = 0"],
     ),
     Rule(
         id="R2D-B/rank0",
@@ -285,15 +232,22 @@ RULES_2D: list[Rule] = [
         guards=["e2 = 0"],
         sample=_sample_b_rank0,
     ),
-    Rule(
+    _direction_rule(
         id="R2D-C",
         citation="2D case e1 = e2 = 0, full-rank exponent solve",
         dim=2,
         pattern=(False, False),
-        match=_match_c,
+        ansatz=("2d-exponents", (), ("l1", "l2")),
         residuals=["b1*a22*(a21-a11) + b2*a11*(a12-a22)"],
-        guards=["e1 = e2 = 0", "rank of exponent matrix = 2"],
+        guards=["(a11*a22 - a12*a21, a11*b2 - a21*b1, a12*b2 - a22*b1) != (0, 0, 0)"],
+        subcases=[
+            ("l1 == 0 and l2 == 0", "l1=l2=0"),
+            ("l1 == 0 and l2 == -1", "l1=0,l2=-1"),
+            ("l1 == 0", "l1=0"),
+            ("l2 != 0", "main"),
+        ],
         sample=_sample_c_main,
+        notes=["l1 != 0 with l2 = 0 fits no subcase: the mirrored relabeling has l1 = 0"],
     ),
     Rule(
         id="R2D-D",

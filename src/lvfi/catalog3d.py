@@ -10,6 +10,8 @@ direction template (alpha, beta, gamma) and an exponent template, each entry
 constant, free or tied.  One matcher (_ConstantDirection) evaluates their
 printed residuals, solves the free entries from the printed solve rows and
 the oracle's condition rows, and evaluates the guards at each match.  The
+2D exponent rules R2D-A, R2D-B and R2D-C (catalog2d) are data for the same
+matcher, with their subcases as labels read off the solved exponents.  The
 stated integrals L4-3, L5-5 and R3D-TRIV share detection.DependentRows; only
 L5-6, whose integral is not a nullspace candidate, keeps a hand-written
 matcher, built from the nullspaces of two DependentRows pairs.
@@ -29,13 +31,13 @@ The permutation engine covers all index-relabeled cases mechanically.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Optional
 
-from .catalog2d import _q
 from .detection import (
     Candidate,
     DependentRows,
@@ -48,7 +50,7 @@ from .detection import (
 )
 from .linalg import SolveOutcome, nullspace, nullspace_candidates, primitive, solve_constrained
 from .model import LVSystem, make_system
-from .oracle import _symbolic_system, residual_3d_generic
+from .oracle import _curl, _symbolic_system, _t_components, residual_3d_generic
 from .poly import GenPoly, SymPoly, ratio
 from .potential import (
     ConstructionError,
@@ -144,7 +146,7 @@ def _template_function(template) -> Callable:
     ]
     names = ", ".join(f"{n}=None" for n in _D_NAMES + _L_NAMES)
     return eval(
-        f"lambda {names}: ({', '.join(entries)},)",
+        f"lambda {names}: ({''.join(f'{v}, ' for v in entries)})",
         {"__builtins__": {}, **consts},
     )
 
@@ -161,12 +163,14 @@ def _by_position(values: dict) -> tuple[tuple, tuple]:
 class _ConstantDirection:
     """Matcher derived from a rule's Ansatz template.
 
-    The rule's ``ansatz`` is (kind, direction template, exponent template).
-    Each template entry is a number (a constant), its own name (a free
-    entry: ``"alpha"``, ``"beta"``, ``"gamma"``, primed for T1, or
-    ``"l<i>"``) or an expression in the free names (a tied entry, such as
-    ``"-gamma"``, or ``"l3"`` in a direction).  A printed residual naming
-    the direction or the exponents (``l3``, or a term-table name such as
+    The rule's ``ansatz`` is (kind, direction template, exponent template),
+    in the rule's dimension.  Each template entry is a number (a constant),
+    its own name (a free entry: ``"alpha"``, ``"beta"``, ``"gamma"``, primed
+    for T1, or ``"l<i>"``) or an expression in the free names (a tied entry,
+    such as ``"-gamma"``, or ``"l3"`` in a direction).  A 2D rule's
+    direction template is empty: its T/R is one skew entry, with direction
+    (1,) in the oracle (oracle.T_WEIGHTS).  A printed residual naming the
+    direction or the exponents (``l3``, or a term-table name such as
     ``B3``) is a *solve row*; every other one must vanish for the system to
     be tried.  The free entries are solved first from the solve rows, then
     from the oracle's condition rows (as in derive_conditions), each in the
@@ -176,7 +180,8 @@ class _ConstantDirection:
     candidate (_l_candidates) is one.  Rows holding products of unknown
     names are not affine, and compiling them raises ValueError.  A guard on
     the coefficients alone is checked with the residuals; every other guard
-    must hold at the match's direction and exponents.
+    must hold at the match's direction and exponents, and the first of the
+    rule's subcases (Rule.subcases) that holds there labels it.
 
     The matcher is scale-free (Rule.scale_free): run_rules calls it on the
     system's primitive-integer view, and the direction solves read its
@@ -221,10 +226,15 @@ class _ConstantDirection:
         return condition_function(" and ".join(tests) or "True")
 
     @cached_property
-    def admits(self) -> Callable:
-        """(b, A, e, d, l) -> whether every other guard holds at the
-        direction d and the exponents l."""
-        return condition_function(" and ".join(f"({t})" for t in self.sources[3]) or "True")
+    def subid(self) -> Callable:
+        """(b, A, e, d, l) -> the label of the first subcase whose condition
+        holds at the direction d and the exponents l ("" for a rule without
+        subcases), or None when no subcase fits or another guard fails
+        there."""
+        cases = self.rule.subcases or [("True", "")]
+        label = "".join(f"{v!r} if ({condition_source(c)}) else " for c, v in cases)
+        admits = " and ".join(f"({t})" for t in self.sources[3]) or "True"
+        return condition_function(f"({label}None) if ({admits}) else None")
 
     @cached_property
     def direction(self) -> Callable:
@@ -233,7 +243,7 @@ class _ConstantDirection:
 
     @cached_property
     def exponents(self) -> Callable:
-        """(free names, by keyword) -> all three exponents of the template."""
+        """(free names, by keyword) -> every exponent of the template."""
         return _template_function(self.template)
 
     @cached_property
@@ -242,8 +252,9 @@ class _ConstantDirection:
         with the names solved before read from d and l: the solve rows, then
         the oracle's condition rows when free names are left.  Both are
         taken at the templates and the pattern's zero constant terms."""
-        b, A, e = _symbolic_system(3)
-        pattern = self.rule.pattern or (None,) * 3
+        n = self.rule.dim
+        b, A, e = _symbolic_system(n)
+        pattern = self.rule.pattern or (None,) * n
         e = tuple(0 if want is False else ei for want, ei in zip(pattern, e))
         free = {n: SymPoly.sym(n) for n in self.free}
         d, l = self.direction(**free), self.exponents(**free)
@@ -253,10 +264,8 @@ class _ConstantDirection:
         stages = [(solved, _affine_rows(conds, solved))] if conds else []
         unsolved = [n for n in self.free if n not in held]
         if unsolved:
-            conds = [
-                c for comp in residual_3d_generic((b, A, e), self.kind, d, l)
-                for _, c in comp.items_sorted()
-            ]
+            t = _t_components(n, b, A, e, self.kind, d or (1,))
+            conds = [c for comp in _curl(t, [v - 1 for v in l]) for _, c in comp.items_sorted()]
             stages.append((unsolved, _affine_rows(conds, unsolved)))
         return stages
 
@@ -277,9 +286,8 @@ class _ConstantDirection:
                 for w in self._solve(names, rows(b, A, e, *_by_position(vi)), nullspaces)
             ]
         matches = [(self.direction(**v), self.exponents(**v)) for v, _ in found]
-        return [
-            self._match(d, l) for d, l in matches if self.admits(b, A, e, primitive(d), l)
-        ]
+        labelled = [(d, l, self.subid(b, A, e, primitive(d), l)) for d, l in matches]
+        return [self._match(d, l, sid) for d, l, sid in labelled if sid is not None]
 
     @staticmethod
     def _solve(names, mr, nullspaces) -> list[tuple]:
@@ -288,10 +296,10 @@ class _ConstantDirection:
             return nullspaces(m)
         return _l_candidates(solve_constrained(m, r))
 
-    def _match(self, abg, l) -> Match:
+    def _match(self, abg, l, subid: str) -> Match:
         params = {name: l[int(name[1]) - 1] for name in self.varying}
         params.update(zip(self.dnames, abg))
-        return Match(params=params, ansatz=(self.kind, abg, l))
+        return Match(params=params, ansatz=(self.kind, abg, l), subid=subid)
 
 
 _AGREES = "agrees: printed formula proportional to constructed integral"
@@ -333,6 +341,14 @@ class _PrintedVerdict:
         return [f"printed integral (audited): {self.verdict}"] + [
             f"printed integral where {c}: {note}" for c, note in self.exceptions
         ]
+
+
+def _q(rng: random.Random, nonzero=False, num=6, den=3) -> Fraction:
+    """Small random rational; the draw shared by the 2D and 3D samplers."""
+    while True:
+        v = Fraction(rng.randint(-num, num), rng.randint(1, den))
+        if not nonzero or v != 0:
+            return v
 
 
 # =============================================================================

@@ -70,6 +70,14 @@ def _positive(text: str) -> float:
     return x
 
 
+def _tolerance(text: str) -> float:
+    # a NaN or negative tolerance fails every check, whatever the integral
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return x
+
+
 def _region(text: str) -> tuple[float, float]:
     lo, sep, hi = text.partition(",")
     if not sep:
@@ -94,8 +102,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--t-end", type=_positive, default=10.0, dest="t_end")
     p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-    p.add_argument("--tol-lie", type=float, default=1e-10, dest="tol_lie")
-    p.add_argument("--tol-drift", type=float, default=1e-6, dest="tol_drift")
+    p.add_argument("--tol-lie", type=_tolerance, default=1e-10, dest="tol_lie")
+    p.add_argument("--tol-drift", type=_tolerance, default=1e-6, dest="tol_drift")
     p.add_argument("--format", choices=("pretty", "json"), default="pretty")
 
 
@@ -184,7 +192,7 @@ def _detections_payload(s, dets, args, do_verify: bool, x0=None):
                 ver["lie_max"] = lie_check(
                     d.integral, s, n=args.points, region=args.region, seed=seed, field=field
                 )
-            except DomainViolation as exc:
+            except (DomainViolation, ex.EvalDomainError) as exc:
                 ver["lie_max"] = None
                 ver["lie_error"] = str(exc)
             start, rep = _drift_from_point(d.integral, s, args, x0, trajectories)

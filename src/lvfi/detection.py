@@ -127,6 +127,9 @@ class Rule:
     # (kind, direction template, exponent template) when the matcher is
     # derived from the Ansatz (catalog3d._ConstantDirection)
     ansatz: Optional[tuple] = None
+    # (condition on the match, label) for a derived matcher: the first that
+    # holds labels a match (Match.subid), and a match none fits is dropped
+    subcases: list[tuple[str, str]] = field(default_factory=list)
     # The matcher gives the same matches when (b, A, e) is scaled by a
     # positive constant, so run_rules hands it the primitive-integer view
     # and its table of row nullspaces, as match(s, nullspaces)
@@ -138,14 +141,17 @@ class Rule:
         return self.id.split("/")[0]
 
     def conditions(self) -> dict:
-        """The rule's condition report, as `lvfi catalog` prints it."""
+        """The rule's condition report, as `lvfi catalog` prints it; the
+        notes list the subcases first, in the order they are tried."""
+        ids = [f"{self.id}/{v}" if v else self.id for _, v in self.subcases]
         return {
             "id": self.id,
             "citation": self.citation,
             "dim": self.dim,
             "residuals": list(self.residuals),
             "guards": list(self.guards),
-            "notes": list(self.notes),
+            "notes": [f"reported as {i} where {c}" for i, (c, _) in zip(ids, self.subcases)]
+            + list(self.notes),
         }
 
 

@@ -296,8 +296,8 @@ def test_reported_residuals_vanish_on_manifold():
     rng = random.Random(5)
     checked = set()
     for rule in RULES_2D + RULES_3D:
-        if rule.id in ("R2D-C", "R2D-D"):
-            continue  # rank / proportionality conditions, not plain residuals
+        if rule.id == "R2D-D":
+            continue  # proportionality conditions, not plain residuals
         try:
             conds = [condition_function(condition_source(t)) for t in rule.residuals]
         except ValueError:
@@ -312,7 +312,7 @@ def test_reported_residuals_vanish_on_manifold():
                 for text, cond in zip(rule.residuals, conds):
                     assert cond(s.b, s.A, s.e, d, l) == 0, (rule.id, text)
         checked.add(rule.id)
-    assert {r.id for r in RULES_3D if r.ansatz} <= checked
+    assert {r.id for r in RULES_2D + RULES_3D if r.ansatz} <= checked
 
 
 def test_compiled_guards_fail_at_the_zero_point():

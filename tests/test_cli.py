@@ -142,6 +142,11 @@ def test_sweep_count_below_one_is_a_usage_error(capsys, value):
         (["--region", "a,2"], "argument --region: invalid _region value: 'a,2'"),
         (["--x0", "abc"], "argument --x0: invalid _point value: 'abc'"),
         (["--x0", "1,nan"], "argument --x0: must be finite numbers, got '1,nan'"),
+        *(
+            ([flag, v], f"argument {flag}: must be a finite number >= 0, got '{v}'")
+            for flag in ("--tol-lie", "--tol-drift")
+            for v in ("nan", "inf", "-1")
+        ),
     ],
 )
 def test_bad_verification_flags_are_usage_errors(
@@ -153,6 +158,22 @@ def test_bad_verification_flags_are_usage_errors(
         main(["detect", "--input", volterra_path, *flags])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tol-lie", "--tol-drift"])
+def test_verify_nan_tolerance_is_a_usage_error(volterra_path, tmp_path, capsys, flag):
+    # a NaN tolerance would fail every check: FAIL with exit 3, not a usage error
+    ip = tmp_path / "h.json"
+    ip.write_text(json.dumps({"op": "var", "i": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", volterra_path, "--integral", str(ip), flag, "nan"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number >= 0, got 'nan'" in capsys.readouterr().err
+
+
+def test_zero_tolerances_are_accepted(volterra_path, capsys):
+    argv = ["detect", "--input", volterra_path, "--tol-lie", "0", "--tol-drift", "0"]
+    assert main(argv) == 0
 
 
 def test_verification_flags_reach_the_checks(volterra_path, monkeypatch, capsys):
@@ -175,6 +196,20 @@ def test_verification_flags_reach_the_checks(volterra_path, monkeypatch, capsys)
     dets = json.loads(capsys.readouterr().out)["detections"]
     assert seen == {"n": 7, "region": (0.5, 2.0), "t_end": 0.5, "h": 0.01}
     assert dets and all(d["verification"]["x0"] == [1.5, 0.5] for d in dets)
+
+
+def test_detect_records_an_eval_domain_error_as_the_lie_error(tmp_path, capsys):
+    # an R2D-C/main integral holds x1^(2/3): the Lie check on a region with
+    # x1 < 0 evaluates a negative base with a non-integer exponent
+    p = tmp_path / "s.json"
+    p.write_text('{"dim":2,"b":["45/2",3],"A":[[-1,2],["-1/3","1/3"]],"e":[0,0]}')
+    assert main(["detect", "--input", str(p), "--region=-1,1", "--format", "json"]) == 0
+    (rec,) = json.loads(capsys.readouterr().out)["detections"]
+    assert rec["rule"] == "R2D-C/main" and rec["params"] == {"l1": "2/3", "l2": "-5"}
+    ver = rec["verification"]
+    assert ver["lie_max"] is None
+    assert "negative base with non-integer exponent" in ver["lie_error"]
+    assert ver["x0"] == [1.0, 1.0]
 
 
 def test_oracle_zero_and_nonzero(volterra_path, capsys):
@@ -249,7 +284,7 @@ def test_catalog_lists_rules(capsys):
 
 # sha256 of `lvfi catalog --format json`; a new value means the printed
 # conditions changed and must be justified.
-CATALOG_JSON_SHA256 = "5e1ac3fef2cb5bcdb8c985466e745fac7e6d319c7f654cce36d39aaef1fa9e60"
+CATALOG_JSON_SHA256 = "79e5889010cebdf3940133837e1c938c54949ef5e6180a83e56fd1245ba2ded2"
 
 
 def test_catalog_json_is_pinned(capsys):

@@ -8,11 +8,13 @@ tie the direction to the exponents or solve both: L3-3, L4-7 and L5-8a take
 their exponents from the printed solve rows, and L4-8, L5-7a and L5-7b take
 the direction from the printed solve rows, then the exponents from the
 oracle's rows at each direction.  Their matcher is derived from the rule's
-Ansatz template (catalog3d._ConstantDirection).  Four stated integrals
-(L4-3, L5-5, R3D-TRIV and R2D-B/rank0) share detection.DependentRows.  The
-hand-written matchers they replace are kept below as the reference, and the
-derived matchers must return the same Ansatz and stated integral lists in
-the same order.
+Ansatz template (catalog3d._ConstantDirection), and so is that of the 2D
+exponent rules R2D-A, R2D-B and R2D-C, whose subcases are labels.  Four
+stated integrals (L4-3, L5-5, R3D-TRIV and R2D-B/rank0) share
+detection.DependentRows.  The hand-written matchers they replace are kept
+below as the reference, and the derived matchers must return the same
+Ansatz and stated integral lists in the same order (for the 2D exponent
+rules, the same params and subid too).
 """
 
 import random
@@ -30,7 +32,7 @@ from lvfi.detection import (
     condition_source,
     pattern_ok,
 )
-from lvfi.linalg import nullspace_candidates, solve_constrained
+from lvfi.linalg import nullspace_candidates, rank, solve_constrained
 from lvfi.model import LVSystem, Permutation, lift_exact, make_system, permute_system
 from lvfi.poly import GenPoly
 from lvfi.potential import gradient_targets_3d, lie_genpoly, potential
@@ -378,6 +380,61 @@ def _ref_triv3(s: LVSystem) -> list[Match]:
     return []
 
 
+# -- the hand-written 2D exponent matchers, as they were in catalog2d ---------
+
+
+def _ref_a(s: LVSystem) -> list[Match]:
+    b, A = s.b, s.A
+    if b[0] + b[1] or 2 * A[0][0] + A[1][0] or A[0][1] + 2 * A[1][1]:
+        return []
+    one = F(1)
+    return [Match(params={"l1": one, "l2": one}, ansatz=("2d-exponents", (), (one, one)))]
+
+
+def _ref_b(s: LVSystem) -> list[Match]:
+    b, A = s.b, s.A
+    col = (A[1][0], A[1][1], b[1])
+    if col == (0, 0, 0):
+        return []  # trivial-row rule covers this
+    m = ((col[0],), (col[1],), (col[2],))
+    r = (-2 * A[0][0], -(A[1][1] + A[0][1]), -b[0])
+    out = solve_constrained(m, r)
+    if out.status != "unique":
+        return []
+    l2 = out.solution[0]
+    return [
+        Match(
+            params={"l1": F(1), "l2": l2},
+            ansatz=("2d-exponents", (), (F(1), l2)),
+            subid="l2=0" if l2 == 0 else "",
+        )
+    ]
+
+
+def _ref_c(s: LVSystem) -> list[Match]:
+    b, A = s.b, s.A
+    m = ((A[0][0], A[1][0]), (A[0][1], A[1][1]), (b[0], b[1]))
+    if rank(m) != 2:
+        return []
+    out = solve_constrained(m, (-A[0][0], -A[1][1], F(0)))
+    if out.status != "unique":
+        return []
+    l1, l2 = out.solution
+    if l1 == 0 and l2 == 0:
+        subid = "l1=l2=0"
+    elif l1 == 0 and l2 == -1:
+        subid = "l1=0,l2=-1"
+    elif l1 == 0:
+        subid = "l1=0"
+    elif l2 != 0:
+        subid = "main"
+    else:
+        return []  # l2 = 0, l1 != 0: found as an l1 subcase of the mirror run
+    return [
+        Match(params={"l1": l1, "l2": l2}, ansatz=("2d-exponents", (), (l1, l2)), subid=subid)
+    ]
+
+
 def _ref_b_rank0(s: LVSystem) -> list[Match]:
     if s.b[1] == 0 and s.A[1][0] == 0 and s.A[1][1] == 0:
         return [Match(params={}, H_gen=GenPoly.term(2, 1, (0, 1)), subid="")]
@@ -403,22 +460,32 @@ REFERENCE = {
     "R3D-TRIV": _ref_triv3,
 }
 REFERENCE_2D = {"R2D-B/rank0": _ref_b_rank0}
+REFERENCE_2D_EXPONENTS = {"R2D-A": _ref_a, "R2D-B": _ref_b, "R2D-C": _ref_c}
 STATED = ("L4-3", "L5-5", "R3D-TRIV", "R2D-B/rank0")
 RULES = {r.id: r for r in RULES_2D + RULES_3D}
 
 
-def _assert_same_as_reference(systems, reference=REFERENCE):
+def _ansatz_and_integral(m: Match) -> tuple:
+    return m.ansatz, m.H_gen
+
+
+def _ansatz_params_and_label(m: Match) -> tuple:
+    return m.ansatz, repr(m.params), m.subid
+
+
+def _assert_same_as_reference(systems, reference=REFERENCE, key=_ansatz_and_integral):
     """Compares the derived and the hand-written matchers on every system
-    and each rule whose pattern it fits: the same Ansatz and stated integral
-    lists, in order.  Returns the matches per rule."""
+    and each rule whose pattern it fits: the same lists of key(match), by
+    default the Ansatz and the stated integral, in order.  Returns the
+    matches per rule."""
     found = dict.fromkeys(reference, 0)
     for k, s in enumerate(systems):
         s = lift_exact(s)
         for rid, ref in reference.items():
             if not pattern_ok(RULES[rid].pattern, s):
                 continue
-            want = [(m.ansatz, m.H_gen) for m in ref(s)]
-            assert [(m.ansatz, m.H_gen) for m in RULES[rid].match(s)] == want, (rid, k, s)
+            want = [key(m) for m in ref(s)]
+            assert [key(m) for m in RULES[rid].match(s)] == want, (rid, k, s)
             found[rid] += len(want)
     return found
 
@@ -476,11 +543,44 @@ def test_stated_2d_matcher_equals_reference():
     _assert_same_as_reference((to_float(s)[0] for s in relabeled), REFERENCE_2D)
 
 
+# The degenerate systems restricted to (x1, x2): the zero system among them
+DEGENERATE_2D = [
+    make_system(b=s.b[:2], A=[row[:2] for row in s.A[:2]], e=s.e[:2]) for s in DEGENERATE
+]
+
+
+def test_derived_2d_exponent_matchers_equal_reference():
+    """R2D-A, R2D-B and R2D-C, derived from the factor x1^(l1-1) x2^(l2-1)
+    with subcases as labels, give the hand-written matchers' Ansatz, params
+    and subid, in order: on sampler draws under both relabelings and their
+    float copies, on sparse integer systems through all four e-patterns and
+    on the 2D degenerate systems."""
+    rng = random.Random(29)
+    systems = [sampler(rng) for _, sampler in sorted(SAMPLERS_2D.items()) for _ in range(3)]
+    relabeled = list(_relabeled(systems, dim=2))
+    ref, key = REFERENCE_2D_EXPONENTS, _ansatz_params_and_label
+    found = _assert_same_as_reference(relabeled, ref, key)
+    assert all(found.values()), found
+    labels = {
+        (rid, m.subid) for s in relabeled for rid in ref
+        if pattern_ok(RULES[rid].pattern, s) for m in RULES[rid].match(s)
+    }
+    assert labels == {
+        (rid, label) for rid in ref for _, label in RULES[rid].subcases or [("", "")]
+    }
+    _assert_same_as_reference((to_float(s)[0] for s in relabeled), ref, key)
+    for seed in (8, 77):
+        sparse = _relabeled(_sparse_integer_systems(seed, 960, dim=2), dim=2)
+        found = _assert_same_as_reference(sparse, ref, key)
+        assert min(found.values()) >= 20, found
+    _assert_same_as_reference(_relabeled(DEGENERATE_2D, dim=2), ref, key)
+
+
 def test_stated_integrals_share_the_dependent_rows_matcher():
     assert all(isinstance(RULES[rid].match, DependentRows) for rid in STATED)
 
 
-DATA_RULES = [r for r in RULES_3D if r.ansatz]
+DATA_RULES = [r for r in RULES_2D + RULES_3D if r.ansatz]
 
 
 @pytest.mark.parametrize("rule", DATA_RULES, ids=lambda r: r.id)

@@ -104,7 +104,7 @@ def _compared(source) -> list:
 
 
 def _derived_matchers():
-    return [r.match for r in RULES_3D if isinstance(r.match, _ConstantDirection)]
+    return [r.match for r in RULES_2D + RULES_3D if isinstance(r.match, _ConstantDirection)]
 
 
 def test_printed_conditions_are_homogeneous():
