@@ -265,12 +265,21 @@ def _drift_from_point(h, s, args, x0, trajectories):
     return None, last_err
 
 
+def _check_x0(x0, s) -> None:
+    """Reject a start point whose length is not the system's dimension
+    before any detection or integration runs; main reports the ValueError
+    as an input error."""
+    if x0 is not None and len(x0) != s.dim:
+        raise ValueError(f"--x0 has {len(x0)} components but the system has dimension {s.dim}")
+
+
 def cmd_detect(args) -> int:
     try:
         s = parse_system(_read_text(args.input))
     except (OSError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    _check_x0(args.x0, s)
     dets, cands = detect2d_full(s) if s.dim == 2 else detect3d_full(s)
     payload = _detections_payload(s, dets, args, do_verify=not args.no_verify, x0=args.x0)
     doc = {
@@ -302,6 +311,10 @@ def cmd_detect(args) -> int:
                     f"max_rel_drift = {ver.get('max_rel_drift')}"
                     + (f" (x0 = {ver.get('x0')})" if ver.get("x0") else "")
                 )
+                # why a check gave no number
+                for name in ("lie_error", "drift_error"):
+                    if ver.get(name):
+                        print(f"    {name}: {ver[name]}")
         for c in doc["candidates_failed_oracle"]:
             print(f"candidate (failed oracle): {c['rule']} - {c['reason']}")
     return EXIT_OK if dets else EXIT_NEGATIVE
@@ -317,6 +330,7 @@ def cmd_verify(args) -> int:
     if ex.max_var_index(h) >= s.dim:
         print("error: integral uses variables beyond the system dimension", file=sys.stderr)
         return EXIT_INPUT
+    _check_x0(args.x0, s)
     try:
         lie = lie_check(h, s, n=args.points, region=args.region, seed=_seed_of(args))
     except (DomainViolation, ex.EvalDomainError) as exc:

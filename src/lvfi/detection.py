@@ -42,13 +42,16 @@ x-space potential term for term.  Whole exponents are the lattice of all
 ones, where each step is the x-space one.
 
 Exact work that rules and relabelings share is done once per run_rules
-call, in tables that live only for that call.  The nullspace of each set of
-rows is computed once (RowNullspaces), so L4-3, L5-5 and L5-6 share the
-nullspaces of each coordinate pair.  Each relabeling's integer view is
-permuted once, and its Fraction view only when a hand matcher or a gate
-reads it.  Each integrating factor is gated once, and each integral is
-emitted once, with the detections and candidates of gating every match and
-collapsing duplicates afterwards (the reference in tests/test_detection.py):
+call, in tables that live only for that call.  The relabelings whose integer
+view fits a constant-term pattern are listed once per distinct pattern, so
+the case split on which e_i vanish is made once for all the rules that share
+it.  The nullspace of each set of rows is computed once (RowNullspaces), so
+L4-3, L5-5 and L5-6 share the nullspaces of each coordinate pair.  Each
+relabeling's integer view is permuted once, and its Fraction view only when
+a hand matcher or a gate reads it.  Each integrating factor is gated once,
+and each integral is emitted once, with the detections and candidates of
+gating every match and collapsing duplicates afterwards (the reference in
+tests/test_detection.py):
 
   * the gate's outcome, the failure reason or the integral, is kept under
     _factor_key: the factor in the original coordinates up to a scalar,
@@ -366,8 +369,12 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
     potential and the Lie gate.  Its Fraction view, which the hand matchers,
     H_expr integrals and printed-form verdicts read, is permuted when first
     read.  The exact work that rules and relabelings share is done once per
-    call: the nullspace of each set of rows (RowNullspaces) and the gate of
-    each integrating factor (_gate_and_build).
+    call: the relabelings that fit each distinct constant-term pattern
+    (pattern_ok, tested when a rule with that pattern first comes up), the
+    nullspace of each set of rows (RowNullspaces) and the gate of each
+    integrating factor (_gate_and_build).  Rules run in order, each over its
+    fitting relabelings in Permutation.all order, as if every relabeling
+    were tested for every rule.
     """
     sx = lift_exact(s)
     sxi = integer_view(sx)
@@ -380,15 +387,19 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
         return fraction_views[p.sigma]
 
     nullspaces = RowNullspaces()
+    fitting: dict = {}  # rule.pattern -> the relabelings whose view fits it
     gates: dict = {}  # _factor_key -> _Gate of that integrating factor
     detections: list[Detection] = []
     candidates: list[Candidate] = []
     seen: set = set()  # _integral_key of every detection, added by the gate
     passed: set = set()  # (family, factor) of every match that passed the gate
     for rule in rules:
-        for p, s2i in relabeled:
-            if not pattern_ok(rule.pattern, s2i):
-                continue
+        fits = fitting.get(rule.pattern)
+        if fits is None:
+            fits = fitting[rule.pattern] = [
+                (p, s2i) for p, s2i in relabeled if pattern_ok(rule.pattern, s2i)
+            ]
+        for p, s2i in fits:
             if rule.scale_free:
                 matches = rule.match(s2i, nullspaces)
             else:

@@ -1,6 +1,6 @@
 """Exact small dense linear algebra over the rationals.
 
-Everything here is an equality decision, never a tolerance: rank, right
+Everything here is an equality decision, never a tolerance: right
 nullspace, and constrained solves of the overdetermined exponent systems the
 rule catalog produces.  An infeasible system has a certificate, a left
 null vector y of the matrix with y . r != 0, computed on demand by
@@ -9,11 +9,10 @@ null vector y of the matrix with y . r != 0, computed on demand by
 Every result comes from one fraction-free row reduction (after Bareiss,
 Math. Comp. 22, 1968; here each row is kept primitive instead).
 ``_echelon`` inserts the rows one at a time as integers and stops once the
-answer is decided: at full column rank for ``rank`` and ``nullspace``, and
-for ``solve_constrained`` at the first row that reduces to
-(0, ..., 0 | r != 0), whatever rows follow.  Only then are the kept rows
-back-eliminated (``_reduced``), and only the entries a caller reads become
-Fractions.  Without an early stop the kept rows span the row space, and
+answer is decided: at full column rank for ``nullspace``, and for
+``solve_constrained`` at the first row that reduces to (0, ..., 0 | r != 0),
+whatever rows follow.  Only then are the kept rows back-eliminated
+(``_reduced``), and only the entries a caller reads become Fractions.  Without an early stop the kept rows span the row space, and
 the reduced row echelon form is unique, so every result equals that of
 Gauss-Jordan elimination over Fractions.
 """
@@ -92,10 +91,6 @@ def _reduced(piv: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
         out.append((c, row))
     out.reverse()
     return out
-
-
-def rank(m: Mat) -> int:
-    return len(_echelon(m, len(m[0]) if m else 0))
 
 
 def nullspace(m: Mat) -> list[Vec]:

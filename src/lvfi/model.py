@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Coef = Union[Fraction, float]
@@ -276,19 +277,18 @@ def field_row(i: int, A, x) -> str:
     return f"{x[i]} * (b{i} + (0.0{terms})) + e{i}"
 
 
-def rhs_floats(s: LVSystem):
-    """Vector field as a fast float callable f(x0, x1, x2=0.0) -> (f0, f1, f2).
+def zero_pattern(A) -> tuple[tuple[bool, ...], ...]:
+    """Which entries of the float matrix A are nonzero: all that a generated
+    field source reads of A (field_row), and so the key of its cache."""
+    return tuple(tuple(bool(v) for v in row) for row in A)
 
-    The three components are written out by field_row, the row template the
-    RK4 kernel of ``verify`` inlines, so RK4, RK45 and the Lie check run the
-    same row arithmetic.  The function is generated for the zero pattern of A
-    and holds the coefficients in its closure.  A 2D system is padded with a
-    zero third row and column: the padded column contributes no terms, and
-    from x2 = 0.0 the third component is 0.0.
-    """
-    A, arguments = field_coefficients(s)
+
+@lru_cache(maxsize=None)
+def _field_maker(nonzero: tuple[tuple[bool, ...], ...]):
+    """make(*FIELD_PARAMETERS) -> f, compiled once per zero pattern of the
+    padded 3x3 matrix (at most 2^9 of them)."""
     x = ("x0", "x1", "x2")
-    rows = ", ".join(field_row(i, A, x) for i in range(3))
+    rows = ", ".join(field_row(i, nonzero, x) for i in range(3))
     source = (
         f"def make({FIELD_PARAMETERS}):\n"
         f"    def f(x0, x1, x2=0.0):\n"
@@ -298,4 +298,19 @@ def rhs_floats(s: LVSystem):
     namespace: dict = {}
     exec(compile(source, "<rhs_floats>", "exec"), namespace)
     # popped, so that the function and its globals form no reference cycle
-    return namespace.pop("make")(*arguments)
+    return namespace.pop("make")
+
+
+def rhs_floats(s: LVSystem):
+    """Vector field as a fast float callable f(x0, x1, x2=0.0) -> (f0, f1, f2).
+
+    The three components are written out by field_row, the row template the
+    RK4 kernel of ``verify`` inlines, so RK4, RK45 and the Lie check run the
+    same row arithmetic.  The function is generated for the zero pattern of A,
+    compiled once per pattern (_field_maker), and holds the coefficients in
+    its closure.  A 2D system is padded with a zero third row and column: the
+    padded column contributes no terms, and from x2 = 0.0 the third component
+    is 0.0.
+    """
+    A, arguments = field_coefficients(s)
+    return _field_maker(zero_pattern(A))(*arguments)

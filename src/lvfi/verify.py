@@ -8,16 +8,18 @@ integrator; both stop early with a flag when the state escapes (constant-term
 LV systems can blow up in finite time).  RK4, RK45 and the Lie check share
 one field evaluator, ``model.rhs_floats``.
 
-The RK4 kernel is a step loop generated for each system and compiled on
-each ``integrate`` call (0.5-0.7 ms): the field rows are written inline
+The RK4 kernel is a generated step loop: the field rows are written inline
 from ``model.field_row``, the template ``rhs_floats`` is built from, and
 keep only the a_ij*x_j terms whose float coefficient is nonzero.  The source
-depends only on the dimension and the zero pattern of A; the coefficients are
-arguments.  State components are locals, a 2D system has no third
-coordinate, and states go to one preallocated buffer.  Its arithmetic, and so
-every drift it reports, is bit-identical to the list-based loop on the full
-rows; ``_rk4`` gives the argument and ``tests/test_verify.py`` keeps that loop
-as the reference.  Over one trajectory of each of the 42 sampler systems
+depends only on the dimension and the zero pattern of A, so it is compiled
+once per (dim, zero pattern) and kept (``_rk4_kernel``, at most 2^4 + 2^9
+kernels); a compile costs 0.5-0.8 ms, more than a short trajectory.  The
+field of ``rhs_floats`` is likewise compiled once per zero pattern.  The
+coefficients are arguments.  State components are locals, a 2D system has no
+third coordinate, and states go to one preallocated buffer.  Its arithmetic,
+and so every drift it reports, is bit-identical to the list-based loop on the
+full rows; ``_rk4`` gives the argument and ``tests/test_verify.py`` keeps that
+loop as the reference.  Over one trajectory of each of the 42 sampler systems
 from all-ones (h = 1e-3, t_end = 10, compilation included) a step costs
 2.6-3.4 us against 4.0-5.4 us for the unrolled loop that called the field
 closure, 1.5-1.7x less time (CPython 3.11, 2-core Xeon; the ranges span the
@@ -52,6 +54,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Any
 
@@ -62,6 +65,7 @@ from .model import (
     field_coefficients,
     field_row,
     rhs_floats,
+    zero_pattern,
 )
 
 BLOWUP_LIMIT = 1e8
@@ -201,13 +205,24 @@ def _rk4_source(dim: int, A) -> str:
     )
 
 
+@lru_cache(maxsize=None)
+def _rk4_kernel(dim: int, nonzero: tuple[tuple[bool, ...], ...]):
+    """The RK4 step loop of _rk4_source, compiled once per dimension and
+    zero pattern of the padded matrix (at most 2^4 + 2^9 of them)."""
+    namespace = {"DomainViolation": DomainViolation, "isfinite": math.isfinite}
+    exec(compile(_rk4_source(dim, nonzero), "<rk4>", "exec"), namespace)
+    # popped, so that the loop and its globals form no reference cycle
+    return namespace.pop("rk4")
+
+
 def _rk4(s, x0, t_end, h):
     """Fixed-step RK4 of the field of s from x0 over [0, t_end].
 
     Returns (times, states, steps, blew_up), states a (steps + 1, dim) view
-    of the buffer.  The step loop is generated for the system (_rk4_source)
-    and compiled on each call; the coefficients are its arguments.  Its
-    arithmetic is that of classical RK4 on the full field row
+    of the buffer.  The step loop is generated for the zero pattern of the
+    system's matrix (_rk4_source) and compiled once per pattern
+    (_rk4_kernel); the coefficients are its arguments.  Its arithmetic is
+    that of classical RK4 on the full field row
     x_i*(b_i + (0.0 + a_i0*x0 + a_i1*x1 + a_i2*x2)) + e_i, bit for bit,
     although terms with a zero coefficient are left out:
 
@@ -226,12 +241,9 @@ def _rk4(s, x0, t_end, h):
     n = max(1, int(round(t_end / h)))
     dim = s.dim
     A, arguments = field_coefficients(s)
-    namespace = {"DomainViolation": DomainViolation, "isfinite": math.isfinite}
-    exec(compile(_rk4_source(dim, A), "<rk4>", "exec"), namespace)
     buf = array("d", [0.0]) * (3 * (n + 1))  # (n + 1, 3) states, row-major
     buf[:dim] = array("d", x0)
-    # popped, so that the loop and its globals form no reference cycle
-    rk4 = namespace.pop("rk4")
+    rk4 = _rk4_kernel(dim, zero_pattern(A))
     steps, blew_up = rk4(buf, n, h, BLOWUP_LIMIT, *x0, *arguments)
     times = np.arange(steps + 1) * h
     states = np.frombuffer(buf).reshape(n + 1, 3)[: steps + 1, :dim]
@@ -349,7 +361,8 @@ def conservation_report(h: ex.Expr, tr: Trajectory) -> ConservationReport:
     if not np.all(np.isfinite(values)):
         # locate the first violation for a useful error message
         bad = int(np.argmax(~np.isfinite(values)))
-        ex.eval_expr(h, tuple(tr.states[bad]))  # raises EvalDomainError
+        # plain floats, so that the error message prints the point as numbers
+        ex.eval_expr(h, tuple(tr.states[bad].tolist()))  # raises EvalDomainError
         raise DomainViolation(f"non-finite H at trajectory index {bad}")
     H0 = float(values[0])
     max_abs = float(np.max(np.abs(values - H0)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
-from lvfi.linalg import Mat
+from lvfi.linalg import Mat, _echelon
 from lvfi.model import FLOAT, RATIONAL, LVSystem, make_system
 from lvfi.poly import GenPoly, SymPoly, quotient, ratio
 
@@ -59,6 +59,12 @@ def subs_partial(p: SymPoly, values: dict) -> SymPoly:
 
 def as_matrix(rows) -> Mat:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def rank(m: Mat) -> int:
+    """The rank of m from the row reduction linalg.nullspace runs, which
+    stops at full column rank."""
+    return len(_echelon(m, len(m[0]) if m else 0))
 
 
 def to_float(s: LVSystem) -> tuple[LVSystem, bool]:

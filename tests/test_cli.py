@@ -400,6 +400,54 @@ def test_verify_skips_an_equilibrium_start_point(volterra_path, tmp_path, capsys
     assert "is constant" in capsys.readouterr().err
 
 
+def test_detect_pretty_says_why_a_check_gave_no_number(volterra_path, monkeypatch, capsys):
+    # the equilibrium start point leaves no drift: the pretty output says why
+    assert main(["detect", "--input", volterra_path, "--x0", "1,1"]) == 0
+    out = capsys.readouterr().out
+    assert "max_rel_drift = None" in out
+    assert out.count(
+        "    drift_error: the trajectory from x0 = [1.0, 1.0] is constant, so no drift can show"
+    ) == 2
+    assert "lie_error" not in out
+
+    def no_points(*args, **kwargs):
+        raise DomainViolation("could not sample a point clear of log singularities")
+
+    monkeypatch.setattr(cli, "lie_check", no_points)
+    assert main(["detect", "--input", volterra_path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("lie_max = None") == 2
+    assert out.count("    lie_error: could not sample a point clear of log singularities") == 2
+    assert "drift_error" not in out
+
+
+def test_detect_drift_error_prints_the_point_as_plain_floats(volterra_path, capsys):
+    # from (-1, 0.5) the trajectory reaches the x1 axis, where ln|x2| is undefined
+    assert main(["detect", "--input", volterra_path, "--format", "json", "--x0=-1,0.5"]) == 0
+    for rec in json.loads(capsys.readouterr().out)["detections"]:
+        err = rec["verification"]["drift_error"]
+        assert "np." not in err and "float64" not in err
+        assert err.endswith(", 0.0)") and "at point (-738.95" in err
+
+
+@pytest.mark.parametrize("command", ["detect", "verify"])
+def test_x0_of_the_wrong_length_is_an_input_error_before_any_work(
+    command, volterra_path, tmp_path, monkeypatch, capsys
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the start point was checked")
+
+    for name in ("detect2d_full", "detect3d_full", "lie_check", "integrate"):
+        monkeypatch.setattr(cli, name, unreachable)
+    ip = tmp_path / "h.json"
+    ip.write_text(json.dumps(ex.to_json_obj(ex.Var(0))))
+    extra = ["--integral", str(ip)] if command == "verify" else []
+    assert main([command, "--input", volterra_path, *extra, "--x0", "1,2,3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --x0 has 3 components but the system has dimension 2\n"
+    )
+
+
 def test_detect_builds_one_field_per_call(volterra_path, monkeypatch, capsys):
     """Every Lie check of one `detect` call shares one rhs_floats field (the
     Lie check that built its own built one per detection)."""

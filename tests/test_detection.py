@@ -22,7 +22,8 @@ from lvfi.catalog3d import RULES_3D, SAMPLERS_3D
 from lvfi.model import Permutation, lift_exact, make_system, parse_system, permute_system
 from lvfi.poly import GenPoly
 
-from conftest import to_float
+from conftest import rand_fraction, to_float
+from test_digest import DEGENERATE
 
 VOLTERRA = '{"dim":2,"b":[1,-1],"A":[[0,-1],[1,0]],"e":[0,0]}'
 
@@ -120,6 +121,56 @@ def _sparse_integer_systems(seed, n):
 def test_gate_once_equals_gating_every_match_on_sparse_integer_systems():
     found, failed = _assert_same_as_reference(_sparse_integer_systems(3, 500))
     assert found > 300 and failed > 50
+
+
+def _generic_systems_of_every_e_pattern(seed, per_pattern):
+    """Generic rational systems, per_pattern of them for each zero pattern
+    of e in 2D and 3D, the case split the pattern filter makes."""
+    rng = random.Random(seed)
+    for dim in (2, 3):
+        for zeros in itertools.product((False, True), repeat=dim):
+            for _ in range(per_pattern):
+                yield make_system(
+                    b=[rand_fraction(rng, nonzero=True) for _ in range(dim)],
+                    A=[[rand_fraction(rng, nonzero=True) for _ in range(dim)] for _ in range(dim)],
+                    e=[0 if z else rand_fraction(rng, nonzero=True) for z in zeros],
+                )
+
+
+# The degenerate systems of the JSON pin, and the same restricted to (x1, x2)
+DEGENERATE_ALL = [
+    *DEGENERATE,
+    *(make_system(b=s.b[:2], A=[row[:2] for row in s.A[:2]], e=s.e[:2]) for s in DEGENERATE),
+]
+
+
+def test_listed_relabelings_equal_testing_every_relabeling_per_rule():
+    systems = list(_generic_systems_of_every_e_pattern(19, 3))
+    _assert_same_as_reference(systems)
+    _, failed = _assert_same_as_reference(DEGENERATE_ALL)
+    assert failed
+
+
+def test_pattern_ok_runs_once_per_distinct_pattern_and_relabeling(monkeypatch):
+    calls = []
+    pattern_ok = detection.pattern_ok
+
+    def counted(pattern, s):
+        calls.append(pattern)
+        return pattern_ok(pattern, s)
+
+    monkeypatch.setattr(detection, "pattern_ok", counted)
+    for s in [*_generic_systems_of_every_e_pattern(7, 1), *DEGENERATE_ALL]:
+        rules = _rules(s)
+        calls.clear()
+        detection.run_rules(s, rules)
+        patterns = {r.pattern for r in rules}
+        relabelings = len(Permutation.all(s.dim))
+        assert len(calls) <= len(patterns) * relabelings, s
+        # each test is of a distinct pattern, never repeated for a rule
+        assert set(calls) <= patterns
+        assert all(calls.count(q) <= relabelings for q in patterns)
+        assert len(calls) < len(rules) * relabelings
 
 
 def _gate_calls(monkeypatch, s):

@@ -32,12 +32,12 @@ from lvfi.detection import (
     condition_source,
     pattern_ok,
 )
-from lvfi.linalg import nullspace_candidates, rank, solve_constrained
+from lvfi.linalg import nullspace_candidates, solve_constrained
 from lvfi.model import LVSystem, Permutation, lift_exact, make_system, permute_system
 from lvfi.poly import GenPoly
 from lvfi.potential import gradient_targets_3d, lie_genpoly, potential
 
-from conftest import same_integral, to_float
+from conftest import rank, same_integral, to_float
 from printed_forms import _gp
 from test_digest import DEGENERATE
 

@@ -10,12 +10,11 @@ from lvfi.linalg import (
     as_vector,
     infeasibility_certificate,
     nullspace,
-    rank,
     solve_constrained,
     vec_dot,
 )
 
-from conftest import as_matrix
+from conftest import as_matrix, rank
 
 
 def mat_vec(m, v):

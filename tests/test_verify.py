@@ -104,6 +104,10 @@ def test_conservation_domain_error_names_subexpression():
     with pytest.raises(ex.EvalDomainError) as err:
         conservation_report(h, tr)
     assert "x1^(1/2)" in str(err.value)
+    # the point prints as plain floats, not numpy scalars
+    bad = next(k for k, x in enumerate(tr.states[:, 0]) if x < 0)
+    point = (float(tr.states[bad, 0]), float(tr.states[bad, 1]))
+    assert str(err.value).endswith(f"at point {point}")
 
 
 def test_detection_and_lie_check_do_not_load_numpy():
@@ -322,6 +326,32 @@ def test_rk4_source_depends_only_on_the_zero_pattern():
     assert "2.5" not in one and "1.5" not in one
     other = source((1.5, 2.0, 3.0), ((1.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
     assert other != one
+
+
+def test_systems_with_one_zero_pattern_share_one_compiled_kernel(monkeypatch):
+    compiled = []
+
+    def counted(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    # module globals shadow the builtin for the generated-source compiles
+    monkeypatch.setattr(verify, "compile", counted, raising=False)
+    monkeypatch.setattr(model, "compile", counted, raising=False)
+    verify._rk4_kernel.cache_clear()
+    model._field_maker.cache_clear()
+    one = make_system(b=(1, -1, 2), A=((0, 3, 0), (-1, 0, 2), (0, 1, 0)), e=(0, 1, 0))
+    two = make_system(b=(-2, 5, 1), A=((0, -7, 0), (4, 0, 1), (0, 9, 0)), e=(3, 0, 0))
+    other = make_system(b=(1, -1, 2), A=((1, 3, 0), (-1, 0, 2), (0, 1, 0)), e=(0, 1, 0))
+    x0 = (0.5, 0.5, 0.5)
+    for s in (one, two, other):
+        # the shared kernel reads each system's own coefficients
+        assert _rk4_run(s, x0, 0.5, 1e-2)[0] == _ref_run(s, x0, 0.5, 1e-2)[0]
+        assert model.rhs_floats(s)(*x0) == tuple(_ref_rhs_floats(s)(x0))
+    # one and two share a zero pattern, other has its own
+    assert compiled == ["<rk4>", "<rhs_floats>", "<rk4>", "<rhs_floats>"]
+    kernel = verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(one)[0]))
+    assert kernel is verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(two)[0]))
 
 
 def test_trajectory_annotations_resolve():
