@@ -46,7 +46,8 @@ call, in tables that live only for that call.  The relabelings whose integer
 view fits a constant-term pattern are listed once per distinct pattern, so
 the case split on which e_i vanish is made once for all the rules that share
 it.  The nullspace of each set of rows is computed once (RowNullspaces), so
-L4-3, L5-5 and L5-6 share the nullspaces of each coordinate pair.  Each
+L4-3, L5-5 and L5-6 share the nullspaces of each coordinate pair, and not
+at all when a nonzero entry or 2x2 minor shows it trivial.  Each
 relabeling's integer view is permuted once, and its Fraction view only when
 a hand matcher or a gate reads it.  Each integrating factor is gated once,
 and each integral is emitted once, with the detections and candidates of
@@ -230,11 +231,16 @@ class DependentRows:
         self.coords, self.names, self.log = coords, names, log
 
     def nullspace(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list:
-        """nullspace_candidates of the columns, or nullspaces(rows) when
-        run_rules hands over its table (RowNullspaces)."""
+        """nullspace_candidates of the columns.  When run_rules hands over
+        its table (RowNullspaces) with the integer view, the table is not
+        asked if an entry or a 2x2 integer minor of the columns shows them
+        independent: there is no candidate.  Those zero tests read the same
+        homogeneous columns, so they too are scale-free."""
         cs = self.coords
         rows = [tuple(s.b[i] for i in cs)] + [tuple(s.A[i][j] for i in cs) for j in range(s.dim)]
-        return nullspace_candidates(rows) if nullspaces is None else nullspaces(rows)
+        if nullspaces is None:
+            return nullspace_candidates(rows)
+        return [] if _independent_columns(rows) else nullspaces(rows)
 
     def __call__(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
         n, cs = s.dim, self.coords
@@ -251,6 +257,16 @@ class DependentRows:
                 H = GenPoly.term(n, 1, exps)
             out.append(Match(params=dict(zip(self.names, v)), H_gen=H))
         return out
+
+
+def _independent_columns(rows) -> bool:
+    """Whether the entries of rows, one or two columns, show the columns
+    linearly independent, so that only the zero vector is in their
+    nullspace: one column with a nonzero entry, or two columns with a
+    nonzero 2x2 minor."""
+    if len(rows[0]) == 1:
+        return any(r for (r,) in rows)
+    return any(p0 * q1 != p1 * q0 for (p0, p1), (q0, q1) in combinations(rows, 2))
 
 
 class RowNullspaces:

@@ -249,46 +249,65 @@ def lift_exact(s: LVSystem) -> LVSystem:
 FIELD_PARAMETERS = "b0, b1, b2, e0, e1, e2, a00, a01, a02, a10, a11, a12, a20, a21, a22"
 
 
-def field_coefficients(s: LVSystem) -> tuple[list[list[float]], list[float]]:
-    """(A, arguments) of the field of s as floats: the matrix, whose zero
-    pattern the generated field sources follow, and every coefficient in the
-    order of FIELD_PARAMETERS.  A 2D system is padded with a zero third row
-    and column."""
+def field_coefficients(s: LVSystem) -> list[float]:
+    """Every coefficient of the field of s as a float, in the order of
+    FIELD_PARAMETERS.  A 2D system is padded with a zero third row and
+    column."""
     pad = [0.0] * (3 - s.dim)
     b = [float(v) for v in s.b] + pad
     e = [float(v) for v in s.e] + pad
     A = [[float(v) for v in row] + pad for row in s.A] + [[0.0] * 3] * len(pad)
-    return A, [*b, *e, *A[0], *A[1], *A[2]]
+    return [*b, *e, *A[0], *A[1], *A[2]]
 
 
-def field_row(i: int, A, x) -> str:
+def field_row(i: int, pattern, x) -> str:
     """Source of field component i at the state whose components are named
-    x[0], x[1], ...:  x_i * (b_i + (0.0 + a_ij * x_j + ...)) + e_i.
+    x[0], x[1], ...:  x_i * (b_i + (a_ij * x_j + ...)) + e_i, read off the
+    row pattern[i] of zero_pattern.
 
     The a_ij * x_j terms appear in column order, and only those whose float
-    coefficient A[i][j] is nonzero: the source depends on the zero pattern of
-    A, never on its values (the coefficients are the names of
-    FIELD_PARAMETERS).  A dropped term is +-0.0 * x_j, and for finite x_j
-    adding +-0.0 to a partial sum that starts at +0.0, and so is never -0.0,
-    changes nothing.  b_i, the 0.0 and e_i stay whatever their values: with
-    e_i = 0.0 the last addition still turns a -0.0 product into +0.0.
+    coefficient is nonzero; the coefficients are the names of
+    FIELD_PARAMETERS, so the source depends on the pattern alone.  It is the
+    arithmetic of the full row x_i * (b_i + sum_j a_ij * x_j) + e_i, whose
+    sum starts at +0.0, bit for bit:
+
+    - A dropped term is +-0.0 * x_j.  For finite x_j it is +-0.0, and adding
+      +-0.0 to a partial sum that starts at +0.0, and so is never -0.0,
+      changes nothing.
+    - Without the leading +0.0 the sum of the kept terms differs only when
+      every kept term is -0.0 (or there is none): it is -0.0 (or absent)
+      instead of +0.0.  b_i plus it then differs only for b_i = -0.0, so the
+      row keeps the 0.0 exactly when b_i is -0.0.
+    - e_i stays whatever its value: with e_i = 0.0 the last addition still
+      turns a -0.0 product into +0.0.
     """
-    terms = "".join(f" + a{i}{j} * {x[j]}" for j in range(3) if A[i][j])
-    return f"{x[i]} * (b{i} + (0.0{terms})) + e{i}"
+    negative_zero_b, *nonzero = pattern[i]
+    terms = [f"a{i}{j} * {x[j]}" for j in range(3) if nonzero[j]]
+    if negative_zero_b:
+        terms.insert(0, "0.0")
+    if not terms:
+        return f"{x[i]} * b{i} + e{i}"
+    return f"{x[i]} * (b{i} + ({' + '.join(terms)})) + e{i}"
 
 
-def zero_pattern(A) -> tuple[tuple[bool, ...], ...]:
-    """Which entries of the float matrix A are nonzero: all that a generated
-    field source reads of A (field_row), and so the key of its cache."""
-    return tuple(tuple(bool(v) for v in row) for row in A)
+def zero_pattern(arguments) -> tuple[tuple[bool, ...], ...]:
+    """For each row i of the coefficients in FIELD_PARAMETERS order, whether
+    b_i is -0.0 and which a_ij are nonzero: all that a generated field
+    source reads of the coefficients (field_row), and so the key of its
+    cache."""
+    b, A = arguments[:3], arguments[6:]
+    return tuple(
+        (b[i] == 0.0 and math.copysign(1.0, b[i]) < 0.0, *map(bool, A[3 * i : 3 * i + 3]))
+        for i in range(3)
+    )
 
 
 @lru_cache(maxsize=None)
-def _field_maker(nonzero: tuple[tuple[bool, ...], ...]):
-    """make(*FIELD_PARAMETERS) -> f, compiled once per zero pattern of the
-    padded 3x3 matrix (at most 2^9 of them)."""
+def _field_maker(pattern: tuple[tuple[bool, ...], ...]):
+    """make(*FIELD_PARAMETERS) -> f, compiled once per zero_pattern of the
+    padded coefficients (at most 2^12 of them)."""
     x = ("x0", "x1", "x2")
-    rows = ", ".join(field_row(i, nonzero, x) for i in range(3))
+    rows = ", ".join(field_row(i, pattern, x) for i in range(3))
     source = (
         f"def make({FIELD_PARAMETERS}):\n"
         f"    def f(x0, x1, x2=0.0):\n"
@@ -306,11 +325,11 @@ def rhs_floats(s: LVSystem):
 
     The three components are written out by field_row, the row template the
     RK4 kernel of ``verify`` inlines, so RK4, RK45 and the Lie check run the
-    same row arithmetic.  The function is generated for the zero pattern of A,
-    compiled once per pattern (_field_maker), and holds the coefficients in
-    its closure.  A 2D system is padded with a zero third row and column: the
-    padded column contributes no terms, and from x2 = 0.0 the third component
-    is 0.0.
+    same row arithmetic.  The function is generated for the zero_pattern of
+    the coefficients, compiled once per pattern (_field_maker), and holds the
+    coefficients in its closure.  A 2D system is padded with a zero third
+    row and column: the padded column contributes no terms, and from
+    x2 = 0.0 the third component is 0.0.
     """
-    A, arguments = field_coefficients(s)
-    return _field_maker(zero_pattern(A))(*arguments)
+    arguments = field_coefficients(s)
+    return _field_maker(zero_pattern(arguments))(*arguments)

@@ -9,23 +9,32 @@ LV systems can blow up in finite time).  RK4, RK45 and the Lie check share
 one field evaluator, ``model.rhs_floats``.
 
 The RK4 kernel is a generated step loop: the field rows are written inline
-from ``model.field_row``, the template ``rhs_floats`` is built from, and
-keep only the a_ij*x_j terms whose float coefficient is nonzero.  The source
-depends only on the dimension and the zero pattern of A, so it is compiled
-once per (dim, zero pattern) and kept (``_rk4_kernel``, at most 2^4 + 2^9
-kernels); a compile costs 0.5-0.8 ms, more than a short trajectory.  The
-field of ``rhs_floats`` is likewise compiled once per zero pattern.  The
-coefficients are arguments.  State components are locals, a 2D system has no
-third coordinate, and states go to one preallocated buffer.  Its arithmetic,
-and so every drift it reports, is bit-identical to the list-based loop on the
-full rows; ``_rk4`` gives the argument and ``tests/test_verify.py`` keeps that
-loop as the reference.  Over one trajectory of each of the 42 sampler systems
-from all-ones (h = 1e-3, t_end = 10, compilation included) a step costs
-2.6-3.4 us against 4.0-5.4 us for the unrolled loop that called the field
-closure, 1.5-1.7x less time (CPython 3.11, 2-core Xeon; the ranges span the
-host's speed between runs).  It is not a numpy batch: a ``detect`` call
-integrates one to five start points, and a numpy RK4 step costs about 35 us
-for any batch up to 128 rows, so numpy pays only from about 13 rows.  The
+from ``model.field_row``, the template ``rhs_floats`` is built from.  A row
+keeps only the a_ij*x_j terms whose float coefficient is nonzero, and its
+sum starts with the 0.0 of the full row's sum only where b_i is -0.0, the
+one b_i whose sum with it the 0.0 can change.  The source depends only on
+the dimension and ``model.zero_pattern`` (which a_ij are nonzero and which
+b_i are -0.0), so it is compiled once per (dim, pattern) and kept
+(``_rk4_kernel``, at most 2^6 + 2^12 kernels); a compile costs 0.5-0.8 ms,
+more than a short trajectory.  The field of ``rhs_floats`` is likewise
+compiled once per pattern.  The coefficients are arguments.  State
+components are locals, a 2D system has no third coordinate, and states go
+to one preallocated buffer.  The blow-up test is one chained comparison per
+component, low <= x_i <= limit with low = -limit: it holds exactly where
+abs(x_i) <= limit does, NaN failing both, without a call to abs.  Its
+arithmetic, and so every drift it reports, is bit-identical to the
+list-based loop on the full rows; ``_rk4`` gives the argument and
+``tests/test_verify.py`` keeps that loop as the reference.  Over one
+trajectory of each of the 42 sampler systems from all-ones (h = 1e-3,
+t_end = 10, compilation included) a step costs 1.5-2.5 us (CPython 3.11,
+2-core Xeon; the range spans the host's speed between runs).  Leaving out
+the leading 0.0 and the calls to abs took about a tenth off the step: the
+median ratio of the old loop's time to this one's was 1.10 and 1.14 in two
+sets of 20 and 16 passes alternated in one process.  Before those two
+changes the loop took 1.5-1.7x less time than the unrolled loop that called
+the field closure.  It is not a numpy batch: a ``detect`` call integrates
+one to five start points, and a numpy RK4 step costs about 35 us for any
+batch up to 128 rows, so numpy pays only from about 13 rows.  The
 update doubles with the float 2.0, which CPython 3.11 multiplies on its
 float-only fast path (2 * k converts 2 to the same 2.0; from all-ones over
 the benchmark's verify corpus, 5.80 against 6.26 ms of RK4 per system), and
@@ -166,9 +175,9 @@ def lie_check(
     return worst
 
 
-def _rk4_source(dim: int, A) -> str:
+def _rk4_source(dim: int, pattern) -> str:
     """Source of the RK4 step loop for a dim-component field whose padded
-    float matrix has the zero pattern of A.
+    coefficients have the given model.zero_pattern.
 
     The loop is rk4(buf, n, h, limit, x0, .., *FIELD_PARAMETERS) -> (steps,
     blew_up).  Each stage writes the field rows inline (model.field_row) on
@@ -181,23 +190,23 @@ def _rk4_source(dim: int, A) -> str:
     c = range(dim)
     x = [f"x{i}" for i in c]
     u = [f"u{i}" for i in c]
-    body = [f"k1_{i} = {field_row(i, A, x)}" for i in c]
+    body = [f"k1_{i} = {field_row(i, pattern, x)}" for i in c]
     for stage, step in ((2, "half"), (3, "half"), (4, "h")):
         body += [f"u{i} = x{i} + {step} * k{stage - 1}_{i}" for i in c]
-        body += [f"k{stage}_{i} = {field_row(i, A, u)}" for i in c]
+        body += [f"k{stage}_{i} = {field_row(i, pattern, u)}" for i in c]
     body += [f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in c]
     body.append("j += 3")
     body += [f"buf[j + {i}] = x{i}" if i else "buf[j] = x0" for i in c]
     body += [
         # one test per step: NaN fails every comparison, so it lands here too
-        f"if not ({' and '.join(f'abs(x{i}) <= limit' for i in c)}):",
+        f"if not ({' and '.join(f'low <= x{i} <= limit' for i in c)}):",
         f"    if not ({' and '.join(f'isfinite(x{i})' for i in c)}):",
         '        raise DomainViolation(f"non-finite state at t = {k * h}")',
         "    return k, True",
     ]
     return (
         f"def rk4(buf, n, h, limit, {', '.join(x)}, {FIELD_PARAMETERS}):\n"
-        "    half, sixth = 0.5 * h, h / 6.0\n"
+        "    half, sixth, low = 0.5 * h, h / 6.0, -limit\n"
         "    j = 0\n"
         "    for k in range(1, n + 1):\n"
         + "".join(f"        {line}\n" for line in body)
@@ -206,11 +215,11 @@ def _rk4_source(dim: int, A) -> str:
 
 
 @lru_cache(maxsize=None)
-def _rk4_kernel(dim: int, nonzero: tuple[tuple[bool, ...], ...]):
+def _rk4_kernel(dim: int, pattern: tuple[tuple[bool, ...], ...]):
     """The RK4 step loop of _rk4_source, compiled once per dimension and
-    zero pattern of the padded matrix (at most 2^4 + 2^9 of them)."""
+    zero_pattern of the padded coefficients (at most 2^6 + 2^12 of them)."""
     namespace = {"DomainViolation": DomainViolation, "isfinite": math.isfinite}
-    exec(compile(_rk4_source(dim, nonzero), "<rk4>", "exec"), namespace)
+    exec(compile(_rk4_source(dim, pattern), "<rk4>", "exec"), namespace)
     # popped, so that the loop and its globals form no reference cycle
     return namespace.pop("rk4")
 
@@ -219,17 +228,17 @@ def _rk4(s, x0, t_end, h):
     """Fixed-step RK4 of the field of s from x0 over [0, t_end].
 
     Returns (times, states, steps, blew_up), states a (steps + 1, dim) view
-    of the buffer.  The step loop is generated for the zero pattern of the
-    system's matrix (_rk4_source) and compiled once per pattern
+    of the buffer.  The step loop is generated for the zero_pattern of the
+    system's coefficients (_rk4_source) and compiled once per pattern
     (_rk4_kernel); the coefficients are its arguments.  Its arithmetic is
     that of classical RK4 on the full field row
     x_i*(b_i + (0.0 + a_i0*x0 + a_i1*x1 + a_i2*x2)) + e_i, bit for bit,
-    although terms with a zero coefficient are left out:
+    although terms with a zero coefficient, and the 0.0 unless b_i is -0.0,
+    are left out:
 
-    - A dropped term is +-0.0 * x_j.  While every stage value is finite, it
-      is +-0.0, and adding +-0.0 to a partial sum that starts at +0.0, and so
-      is never -0.0, leaves the sum unchanged.  b_i, the 0.0 and e_i are
-      always kept (with e_i = 0.0 that addition turns -0.0 into +0.0).
+    - While every stage value is finite, model.field_row gives the argument:
+      a dropped term is +-0.0, and the leading 0.0 changes a row only for
+      b_i = -0.0.
     - If a stage value x_j is non-finite, row j is x_j times something plus
       e_j and so non-finite whatever was dropped, and so is every later stage
       value of x_j and its update.  Both forms then raise the same
@@ -240,10 +249,10 @@ def _rk4(s, x0, t_end, h):
 
     n = max(1, int(round(t_end / h)))
     dim = s.dim
-    A, arguments = field_coefficients(s)
+    arguments = field_coefficients(s)
     buf = array("d", [0.0]) * (3 * (n + 1))  # (n + 1, 3) states, row-major
     buf[:dim] = array("d", x0)
-    rk4 = _rk4_kernel(dim, zero_pattern(A))
+    rk4 = _rk4_kernel(dim, zero_pattern(arguments))
     steps, blew_up = rk4(buf, n, h, BLOWUP_LIMIT, *x0, *arguments)
     times = np.arange(steps + 1) * h
     states = np.frombuffer(buf).reshape(n + 1, 3)[: steps + 1, :dim]

@@ -113,6 +113,16 @@ def test_verify_malformed_integral_exit_1(volterra_path, tmp_path, capsys, node)
     assert err.startswith("error:") and "internal" not in err
 
 
+def test_verify_unparsable_integral_names_the_file(volterra_path, tmp_path, capsys):
+    ip = tmp_path / "empty.json"
+    ip.write_text("")
+    assert main(["verify", "--input", volterra_path, "--integral", str(ip)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the integral in --integral {ip} failed to parse: "
+        "Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["1/0", "x"])
 def test_oracle_bad_fraction_is_a_usage_error(volterra_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -501,3 +511,45 @@ def test_parser_for_the_invoked_subcommand_parses_as_the_full_parser(argv, monke
     full = _parse(cli.build_parser(), argv, capsys)
     assert _parse(cli.build_parser(argv), argv, capsys) == full
     assert full[1] or full[2] or isinstance(full[0], dict)
+
+
+def test_parser_is_built_once_per_invoked_subcommand():
+    for argv in PARSER_ARGVS:
+        assert cli.build_parser(argv) is cli.build_parser(argv)
+    assert cli.build_parser(["detect", "--input", "a"]) is cli.build_parser(["detect"])
+    assert cli.build_parser(["bogus"]) is cli.build_parser()
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_on_shared_parsers_runs_as_on_fresh_ones(volterra_path, tmp_path, monkeypatch, capsys):
+    """One process runs several commands on the parsers it built first;
+    each must behave as on parsers built for it alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    ip = tmp_path / "h.json"
+    ip.write_text(json.dumps(ex.to_json_obj(ex.Var(0))))
+    argvs = [
+        ["detect", "--input", volterra_path, "--x0", "0.5,1.0", "--seed", "7", "--format", "json"],
+        ["detect", "--input", volterra_path, "--step", "0"],
+        ["verify", "--input", volterra_path, "--integral", str(ip), "--tol-lie", "0.5",
+         "--tol-drift", "1e-3", "--format", "json"],
+        ["-h"],
+        ["verify", "-h"],
+        ["detect", "--input", volterra_path, "--seed", "3"],
+        ["verify", "--input", volterra_path, "--integral", str(ip), "--tol-lie", "1e3",
+         "--tol-drift", "1e3"],
+    ]
+    shared = [_main_outcome(argv, capsys) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_main_outcome(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 3, 0, 0, 0, 0]

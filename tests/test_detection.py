@@ -18,7 +18,8 @@ import pytest
 
 from lvfi import detection, oracle
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
-from lvfi.catalog3d import RULES_3D, SAMPLERS_3D
+from lvfi.catalog3d import _ROWS_12, _ROWS_23, RULES_3D, SAMPLERS_3D
+from lvfi.linalg import nullspace_candidates
 from lvfi.model import Permutation, lift_exact, make_system, parse_system, permute_system
 from lvfi.poly import GenPoly
 
@@ -325,3 +326,69 @@ def test_gate_calls_every_layer_by_its_traced_name(monkeypatch, key, kind, resid
         assert any(type(v) is not int for _, _, l in ansatz for v in l), ansatz
     expected = {residual, targets, "potential", "lie_genpoly", "normalize_for_output"}
     assert {name for name, k in calls.items() if k} == expected, calls
+
+
+# DependentRows skips the row reduction when the entries show the columns
+# independent; its candidates must be those of the reduction on every input.
+
+
+def _dependent_rows_matchers():
+    rules = [r for r in RULES_2D + RULES_3D if isinstance(r.match, detection.DependentRows)]
+    return [r.match for r in rules] + [_ROWS_12, _ROWS_23]
+
+
+def _assert_dependent_rows_as_reduction(s, seen):
+    """Each DependentRows matcher's candidates on s, with and without the
+    table, are nullspace_candidates of its rows; seen collects (number of
+    coordinates, whether there are candidates)."""
+    for m in _dependent_rows_matchers():
+        if max(m.coords) >= s.dim:
+            continue
+        cs = m.coords
+        rows = [tuple(s.b[i] for i in cs)] + [tuple(s.A[i][j] for i in cs) for j in range(s.dim)]
+        expected = nullspace_candidates(rows)
+        assert m.nullspace(s) == expected, (cs, s)
+        assert m.nullspace(s, detection.RowNullspaces()) == expected, (cs, s)
+        seen.add((len(cs), bool(expected)))
+
+
+def test_dependent_rows_candidates_equal_the_reduction_on_samplers():
+    rng = random.Random(23)
+    seen = set()
+    for sampler in {**SAMPLERS_2D, **SAMPLERS_3D}.values():
+        for _ in range(2):
+            sxi = detection.integer_view(lift_exact(sampler(rng)))
+            for p in Permutation.all(sxi.dim):
+                _assert_dependent_rows_as_reduction(permute_system(sxi, p), seen)
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
+
+
+def _pair_rows_system(rng, dim, pair):
+    """An integer system whose rows over the coordinate pair, b's and each
+    column of A's, are each zero, a multiple of one direction, or random."""
+    u = (rng.randint(-3, 3), rng.randint(-3, 3))
+    b = [rng.randint(-4, 4) for _ in range(dim)]
+    A = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
+    for j in range(-1, dim):  # -1 stands for b
+        kind = rng.choice(("zero", "proportional", "proportional", "random"))
+        if kind == "random":
+            continue
+        c = 0 if kind == "zero" else rng.randint(-3, 3)
+        for i, ui in zip(pair, u):
+            if j < 0:
+                b[i] = c * ui
+            else:
+                A[i][j] = c * ui
+    return make_system(b=b, A=A, e=[0] * dim)
+
+
+def test_dependent_rows_candidates_equal_the_reduction_on_degenerate_rows():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        dim = rng.choice((2, 3))
+        pair = rng.choice(list(itertools.combinations(range(dim), 2)))
+        sxi = detection.integer_view(_pair_rows_system(rng, dim, pair))
+        for p in Permutation.all(dim):
+            _assert_dependent_rows_as_reduction(permute_system(sxi, p), seen)
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}

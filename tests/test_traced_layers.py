@@ -39,3 +39,26 @@ def test_manifold_reaches_every_expected_layer():
     assert not silent, f"layers expected on manifold recorded no calls: {silent}"
     # the printed-form verdict is taken once per emitted detection
     assert tracer.calls["catalog.compare_printed"] <= tracer.calls["potential.lie_gate"]
+
+
+def test_verify_reaches_every_expected_layer(tmp_path, monkeypatch):
+    # `lvfi detect` in-process on the verify corpus: the cached parser and
+    # the generated RK4 kernel must still run behind the traced names
+    spans, workloads = _load("spans"), _load("workloads")
+    expected = json.loads((BENCH / "layers.json").read_text())["expect_calls"]["verify"]
+    verify = workloads.WORKLOADS["verify"]
+    monkeypatch.setattr(workloads, "OUT", tmp_path)  # the system files' directory
+    stream = verify.stream(11)
+    tracer = spans.Tracer()
+    try:
+        with spans.traced(tracer):
+            for n, item in enumerate(itertools.islice(stream, 8)):
+                with tracer.system_span(n, keep=False):
+                    result = verify.process(item)
+                outcome = verify.check(item, result)
+                assert outcome.ok, outcome.reason
+    finally:
+        stream.close()
+    silent = [layer for layer in expected if not tracer.calls.get(layer)]
+    assert not silent, f"layers expected on verify recorded no calls: {silent}"
+    assert tracer.calls["cli.main"] == 8

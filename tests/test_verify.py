@@ -302,9 +302,23 @@ def test_rk45_and_lie_check_match_reference_field(monkeypatch):
             10.0,
         ),
         ((-0.0, 0.0), ((0.0, -0.0), (-0.0, 0.0)), (0.0, -0.0), (-0.0, 1.5), 1.0, 1e-2),
+        # every kept term of the first row (the second in 3D) is -0.0: b_i =
+        # -0.0 plus their sum is +0.0 only with the sum's leading 0.0, and
+        # b_i = +0.0 plus it is +0.0 either way
+        ((-0.0, 1.0), ((0.0, 1.0), (0.5, 0.0)), (-0.0, -0.0), (-0.0, -0.0), 1.0, 1e-2),
+        (
+            (0.0, -0.0, 1.0),
+            ((0.0, 0.0, 0.0), (-5e-324, 0.0, 1.0), (0.0, 0.0, 0.0)),
+            (0.0, -0.0, -0.0),
+            (0.25, -0.0, -0.0),
+            1.0,
+            1e-2,
+        ),
+        ((0.0, 1.0), ((0.0, 1.0), (0.5, 0.0)), (-0.0, -0.0), (-0.0, -0.0), 1.0, 1e-2),
     ],
     ids=["negative-zero-coefficients", "negative-zero-start", "subnormal-product",
-         "overflow-beside-zero-coefficients", "zero-field-2d"],
+         "overflow-beside-zero-coefficients", "zero-field-2d", "negative-zero-b-2d",
+         "negative-zero-b-3d", "positive-zero-b-2d"],
 )
 def test_rk4_kernel_is_bit_identical_to_reference_on_float_edge_cases(b, A, e, x0, t_end, h):
     from array import array
@@ -318,7 +332,7 @@ def test_rk4_kernel_is_bit_identical_to_reference_on_float_edge_cases(b, A, e, x
 def test_rk4_source_depends_only_on_the_zero_pattern():
     def source(b, A, e):
         s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
-        return verify._rk4_source(s.dim, model.field_coefficients(s)[0])
+        return verify._rk4_source(s.dim, model.zero_pattern(model.field_coefficients(s)))
 
     one = source((1.5, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
     two = source((-4.0, 0.0, 0.5), ((-0.0, 9.0, 0.0), (-2.0, 0.0, 1e-300), (0.0, -0.0, 3.0)), (2.0, 0.0, 0.0))
@@ -326,6 +340,10 @@ def test_rk4_source_depends_only_on_the_zero_pattern():
     assert "2.5" not in one and "1.5" not in one
     other = source((1.5, 2.0, 3.0), ((1.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
     assert other != one
+    # whether a zero b_i is -0.0 decides whether its rows keep a leading 0.0
+    plus = source((0.0, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
+    minus = source((-0.0, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
+    assert plus == one and minus != plus
 
 
 def test_systems_with_one_zero_pattern_share_one_compiled_kernel(monkeypatch):
@@ -350,8 +368,8 @@ def test_systems_with_one_zero_pattern_share_one_compiled_kernel(monkeypatch):
         assert model.rhs_floats(s)(*x0) == tuple(_ref_rhs_floats(s)(x0))
     # one and two share a zero pattern, other has its own
     assert compiled == ["<rk4>", "<rhs_floats>", "<rk4>", "<rhs_floats>"]
-    kernel = verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(one)[0]))
-    assert kernel is verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(two)[0]))
+    kernel = verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(one)))
+    assert kernel is verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(two)))
 
 
 def test_trajectory_annotations_resolve():
