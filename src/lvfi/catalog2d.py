@@ -18,6 +18,8 @@ R2D-A, R2D-B and R2D-C are data for the 3D Ansatz rules' matcher
 (catalog3d._ConstantDirection): the factor x1^(l1-1) x2^(l2-1), with
 (l1, l2) solved from the oracle's rows, and subcases as labels read off
 (l1, l2) (Rule.subcases).
+R2D-E's factor e^(c.x) lies in the same exponent chart, and its match
+states the integral as GenPoly data with a log atom (_match_e, Match.log).
 
 Mirrored cases are obtained by coordinate relabeling in the engine, not by
 hand-written twin rules.
@@ -25,15 +27,11 @@ hand-written twin rules.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import expr as ex
 from .catalog3d import _direction_rule, _q
 from .detection import Candidate, DependentRows, Detection, Match, Rule, run_rules
 from .linalg import solve_constrained  # noqa: F401  (perfbench/spans.py wraps this name)
 from .model import LVSystem, Permutation, make_system, permute_system
 from .poly import GenPoly
-from .potential import lie_genpoly
 
 
 # -- R2D-A --------------------------------------------------------------------
@@ -155,16 +153,11 @@ def _sample_d(rng) -> LVSystem:
 # -- R2D-E --------------------------------------------------------------------
 
 
-def _lie_zero_e(s: LVSystem) -> bool:
-    """P times the Lie derivative of H = G + b2 ln|P| is zero, with
-    G = a21 x1 - a12 x2 and P = e1 + a12 x1 x2: L(G) P + b2 L(P) == 0."""
-    a12, a21 = s.A[0][1], s.A[1][0]
-    G = GenPoly.term(2, a21, (1, 0)) + GenPoly.term(2, -a12, (0, 1))
-    P = GenPoly.term(2, s.e[0], (0, 0)) + GenPoly.term(2, a12, (1, 1))
-    return (lie_genpoly(G, s) * P + lie_genpoly(P, s).scale(s.b[1])).is_zero()
-
-
 def _match_e(s: LVSystem) -> list[Match]:
+    """H = G + b2 ln|P|, G = a21 x1 - a12 x2 and P = e1 + a12 x1 x2, from
+    the factor e^(c.x) with unit exponents and c = (a21, -a12)/b2, in the
+    exponent chart of oracle.residual_2d_exponents.  c is unchanged when
+    (b, A, e) is scaled, so the gate's residual reads the integer view."""
     b, A, e = s.b, s.A, s.e
     if A[0][0] != 0 or A[1][1] != 0:
         return []
@@ -173,19 +166,12 @@ def _match_e(s: LVSystem) -> list[Match]:
     if A[0][1] == 0 or A[1][0] == 0 or b[1] == 0:
         return []
     a12, a21, b2, e1 = A[0][1], A[1][0], b[1], e[0]
-    alpha = a12 * a21 / b2
-    # H = G + b2 ln|P| (_lie_zero_e)
-    x1, x2 = ex.Var(0), ex.Var(1)
-    P = ex.Add((ex.Const(e1), ex.Mul((ex.Const(a12), x1, x2))))
-    G = (ex.Mul((ex.Const(a21), x1)), ex.Mul((ex.Const(-a12), x2)))
-    H = ex.Add((*G, ex.Mul((ex.Const(b2), ex.LnAbs(P)))))
     return [
         Match(
-            params={"alpha": alpha},
-            ansatz=("2d-separable", (alpha, Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))),
-            H_expr=H,
-            lie_zero_check=_lie_zero_e,
-            dedup_key=((a21, -a12), (b2,), (e1 / a12,)),
+            params={"alpha": a12 * a21 / b2},
+            ansatz=("2d-exponents", (a21 / b2, -a12 / b2), (1, 1)),
+            H_gen=GenPoly.term(2, a21, (1, 0)) + GenPoly.term(2, -a12, (0, 1)),
+            log=(b2, GenPoly.term(2, e1, (0, 0)) + GenPoly.term(2, a12, (1, 1))),
         )
     ]
 

@@ -52,12 +52,7 @@ from .linalg import SolveOutcome, nullspace, nullspace_candidates, primitive, so
 from .model import LVSystem, make_system
 from .oracle import _curl, _symbolic_system, _t_components, residual_3d_generic
 from .poly import GenPoly, SymPoly, ratio
-from .potential import (
-    ConstructionError,
-    gradient_targets_3d,
-    normalize_for_output,
-    potential,
-)
+from .potential import ConstructionError, gradient_targets_3d, potential
 
 F = Fraction
 _D_NAMES = ("alpha", "beta", "gamma")
@@ -824,7 +819,7 @@ def _sample_l5_8c(rng) -> LVSystem:
                 H = potential(gradient_targets_3d(s, *m2.ansatz))
             except ConstructionError:
                 continue
-            if not normalize_for_output(H).is_zero():
+            if not H.drop_constant().is_zero():
                 return s
 
 

@@ -398,7 +398,7 @@ def cmd_oracle(args) -> int:
                 s, spec, (args.alpha, args.beta, args.gamma), (args.l1, args.l2, args.l3)
             )
     except AnsatzError as exc:
-        print(f"ansatz undefined: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     dump = residual_dump(comps)
     if args.format == "json":

@@ -8,9 +8,14 @@ must pass an exact gate before it becomes a Detection:
   * rules realized inside an integrating-factor Ansatz: the curl residual must
     be the zero Laurent polynomial, then the integral is reconstructed from
     the gradient field T f and the reconstruction is verified termwise;
-  * rules stated directly (monomial/log integrals outside the Ansatz charts):
-    the symbolic Lie derivative f . grad H must be identically zero in exact
-    arithmetic.
+  * rules stated directly (monomial/log integrals outside the Ansatz charts,
+    and R2D-E, whose factor e^(c.x) has a stated integral): the symbolic
+    Lie derivative f . grad H must be identically zero in exact arithmetic.
+
+Every integral is a GenPoly H, plus c ln|P| for a polynomial P where the
+match states one (Match.log; R2D-E's G + b2 ln|e1 + a12 x1 x2|).  So one Lie
+test (potential.lie_genpoly), one key (_integral_key) and one output form
+(normalize_for_output, genpoly_to_expr) serve every rule.
 
 A match whose exact gate fails is demoted to a diagnostic candidate, never
 silently dropped.
@@ -25,10 +30,11 @@ checks this), each row of a solve homogeneous of one degree, so the row space, t
 nullspace and the solution are unchanged.  run_rules therefore decides the
 scale-free steps on integer_view(s), scaled to primitive integers, and
 reads the Fraction system only where the scale shows: params, the hand
-matchers, the integrals outside GenPoly and the conditions of the printed
-forms' audited verdicts (Rule.compare_printed).  The integral built on the
-integer view is a nonzero multiple of the one built on the Fraction system,
-and normalize_for_output removes the multiple.
+matchers and the conditions of the printed forms' audited verdicts
+(Rule.compare_printed).  The integral built on the integer view, or stated
+by a hand matcher and gated on it, is a nonzero multiple of the one on the
+Fraction system up to a constant, and normalize_for_output removes the
+multiple.
 
 The exponents stay on integers too.  An Ansatz factor x^(l-1) has rational
 exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
@@ -60,16 +66,16 @@ tests/test_detection.py):
     H' = c H + const, so every step of the gate agrees, and a later match
     with that factor reuses the outcome for its own Detection or Candidate;
   * a match is skipped when an earlier match of its rule family with the
-    same factor passed the gate, or for an integral outside GenPoly
-    (H_expr) the same integral (_expr_key): it would have been collapsed.
-    A factor whose match failed never skips a later match, whose candidate
-    must still be reported;
-  * the gate keys a GenPoly integral in output form (_integral_key) right
-    after construction, and a key the rule family already emitted collapses
-    the match before the Lie gate, whose outcome is the same for the same
+    same factor passed the gate: it would have been collapsed.  A factor
+    whose match failed never skips a later match, whose candidate must
+    still be reported;
+  * the gate keys an integral in output form (_integral_key) right after
+    construction, and a key the rule family already emitted collapses the
+    match before the Lie gate, whose outcome is the same for the same
     integral up to a scalar and an additive constant.
-    That is the one collapse of a stated integral, which has no factor key,
-    and of a differing factor that builds an emitted integral (L5-8c).
+    That is the one collapse of a stated integral with no Ansatz, which has
+    no factor key, and of a differing factor that builds an emitted
+    integral (L5-8c).
 """
 
 from __future__ import annotations
@@ -85,7 +91,8 @@ from . import expr as ex
 from . import oracle
 from .linalg import nullspace_candidates, primitive
 from .model import LVSystem, Permutation, lift_exact, permute_system
-from .oracle import AnsatzSpec, residual_2d, residual_3d
+from .oracle import AnsatzSpec, residual_3d
+from .oracle import residual_2d  # noqa: F401  (perfbench/spans.py wraps this name)
 from .poly import GenPoly, canonical
 from .potential import (
     ConstructionError,
@@ -105,11 +112,10 @@ class Match:
     """One successful rule instantiation on a (possibly permuted) system."""
 
     params: dict[str, Fraction]
-    ansatz: Optional[tuple[str, tuple, tuple]] = None  # (kind, abg, l)
+    # (kind, abg, l); in 2D abg is c of the factor e^(c.x) x^(l-1), () for c = 0
+    ansatz: Optional[tuple[str, tuple, tuple]] = None
     H_gen: Optional[GenPoly] = None  # directly stated integral
-    H_expr: Optional[ex.Expr] = None  # integrals outside the GenPoly algebra
-    lie_zero_check: Optional[Callable[[LVSystem], bool]] = None  # for H_expr
-    dedup_key: Optional[tuple] = None  # for H_expr: (vector, scalars, invariants)
+    log: Optional[tuple] = None  # (c, P): the stated integral is H_gen + c ln|P|
     subid: str = ""  # branch label appended to the rule id
 
 
@@ -300,6 +306,7 @@ class Detection:
     paper_formula_deviation: Optional[str] = None
     verification: Optional[dict] = None
     H_gen: Optional[GenPoly] = None
+    log: Optional[tuple] = None  # (c, P) when the integral is H_gen + c ln|P|
     ansatz: Optional[tuple] = None  # (kind, abg, l) when Ansatz-realized
 
     def to_json_obj(self) -> dict:
@@ -382,10 +389,10 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
     Each relabeling has an integer view (integer_view, permuted once per
     relabeling), which every scale-free step reads: the pattern test, the
     scale_free matchers, the curl residual, the gradient targets, the
-    potential and the Lie gate.  Its Fraction view, which the hand matchers,
-    H_expr integrals and printed-form verdicts read, is permuted when first
-    read.  The exact work that rules and relabelings share is done once per
-    call: the relabelings that fit each distinct constant-term pattern
+    potential and the Lie gate.  Its Fraction view, which the hand matchers
+    and printed-form verdicts read, is permuted when first read.  The exact
+    work that rules and relabelings share is done once per call: the
+    relabelings that fit each distinct constant-term pattern
     (pattern_ok, tested when a rule with that pattern first comes up), the
     nullspace of each set of rows (RowNullspaces) and the gate of each
     integrating factor (_gate_and_build).  Rules run in order, each over its
@@ -421,11 +428,8 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
             else:
                 matches = rule.match(fraction_view(p))
             for m in matches:
-                if m.H_expr is not None:
-                    fkey, pkey = None, _expr_key(rule, m, p.sigma)
-                else:
-                    fkey = _factor_key(m, p.sigma)
-                    pkey = None if fkey is None else (rule.family, fkey)
+                fkey = _factor_key(m, p.sigma)
+                pkey = None if fkey is None else (rule.family, fkey)
                 if pkey in passed:
                     continue
                 det, cand = _gate_and_build(rule, fraction_view(p), s2i, p, m, seen, gates, fkey)
@@ -441,8 +445,7 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
 
 def _factor_key(m: Match, sigma: tuple[int, ...]) -> Optional[tuple]:
     """The integrating factor of an Ansatz match in the original coordinates
-    and up to a nonzero scalar, or None for a match that states its
-    integral (H_gen, H_expr).
+    and up to a nonzero scalar, or None for a match with no Ansatz.
 
     Entry (i, j) of T/R on the relabeled system is a monomial c x^w
     (oracle.T_WEIGHTS; -x^0 at (1, 2) in 2D), so T holds c x^(l-1+w) at
@@ -452,44 +455,46 @@ def _factor_key(m: Match, sigma: tuple[int, ...]) -> Optional[tuple]:
     and the coefficients scaled to primitive integers with a positive first
     entry.  Every exponent vector holds all of l - 1, so equal factors have
     one D, and the key is the same exactly for proportional factors,
-    whatever the rule or the relabeling.
+    whatever the rule or the relabeling.  A 2D factor e^(c.x) x^(l-1) with
+    c != 0 adds c in the original coordinates, which no scalar changes.
     """
-    if m.ansatz is None or m.H_expr is not None:
+    if m.ansatz is None:
         return None
     kind, abg, l = m.ansatz
-    if kind == "2d-exponents":
-        abg = (1,)
     n = len(sigma)
+    c = [0] * n
+    if kind == "2d-exponents":
+        for k, ck in enumerate(abg):
+            c[sigma[k]] = canonical(ck)
+        abg = (1,)
     den = lcm(*(v.denominator for v in l))
     lm1 = [v.numerator * (den // v.denominator) - den for v in l]
     entries = []
-    for (i, j), w, c in zip(combinations(range(n), 2), oracle.T_WEIGHTS[kind], primitive(abg)):
-        if not c:
+    for (i, j), w, t in zip(combinations(range(n), 2), oracle.T_WEIGHTS[kind], primitive(abg)):
+        if not t:
             continue
         exps = [0] * n
         for k, q in enumerate(lm1):
             exps[sigma[k]] = q + den * w[k]
         si, sj = sigma[i], sigma[j]
-        entries.append(((si, sj), -c, tuple(exps)) if si < sj else ((sj, si), c, tuple(exps)))
+        entries.append(((si, sj), -t, tuple(exps)) if si < sj else ((sj, si), t, tuple(exps)))
     entries.sort()
     if entries and entries[0][1] < 0:
-        entries = [(ij, -c, exps) for ij, c, exps in entries]
-    return den, tuple(entries)
+        entries = [(ij, -t, exps) for ij, t, exps in entries]
+    return (den, tuple(entries), tuple(c)) if any(c) else (den, tuple(entries))
 
 
 def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[GenPoly]:
     """Curl-residual components of an Ansatz (kind, abg, l) on system s, in
     the coordinates of s, times scale; all zero exactly when T is an
-    integrating factor.  t is T f/R (oracle._t_components) when the caller
-    has it."""
-    if kind == "2d-separable":
-        return [residual_2d(s, *abg)]
+    integrating factor.  In 2D, abg is c of the factor e^(c.x) x^(l-1), ()
+    for c = 0.  t is T f/R (oracle._t_components) when the caller has it."""
     if kind == "2d-exponents":
         # resolved on the oracle module at call time, so a tracer patching
         # oracle.residual_2d_exponents sees this call
         return [
             oracle.residual_2d_exponents(
-                (s.b, s.A, s.e), *map(canonical, l), t=t, scale=scale
+                (s.b, s.A, s.e), *map(canonical, l), *abg, t=t, scale=scale
             )
         ]
     return residual_3d(s, AnsatzSpec(kind), abg, l, t=t, scale=scale)
@@ -498,46 +503,52 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[
 @dataclass
 class _Gate:
     """The gate's outcome for one integrating factor, or for one stated
-    integral: why it failed, or the integral.  H is normalize_for_output of
-    the integral in the original coordinates, Hn its output form
-    (_canonical_monomial).  lie holds (H on the lattice, the integer view it
-    was built on, the lattice) until the Lie gate has run or is known to
-    pass; expr is genpoly_to_expr(Hn), built for the first detection."""
+    integral: why it failed, or the integral.  H and log are
+    normalize_for_output of the integral in the original coordinates, Hn
+    the output form of H (_canonical_monomial where there is no log).  lie
+    holds (H on the lattice, the integer view it was built on, the lattice,
+    the match's log) until the Lie gate has run or is known to pass; expr
+    is genpoly_to_expr(Hn, log), built for the first detection."""
 
     reason: Optional[str] = None
     H: Optional[GenPoly] = None
     Hn: Optional[GenPoly] = None
+    log: Optional[tuple] = None
     lie: Optional[tuple] = None
     expr: Optional[ex.Expr] = None
 
 
 def _construct(s2i, p: Permutation, m: Match) -> _Gate:
-    """The integral of a GenPoly match on the integer view s2i of relabeling
-    p, up to its Lie gate.
+    """The integral of a match on the integer view s2i of relabeling p, up
+    to its Lie gate.
 
-    The T1/T2 direction and the exponents do not scale with (b, A, e), so
-    the residual, the targets and the potential read s2i, with the
+    The curl residual of every match with an Ansatz must be zero.  The
+    T1/T2 direction, the exponents and the 2D c do not scale with (b, A, e),
+    so the residual, the targets and the potential read s2i, with the
     direction scaled to primitive integers too (each is linear in it).  On
     these views T f and the potential are positive multiples of those on
     the Fraction system; the zero tests are unchanged, and
     normalize_for_output removes the scale.  T f/R is built once and read
     by the residual and the targets; the targets and the potential work on
-    the match's exponent lattice (module docstring), and a stated integral
-    is taken in x.  H mapped back to x and to the original coordinates is
-    what the key and the output read.
+    the match's exponent lattice (module docstring).  A match that states
+    its integral is not reconstructed: its integral, taken in x, is the one
+    gated.  H mapped back to x and to the original coordinates is what the
+    key and the output read.
     """
     n = s2i.dim
-    if m.H_gen is not None:
-        Hy, d = m.H_gen, (1,) * n
-    else:
+    if m.ansatz is not None:
         kind, abg, l = m.ansatz
         l = tuple(map(canonical, l))
-        abg = (1,) if kind == "2d-exponents" else primitive(abg)
-        t = oracle._t_components(n, s2i.b, s2i.A, s2i.e, kind, abg)
+        if n == 3:  # in 2D, abg is c and T/R is the unit skew entry
+            abg = primitive(abg)
+        t = oracle._t_components(n, s2i.b, s2i.A, s2i.e, kind, abg if n == 3 else (1,))
         d = lattice(l)
         comps = ansatz_residual(s2i, kind, abg, l, t=t, scale=lcm(*d))
         if not all(c.is_zero() for c in comps):
             return _Gate("curl residual not identically zero")
+    if m.H_gen is not None:
+        Hy, d = m.H_gen, (1,) * n
+    else:
         try:
             if n == 2:
                 targets = gradient_targets_2d(s2i, l, t=t, lattice=d)
@@ -546,11 +557,15 @@ def _construct(s2i, p: Permutation, m: Match) -> _Gate:
             Hy = potential(targets)
         except ConstructionError as exc:
             return _Gate(f"construction: {exc}")
-    H = normalize_for_output(_permute_genpoly(from_lattice(Hy, d), p.sigma))
-    if H.is_zero():
+    log = m.log
+    if log is not None:
+        log = (log[0], _permute_genpoly(log[1], p.sigma))
+    H, log = normalize_for_output(_permute_genpoly(from_lattice(Hy, d), p.sigma), log)
+    if H.is_zero() and log is None:
         # H is constant, so its Lie derivative is zero
         return _Gate("constant integral")
-    return _Gate(H=H, Hn=_canonical_monomial(H), lie=(Hy, s2i, d))
+    Hn = H if log is not None else _canonical_monomial(H)
+    return _Gate(H=H, Hn=Hn, log=log, lie=(Hy, s2i, d, m.log))
 
 
 def _gate_and_build(
@@ -561,7 +576,7 @@ def _gate_and_build(
     view s2i.  Returns (None, None) for an integral already in seen
     (_integral_key), and adds the key of one that passes.
 
-    A GenPoly match's gate outcome (_Gate) is looked up in gates under its
+    A match's gate outcome (_Gate) is looked up in gates under its
     integrating factor fkey (_factor_key), and built (_construct) and stored
     there when missing.  For T' = c T, H' = c H + const, and a relabeling
     renames the coordinates, so every step of the gate agrees on matches
@@ -575,22 +590,20 @@ def _gate_and_build(
     audited verdict on the printed integral (Rule.compare_printed), which
     reads s2 and H pulled back to the coordinates of s2.
     """
-    if m.H_expr is not None:
-        return _gate_expr(rule, s2, p, m)
     gate = None if gates is None else gates.get(fkey)
     if gate is None:
         gate = _construct(s2i, p, m)
         if gates is not None and fkey is not None:
             gates[fkey] = gate
     if gate.reason is None:
-        key = _integral_key(rule.family, gate.Hn)
+        key = _integral_key(rule.family, gate.Hn, gate.log)
         if key in seen:
             gate.lie = None
             return None, None
         if gate.lie is not None:
-            Hy, si, d = gate.lie
+            Hy, si, d, log = gate.lie
             gate.lie = None
-            if not lie_genpoly(Hy, si, lattice=d).is_zero():
+            if not lie_genpoly(Hy, si, lattice=d, log=log).is_zero():
                 gate.reason = "exact Lie derivative nonzero on original system"
     if gate.reason is not None:
         return None, Candidate(rule.id, p.sigma, m.params, gate.reason)
@@ -600,38 +613,19 @@ def _gate_and_build(
         H2 = _permute_genpoly(gate.H, p.inverse().sigma)
         deviation = rule.compare_printed(s2, m, H2)
     if gate.expr is None:
-        gate.expr = genpoly_to_expr(gate.Hn)
-    return _detection(
-        rule, p, m, gate.expr,
-        "curl-residual-zero" if m.ansatz is not None else "exact-lie-zero",
-        paper_formula_deviation=deviation, H_gen=gate.Hn,
-    ), None
-
-
-def _gate_expr(rule: Rule, s2, p: Permutation, m: Match):
-    """Gate an integral outside the GenPoly algebra (log of a polynomial)
-    on the Fraction system s2.  The separable chart's parameters carry the
-    coefficients' scale, so its residual reads s2 too."""
-    if m.ansatz is not None and not all(c.is_zero() for c in ansatz_residual(s2, *m.ansatz)):
-        return None, Candidate(rule.id, p.sigma, m.params, "curl residual not identically zero")
-    if m.lie_zero_check is not None and not m.lie_zero_check(s2):
-        return None, Candidate(rule.id, p.sigma, m.params, "exact Lie-derivative check failed")
-    H_expr = ex.substitute_vars(m.H_expr, {i: p.sigma[i] for i in range(s2.dim)})
-    oracle_kind = "curl-residual-zero" if m.ansatz is not None else "exact-lie-zero"
-    return _detection(rule, p, m, ex.simplify(H_expr), oracle_kind), None
-
-
-def _detection(rule: Rule, p: Permutation, m: Match, integral, oracle_kind, **kw) -> Detection:
+        gate.expr = genpoly_to_expr(gate.Hn, gate.log)
     return Detection(
         rule_id=rule.id + (f"/{m.subid}" if m.subid else ""),
         citation=rule.citation,
         sigma=p.sigma,
         params=m.params,
-        integral=integral,
-        oracle_kind=oracle_kind,
+        integral=gate.expr,
+        oracle_kind="curl-residual-zero" if m.ansatz is not None else "exact-lie-zero",
+        paper_formula_deviation=deviation,
+        H_gen=gate.Hn,
+        log=gate.log,
         ansatz=m.ansatz,
-        **kw,
-    )
+    ), None
 
 
 def _canonical_monomial(H: GenPoly) -> GenPoly:
@@ -649,27 +643,12 @@ def _canonical_monomial(H: GenPoly) -> GenPoly:
     return GenPoly.term(H.nvars, 1, [Fraction(q) / lead for q in p], k)
 
 
-def _integral_key(family: str, Hn: GenPoly) -> tuple:
-    """Key of an integral in output form (normalize_for_output, then
-    _canonical_monomial), which already fixes its scale and sign, so
-    integrals equal up to a nonzero scalar and an additive constant, and
-    powers of one monomial integral, share it."""
-    return (family, frozenset(Hn.terms.items()))
-
-
-def _expr_key(rule: Rule, m: Match, sigma: tuple[int, ...]) -> tuple:
-    """Key of an integral outside GenPoly, in original coordinates: the
-    match's dedup_key with its vector permuted to original coordinates and
-    the common scale normalized, so sign/scale-equivalent integrals
-    collide."""
-    vec, scalars, invariants = m.dedup_key
-    nv = [None] * len(vec)
-    for i, v in enumerate(vec):
-        nv[sigma[i]] = v
-    lead = next((v for v in nv if v), None) or next((v for v in scalars if v), Fraction(1))
-    return (
-        rule.family,
-        tuple(v / lead for v in nv),
-        tuple(v / lead for v in scalars),
-        tuple(invariants),
-    )
+def _integral_key(family: str, Hn: GenPoly, log: Optional[tuple] = None) -> tuple:
+    """Key of an integral Hn + c ln|P| (log = (c, P), or None) in output
+    form (normalize_for_output, then _canonical_monomial where there is no
+    log), which already fixes its scale and sign, so integrals equal up to
+    a nonzero scalar and an additive constant, and powers of one monomial
+    integral, share it."""
+    if log is not None:
+        log = (log[0], frozenset(log[1].terms.items()))
+    return (family, frozenset(Hn.terms.items()), log)

@@ -343,25 +343,6 @@ def simplify(h: Expr) -> Expr:
     raise TypeError(f"not an Expr: {h!r}")
 
 
-def substitute_vars(h: Expr, mapping: dict[int, int]) -> Expr:
-    """Rename variables; used to pull detections back through permutations."""
-    if isinstance(h, Const):
-        return h
-    if isinstance(h, Var):
-        return Var(mapping.get(h.index, h.index))
-    if isinstance(h, Add):
-        return Add(tuple(substitute_vars(a, mapping) for a in h.args))
-    if isinstance(h, Mul):
-        return Mul(tuple(substitute_vars(a, mapping) for a in h.args))
-    if isinstance(h, Pow):
-        return Pow(substitute_vars(h.base, mapping), h.exponent)
-    if isinstance(h, LnAbs):
-        return LnAbs(substitute_vars(h.arg, mapping))
-    if isinstance(h, Exp):
-        return Exp(substitute_vars(h.arg, mapping))
-    raise TypeError(f"not an Expr: {h!r}")
-
-
 # -- pretty printing ---------------------------------------------------------
 
 

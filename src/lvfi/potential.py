@@ -11,7 +11,9 @@ R = x^(l-1) has the coefficient 1, so no product is taken.
 Differentiation, integration in one variable, multiplication and the zero test
 are all exact here, which gives two strong guarantees used by the catalog:
 a reconstructed H satisfies grad H = T f *identically*, and any candidate H
-can be certified by an exact symbolic Lie derivative f . grad H == 0.
+can be certified by an exact symbolic Lie derivative f . grad H == 0.  An
+integral H + c ln|P| with a polynomial P (R2D-E's) takes the same test and
+output form, through the ``log`` argument of each.
 
 The detection gate calls these on the system's primitive-integer view
 (detection.integer_view), with the Ansatz direction scaled to primitive
@@ -138,7 +140,7 @@ def from_lattice(H: GenPoly, d) -> GenPoly:
     return GenPoly._of(H.nvars, out)
 
 
-def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None) -> GenPoly:
+def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None, log=None) -> GenPoly:
     """Exact symbolic Lie derivative f . grad H in the GenPoly algebra, in
     one pass over H's terms.
 
@@ -154,6 +156,10 @@ def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None) -> GenPoly:
     over d_i, x_j is y^(d_j u_j) and 1/x_i is y^(-d_i u_i), so row i is
     weighted by D/d_i, a_ij adds d_j u_j and e_i subtracts d_i u_i.  With
     no lattice (all ones) this is the Lie derivative in x.
+
+    With log = (c, P) the integral is H + c ln|P|, whose Lie derivative is
+    L(H) + c L(P)/P.  The result is P L(H) + c L(P), that times P, which is
+    zero exactly where the Lie derivative is.
     """
     sx = lift_exact(s)
     n = H.nvars
@@ -170,9 +176,17 @@ def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None) -> GenPoly:
         row.append((tuple(-d[i] * u for u in units[i]), sx.e[i]))
         w = big // d[i]
         shifts.append([(sh, c * w) for sh, c in row if c])
+    if log is None:
+        return _lie(H, shifts, units)
+    c, P = log
+    return _lie(H, shifts, units) * P + _lie(P, shifts, units).scale(c)
+
+
+def _lie(H: GenPoly, shifts, units) -> GenPoly:
+    """The one pass of lie_genpoly over H's terms."""
     out: dict = {}
     for (p, k), c in H.terms.items():
-        for i in range(n):
+        for i, row in enumerate(shifts):
             pi, ki = p[i], k[i]
             if not pi and not ki:
                 continue
@@ -181,17 +195,16 @@ def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None) -> GenPoly:
                 parts.append((k, c * pi))
             if ki:
                 parts.append((tuple(q - u for q, u in zip(k, units[i])), c * ki))
-            for sh, fc in shifts[i]:
+            for sh, fc in row:
                 np = tuple(map(add, p, sh))
                 for nk, tc in parts:
                     _acc(out, (np, nk), tc * fc)
-    return GenPoly._of(n, out)
+    return GenPoly._of(H.nvars, out)
 
 
-def genpoly_to_expr(H: GenPoly) -> Expr:
-    """Render as an Expr (sum of coefficient * powers * log factors)."""
-    if H.is_zero():
-        return Const(Fraction(0))
+def genpoly_to_expr(H: GenPoly, log=None) -> Expr:
+    """Render as an Expr (sum of coefficient * powers * log factors), with
+    c * ln|P| last for log = (c, P)."""
     terms = []
     for (p, k), c in H.items_sorted():
         factors: list[Expr] = []
@@ -205,18 +218,39 @@ def genpoly_to_expr(H: GenPoly) -> Expr:
             for _ in range(q):
                 factors.append(LnAbs(Var(i)))
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
+    if log is not None:
+        c, P = log
+        ln = LnAbs(genpoly_to_expr(P))
+        terms.append(ln if c == 1 else Mul((Const(c), ln)))
+    if not terms:
+        return Const(Fraction(0))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-def normalize_for_output(H: GenPoly) -> GenPoly:
-    """Drop the integration constant and scale to primitive integer-like
-    coefficients with a positive leading term (deterministic output form).
+def normalize_for_output(H: GenPoly, log=None) -> tuple:
+    """(H, log) in output form: H without its integration constant, scaled
+    to primitive integer-like coefficients with a positive leading term.
     It is the same for every nonzero multiple of H, so it removes the scale
-    of an integral built on a system's integer view.  The coefficients of
-    the result are Fractions."""
+    of an integral built on a system's integer view.  For the integral
+    H + c ln|P| (log = (c, P)), H and c are scaled together, and P is made
+    primitive on its own: ln|lambda P| is ln|P| plus a constant.  The
+    coefficients of the result are Fractions."""
     H = H.drop_constant()
-    if H.is_zero():
-        return H
-    sign = -1 if H.terms[min(H.terms)] < 0 else 1
-    coefs = primitive(list(H.terms.values()))
-    return GenPoly(H.nvars, {k: Fraction(sign * c) for k, c in zip(H.terms, coefs)})
+    if log is None:
+        return _primitive_form(H)[0], None
+    c, P = log
+    H, c = _primitive_form(H, c)
+    return H, (c, _primitive_form(P)[0])
+
+
+def _primitive_form(G: GenPoly, *tail) -> tuple:
+    """G and the numbers tail scaled by one nonzero rational to primitive
+    integers, as Fractions, with G's leading term positive (tail's first
+    number where G is zero): (G, *tail) scaled."""
+    values = [*G.terms.values(), *tail]
+    if not any(values):
+        return (G, *tail)
+    lead = G.terms[min(G.terms)] if G.terms else tail[0]
+    sign = -1 if lead < 0 else 1
+    coefs = [Fraction(sign * v) for v in primitive(values)]
+    return (GenPoly._of(G.nvars, dict(zip(G.terms, coefs))), *coefs[len(G.terms):])

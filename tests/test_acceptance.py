@@ -37,7 +37,7 @@ def _exact_zero_certificate(det, s) -> bool:
     """Residual exactly zero: the curl residual for Ansatz-realized rules (in
     the match's own coordinates), or the exact symbolic Lie derivative for
     directly-stated integrals (always checked in original coordinates)."""
-    if det.H_gen is not None and not lie_genpoly(det.H_gen, s).is_zero():
+    if det.H_gen is not None and not lie_genpoly(det.H_gen, s, log=det.log).is_zero():
         return False
     if det.ansatz is not None:
         s2 = permute_system(s, Permutation(det.sigma))
@@ -113,7 +113,7 @@ _X0_2 = [(1.0, 1.0), (0.9, 1.1), (1.3, 0.7), (0.5, 1.5)]
 def _is_singular_integral(d):
     """True when H has coordinate singularities (logs or non-positive-integer
     powers), in which case the drift check needs an orbit clear of the axes."""
-    if d.H_gen is None:
+    if d.log is not None:
         return True  # log of a polynomial (exponential-factor rule)
     for (p, k), _ in d.H_gen.terms.items():
         if any(k):

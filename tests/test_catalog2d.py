@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lvfi import expr as ex
-from lvfi.catalog2d import RULES_2D, SAMPLERS_2D, _lie_zero_e, detect2d
+from lvfi.catalog2d import RULES_2D, SAMPLERS_2D, detect2d
 from lvfi.catalog3d import RULES_3D
 from lvfi.detection import (
     Match,
@@ -16,7 +16,7 @@ from lvfi.detection import (
 from lvfi.detection import integer_view
 from lvfi.model import Permutation, make_system, parse_system, permute_system
 from lvfi.oracle import residual_2d_exponents
-from lvfi.potential import GenPoly
+from lvfi.potential import GenPoly, lie_genpoly
 
 from conftest import normalized, rand_fraction, same_integral
 from test_oracle import _f_laurent
@@ -60,12 +60,14 @@ def test_r2de_spec_instance():
     s = parse_system('{"dim":2,"b":[2,-2],"A":[[0,3],[2,0]],"e":[3,2]}')
     dets = [d for d in detect2d(s) if d.rule_id == "R2D-E"]
     assert len(dets) == 1
-    # H = 2 x1 - 3 x2 - 2 ln|3 + 3 x1 x2|
+    # the paper's H = 2 x1 - 3 x2 - 2 ln|3 + 3 x1 x2| in output form:
+    # times -1, with 3 + 3 x1 x2 made primitive (a constant 2 ln 3 less)
     h = dets[0].integral
+    assert ex.pretty(h) == "3*x2 + (-2)*x1 + 2*ln|1 + x1*x2|"
     import math
 
     for x in [(0.7, 1.3), (2.0, 0.4), (5.0, 1.0)]:
-        want = 2 * x[0] - 3 * x[1] - 2 * math.log(abs(3 + 3 * x[0] * x[1]))
+        want = 3 * x[1] - 2 * x[0] + 2 * math.log(abs(1 + x[0] * x[1]))
         assert ex.eval_expr(h, x) == pytest.approx(want, rel=1e-12)
 
 
@@ -80,11 +82,10 @@ def _ref_lie_zero_e(s):
     return lhs.is_zero()
 
 
-def test_r2de_lie_test_equals_the_expanded_form():
-    """On R2D-E samples, perturbed samples and systems near its manifold,
-    on the Fraction system and its integer view."""
+def _near_r2de():
+    """600 R2D-E samples, every second one with one coefficient moved off
+    its manifold."""
     rng = random.Random(5)
-    verdicts = []
     for k in range(600):
         s = SAMPLERS_2D["R2D-E"](rng)
         if k % 2:
@@ -97,10 +98,82 @@ def test_r2de_lie_test_equals_the_expanded_form():
             else:
                 e[j - 6] += rand_fraction(rng, True)
             s = make_system(b=b, A=A, e=e)
+        yield s
+
+
+def test_r2de_lie_test_equals_the_expanded_form():
+    """lie_genpoly's test of H = G + b2 ln|P|, G = a21 x1 - a12 x2 and
+    P = e1 + a12 x1 x2, P L(G) + b2 L(P) == 0, on R2D-E samples, perturbed
+    samples and systems near its manifold, on the Fraction system and its
+    integer view."""
+    verdicts = []
+    for s in _near_r2de():
         for view in (s, integer_view(s)):
-            verdicts.append(_lie_zero_e(view))
+            a12, a21 = view.A[0][1], view.A[1][0]
+            G = GenPoly.term(2, a21, (1, 0)) + GenPoly.term(2, -a12, (0, 1))
+            P = GenPoly.term(2, view.e[0], (0, 0)) + GenPoly.term(2, a12, (1, 1))
+            verdicts.append(lie_genpoly(G, view, log=(view.b[1], P)).is_zero())
             assert verdicts[-1] == _ref_lie_zero_e(view), s
     assert 400 < sum(verdicts) < 1200
+
+
+def _rational(v):
+    import sympy as sp
+
+    v = F(v)
+    return sp.Rational(v.numerator, v.denominator)
+
+
+def _gradient(h, K, X):
+    """(h, grad h) for an lvfi integral h, as elements of the sympy rational
+    function field K in X, with None for the value of ln|u|: its gradient
+    is grad u / u.  A log may only be multiplied by constants."""
+    if isinstance(h, ex.Const):
+        return K(_rational(h.value)), [K(0)] * len(X)
+    if isinstance(h, ex.Var):
+        return X[h.index], [K(int(i == h.index)) for i in range(len(X))]
+    if isinstance(h, ex.LnAbs):
+        u, du = _gradient(h.arg, K, X)
+        return None, [d / u for d in du]
+    parts = [_gradient(a, K, X) for a in h.args]
+    if isinstance(h, ex.Add):
+        value = None if any(v is None for v, _ in parts) else sum(v for v, _ in parts)
+        return value, [sum(g[i] for _, g in parts) for i in range(len(X))]
+    assert isinstance(h, ex.Mul), h
+    value, grad = K(1), [K(0)] * len(X)
+    for v, g in parts:  # (value v)' = value' v + value v'
+        assert not (v is None and any(grad)) and not (value is None and any(g)), h
+        grad = [
+            (a * v if v is not None else K(0)) + (value * b if value is not None else K(0))
+            for a, b in zip(grad, g)
+        ]
+        value = None if v is None or value is None else value * v
+    return value, grad
+
+
+def test_r2de_integral_is_the_papers_up_to_scale_and_constant():
+    """Each emitted R2D-E integral is the paper's a21 x1 - a12 x2
+    + b2 ln|e1 + a12 x1 x2| times a nonzero constant plus a constant: its
+    gradient, in sympy's field of rational functions, is the paper's times
+    one nonzero rational."""
+    import sympy as sp
+
+    K, *X = sp.field("x1,x2", sp.QQ)
+    checked = 0
+    for s in _near_r2de():
+        for d in detect2d(s):
+            if d.rule_id != "R2D-E":
+                continue
+            a12, a21, b2, e1 = (_rational(v) for v in (s.A[0][1], s.A[1][0], s.b[1], s.e[0]))
+            P = e1 + a12 * X[0] * X[1]
+            paper = [a21 + b2 * a12 * X[1] / P, -a12 + b2 * a12 * X[0] / P]
+            _, grad = _gradient(d.integral, K, X)
+            ratios = {g / q for g, q in zip(grad, paper)}
+            assert len(ratios) == 1, (s, ex.pretty(d.integral))
+            (ratio,) = ratios
+            assert ratio.numer.is_ground and ratio.denom.is_ground and ratio, (s, ratio)
+            checked += 1
+    assert checked > 250, checked
 
 
 def test_generic_random_system_detects_nothing():
@@ -218,14 +291,16 @@ def test_mirror_consistency():
         out = set()
         for d in dets:
             fam = d.rule_id.split("/")[0]
-            if d.H_gen is not None:
-                H = d.H_gen
-                if post is not None:
-                    H = post(H)
-                H = _canonical_monomial(H)
-                out.add((fam, frozenset(normalized(H).drop_constant().terms.items())))
-            else:
-                out.add((fam, "expr"))
+            H = d.H_gen
+            if post is not None:
+                H = post(H)
+            H = _canonical_monomial(H)
+            log = None
+            if d.log is not None:  # c over H's lead, and P up to scale
+                c, P = d.log
+                P = P if post is None else post(P)
+                log = (c / H.items_sorted()[0][1], frozenset(normalized(P).terms.items()))
+            out.add((fam, frozenset(normalized(H).drop_constant().terms.items()), log))
         return out
 
     for rule_key in ["R2D-A", "R2D-B", "R2D-C/main", "R2D-C/l1=0", "R2D-D", "R2D-E"]:

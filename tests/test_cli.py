@@ -246,6 +246,25 @@ def test_oracle_undefined_ansatz_exit_2(tmp_path, capsys):
     assert "undefined" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "system, ansatz, message",
+    [
+        ('{"dim":2,"b":[1,-1],"A":[[0,0],[1,0]],"e":[0,0]}', "2d",
+         "separable Ansatz undefined: a12 = 0 or a21 = 0"),
+        ('{"dim":2,"b":[1,-1],"A":[[0,1],[1,0]],"e":[0,0]}', "t1", "t1 ansatz needs a 3D system"),
+        ('{"dim":3,"b":[1,-1,0],"A":[[0,1,0],[1,0,0],[0,0,0]],"e":[0,0,0]}', "2d",
+         "2d ansatz needs a 2D system"),
+    ],
+    ids=["a12-zero", "t1-on-2d", "2d-on-3d"],
+)
+def test_oracle_undefined_ansatz_is_an_error_line(tmp_path, capsys, system, ansatz, message):
+    p = tmp_path / "s.json"
+    p.write_text(system)
+    assert main(["oracle", "--input", str(p), "--ansatz", ansatz]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_sweep_pass_and_unknown_rule(capsys):
     assert main(["sweep", "--rule", "R2D-A", "--count", "5", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -49,10 +49,7 @@ def _ref_run_rules(s, rules):
                 if cand is not None:
                     candidates.append(cand)
                     continue
-                if det.H_gen is not None:
-                    key = detection._integral_key(rule.family, det.H_gen)
-                else:
-                    key = detection._expr_key(rule, m, det.sigma)
+                key = detection._integral_key(rule.family, det.H_gen, det.log)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -228,6 +225,14 @@ def test_factor_key_is_the_factor_in_original_coordinates_up_to_scale():
     )
     # a stated integral has no factor
     assert detection._factor_key(detection.Match({}, H_gen=GenPoly.zero(3)), (0, 1, 2)) is None
+    # R2D-E's factor e^(c.x) adds c in the original coordinates, so its two
+    # relabelings share a key, which differs from the factor with c = 0
+    e = detection.Match({}, ansatz=("2d-exponents", (F(1, 2), -3), (1, 1)))
+    e_swapped = detection.Match({}, ansatz=("2d-exponents", (-3, F(1, 2)), (1, 1)))
+    unit = (1, (((0, 1), 1, (0, 0)),))
+    assert detection._factor_key(e, (0, 1)) == unit + ((F(1, 2), -3),)
+    assert detection._factor_key(e_swapped, (1, 0)) == unit + ((F(1, 2), -3),)
+    assert detection._factor_key(detection.Match({}, ansatz=("2d-exponents", (), (1, 1))), (0, 1)) == unit
 
 
 # Sampler draws on which two or more rule families build one factor: L2-i
@@ -276,7 +281,7 @@ def test_families_sharing_a_factor_gate_it_once(key, shared):
 def test_a_shared_factor_that_fails_gives_each_family_its_candidate(monkeypatch, key, shared):
     s = SAMPLERS_3D[key](random.Random(0))
     one = GenPoly.term(3, 1, (0, 0, 0))
-    monkeypatch.setattr(detection, "lie_genpoly", lambda H, s2i, lattice=None: one)
+    monkeypatch.setattr(detection, "lie_genpoly", lambda H, s2i, lattice=None, log=None: one)
     dets, cands = detection.run_rules(s, RULES_3D)
     assert _outcome(dets, cands) == _outcome(*_ref_run_rules(s, RULES_3D))
     assert not dets

@@ -35,8 +35,8 @@ from lvfi.model import lift_exact, make_system, parse_system
 
 from conftest import rand_fraction, to_float
 
-PINNED = "b9ea5641593968344a4a77e1d33f7df73753138474e3dd0b049b82156e452ee5"
-PINNED_JSON = "21ed0c7d75010bc1a0c4e336ea643970d2e0800046cd1e292d823144316daae7"
+PINNED = "6776fa33e9b16e10a61695db90a6998650bc9bdaa19d2160818bb271acc75032"
+PINNED_JSON = "0e3411a6aa8bb56896e3b97ebd99943b3cc52c2b746485a1df11c0ecfb61df3a"
 SAMPLES_PER_RULE = 3
 NEGATIVES = 50
 

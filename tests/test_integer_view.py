@@ -8,7 +8,8 @@ this is exact as long as every condition those steps test is homogeneous in
 (b, A, e).  The first tests check that invariant on everything the derived
 matchers compile; the next ones keep the Fraction path (no scaling, the gate
 in x with Fraction powers, and the Lie derivative as the product sum
-f_i dH/dx_i) as the reference and require equal output.  The last ones
+f_i dH/dx_i) as the reference and require equal output, and a time rescale
+of the digest corpus's draws must print the same detections.  The last ones
 check the integer exponent lattice: the gate in y = x^(1/d) against the gate
 forced to the lattice of all ones, and the lattice Lie derivative against
 the one in x.
@@ -25,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from lvfi import catalog3d, detection, potential
+from lvfi import expr as ex
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _ConstantDirection
 from lvfi.detection import DependentRows, condition_function
@@ -35,7 +37,8 @@ from lvfi.poly import GenPoly, SymPoly
 
 from conftest import to_float
 from test_detection import _relabeled_copies, _sparse_integer_systems
-from test_digest import DEGENERATE
+from test_digest import DEGENERATE, SAMPLES_PER_RULE
+from test_digest import _corpus as _digest_corpus
 from test_oracle import _f_laurent
 
 F = Fraction
@@ -198,9 +201,12 @@ def _x_lattice(l) -> tuple:
     return (1,) * len(l)
 
 
-def _x_product_lie(H: GenPoly, s, lattice=None) -> GenPoly:
+def _x_product_lie(H: GenPoly, s, lattice=None, log=None) -> GenPoly:
     assert lattice is None or set(lattice) == {1}, lattice
-    return _product_lie(H, s)
+    if log is None:
+        return _product_lie(H, s)
+    c, P = log  # the integral H + c ln|P|, its Lie derivative times P
+    return _product_lie(H, s) * P + _product_lie(P, s).scale(c)
 
 
 def _fraction_path(monkeypatch):
@@ -261,6 +267,29 @@ def test_integer_view_gives_the_fraction_path_output(monkeypatch):
     assert found > 500 and failed > 50 and deviations > 100, (found, failed, deviations)
     # Fraction types survive in params (PINNED_JSON pins them too)
     assert all("Fraction(" in p or p == "{}" for g in got for _, p, _, _, _ in g[0])
+
+
+def _printed(s) -> list:
+    rules = RULES_2D if s.dim == 2 else RULES_3D
+    return [(d.rule_id, d.sigma, ex.pretty(d.integral)) for d in detection.run_rules(s, rules)[0]]
+
+
+def test_time_rescale_prints_the_same_detections():
+    """(b, A, e) scaled by c > 0 is the same flow with time t' = c t, so it
+    has the same first integrals: on the digest corpus's sampler draws,
+    every rule, relabeling and printed integral is unchanged."""
+    draws = (len(SAMPLERS_2D) + len(SAMPLERS_3D)) * SAMPLES_PER_RULE
+    checked = found = 0
+    for s in itertools.islice(_digest_corpus(), draws):
+        want = _printed(s)
+        found += bool(want)
+        for c in (F(3, 2), F(1, 7), F(5)):
+            scaled = make_system(
+                b=[c * v for v in s.b], A=[[c * v for v in row] for row in s.A], e=[c * v for v in s.e]
+            )
+            assert _printed(scaled) == want, (s, c)
+            checked += 1
+    assert checked == 378 and found == draws
 
 
 # -- the one-pass Lie derivative -------------------------------------------------
@@ -423,7 +452,7 @@ def test_lattice_lie_derivative_on_detected_integrals():
             s = sampler(rng)
             rules = RULES_2D if s.dim == 2 else RULES_3D
             for det in detection.run_rules(s, rules)[0]:
-                if det.H_gen is None:
+                if det.log is not None:
                     continue
                 n, H = s.dim, det.H_gen
                 d = _denominators(H)

@@ -234,8 +234,6 @@ def test_one_pass_residual_matches_composed_form_on_every_sampler():
                         params.append((kind, tuple(_param(rng) for _ in range(3)),
                                        tuple(_param(rng) for _ in range(s.dim))))
                     for kind, abg, l in params:
-                        if kind == "2d-separable":
-                            continue
                         l = tuple(map(canonical, l))
                         if kind == "2d-exponents":
                             c = (_param(rng), None) if rng.random() < 0.5 else (None, None)

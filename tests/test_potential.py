@@ -83,7 +83,7 @@ def test_l2_iii_construction_is_integral():
     )
     H = potential(gradient_targets_3d(s, "3d-t1", (1, -1, 1), (F(1), F(1), F(1))))
     assert lie_genpoly(H, s).is_zero()
-    Hn = normalize_for_output(H)
+    Hn, _ = normalize_for_output(H)
     # with unit diagonal the integral is x1^2 x2 - x1^2 x3 - x1 x2^2 + x1 x3^2
     # + x2^2 x3 - x2 x3^2, all linear coefficients vanishing for e = (1,1,1)
     expect = {
