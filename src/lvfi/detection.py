@@ -31,10 +31,11 @@ nullspace and the solution are unchanged.  run_rules therefore decides the
 scale-free steps on integer_view(s), scaled to primitive integers, and
 reads the Fraction system only where the scale shows: params, the hand
 matchers and the conditions of the printed forms' audited verdicts
-(Rule.compare_printed).  The integral built on the integer view, or stated
-by a hand matcher and gated on it, is a nonzero multiple of the one on the
-Fraction system up to a constant, and normalize_for_output removes the
-multiple.
+(Rule.compare_printed).  The integral built on the integer view is a
+nonzero multiple of the one built on the Fraction system, and
+normalize_for_output removes the multiple.  A hand matcher's stated
+integral is gated on the integer view too, whose field, and so the Lie
+derivative, is a positive multiple of the Fraction system's.
 
 The exponents stay on integers too.  An Ansatz factor x^(l-1) has rational
 exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
