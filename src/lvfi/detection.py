@@ -92,7 +92,7 @@ from . import expr as ex
 from . import oracle
 from .linalg import nullspace_candidates, primitive
 from .model import LVSystem, Permutation, lift_exact, permute_system
-from .oracle import AnsatzSpec, residual_3d
+from .oracle import residual_3d
 from .oracle import residual_2d  # noqa: F401  (perfbench/spans.py wraps this name)
 from .poly import GenPoly, canonical
 from .potential import (
@@ -238,16 +238,10 @@ class DependentRows:
         self.coords, self.names, self.log = coords, names, log
 
     def nullspace(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list:
-        """nullspace_candidates of the columns.  When run_rules hands over
-        its table (RowNullspaces) with the integer view, the table is not
-        asked if an entry or a 2x2 integer minor of the columns shows them
-        independent: there is no candidate.  Those zero tests read the same
-        homogeneous columns, so they too are scale-free."""
-        cs = self.coords
-        rows = [tuple(s.b[i] for i in cs)] + [tuple(s.A[i][j] for i in cs) for j in range(s.dim)]
-        if nullspaces is None:
-            return nullspace_candidates(rows)
-        return [] if _independent_columns(rows) else nullspaces(rows)
+        """nullspace_candidates of the columns, read from run_rules' table
+        (RowNullspaces) when it hands one over with the integer view."""
+        rows = list(zip(*[(s.b[i], *s.A[i]) for i in self.coords]))
+        return (nullspaces or nullspace_candidates)(rows)
 
     def __call__(self, s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
         n, cs = s.dim, self.coords
@@ -281,7 +275,12 @@ class RowNullspaces:
     call and read by the scale-free matchers.  The candidates depend on the
     row space alone (the reduced row echelon form is unique, linalg), so the
     rows are keyed as a set: two relabelings list the columns of one pair of
-    coordinates in different orders (L5-6, and L5-5's DependentRows)."""
+    coordinates in different orders (L5-6, and L5-5's DependentRows).  Rows
+    of one or two columns are first tested for independence
+    (_independent_columns), and where an entry or a 2x2 minor shows it the
+    kept answer is no candidate, with no reduction.  Those zero tests read
+    the rows alone, so they are scale-free, and the verdict is kept with
+    the row set like a nullspace."""
 
     def __init__(self) -> None:
         self.table: dict = {}
@@ -290,7 +289,10 @@ class RowNullspaces:
         key = frozenset(rows)
         found = self.table.get(key)
         if found is None:
-            found = self.table[key] = nullspace_candidates(rows)
+            if rows and len(rows[0]) <= 2 and _independent_columns(rows):
+                found = self.table[key] = []
+            else:
+                found = self.table[key] = nullspace_candidates(rows)
         return found
 
 
@@ -498,7 +500,7 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[
                 (s.b, s.A, s.e), *map(canonical, l), *abg, t=t, scale=scale
             )
         ]
-    return residual_3d(s, AnsatzSpec(kind), abg, l, t=t, scale=scale)
+    return residual_3d(s, oracle.T1 if kind == "3d-t1" else oracle.T2, abg, l, t=t, scale=scale)
 
 
 @dataclass

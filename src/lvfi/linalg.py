@@ -11,10 +11,15 @@ Math. Comp. 22, 1968; here each row is kept primitive instead).
 ``_echelon`` inserts the rows one at a time as integers and stops once the
 answer is decided: at full column rank for ``nullspace``, and for
 ``solve_constrained`` at the first row that reduces to (0, ..., 0 | r != 0),
-whatever rows follow.  Only then are the kept rows back-eliminated
-(``_reduced``), and only the entries a caller reads become Fractions.  Without an early stop the kept rows span the row space, and
-the reduced row echelon form is unique, so every result equals that of
-Gauss-Jordan elimination over Fractions.
+whatever rows follow.  Once homogeneous rows alone reach full column rank,
+a further row can only reduce to zero or to (0, ..., 0 | r), and r is its
+own right-hand side times a nonzero integer, so ``_echelon`` reads that
+off without eliminating (the shortcut; L5-8c's 12-row exponent solve puts
+its homogeneous rows first, catalog3d._affine_rows).  Only then are the
+kept rows back-eliminated (``_reduced``), and only the entries a caller
+reads become Fractions.  Without an early stop the kept rows span the row
+space, and the reduced row echelon form is unique, so every result equals
+that of Gauss-Jordan elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -49,10 +54,25 @@ def _echelon(rows, stop: int) -> dict[int, list[int]]:
     primitive integer row, its first nonzero entry at that column.  Each row
     is scaled to integers, reduced at the pivot columns so far and kept
     primitive; a zero row is dropped.  It stops at a pivot at column
-    ``stop`` or later, or at a pivot in every column."""
+    ``stop`` or later, or at a pivot in every column.
+
+    Once the pivots cover every column before ``stop`` and each pivot row
+    is zero from ``stop`` on (a homogeneous system of full column rank),
+    reducing a further row changes only its columns before ``stop`` and
+    scales its tail by a nonzero integer.  So the row reduces to zero when
+    its tail is zero, and otherwise to (0, ..., 0 | its tail made
+    primitive), which is kept without eliminating: the shortcut."""
     width = len(rows[0]) if rows else 0
     piv: dict[int, list[int]] = {}
+    homogeneous = True  # every pivot row so far is zero from column stop on
     for row in rows:
+        if homogeneous and len(piv) == stop:
+            tail = row[stop:]
+            c = next((stop + k for k, x in enumerate(tail) if x), None)
+            if c is None:
+                continue
+            piv[c] = [0] * stop + list(primitive(tail))
+            break
         if not all(type(x) is int for x in row):
             d = lcm(*(x.denominator for x in row))
             row = [x.numerator * (d // x.denominator) for x in row]
@@ -64,9 +84,11 @@ def _echelon(rows, stop: int) -> dict[int, list[int]]:
         else:
             continue
         g = gcd(*row)
-        piv[c] = [a // g for a in row] if g > 1 else row
+        piv[c] = row = [a // g for a in row] if g > 1 else row
         if c >= stop or len(piv) == width:
             break
+        if homogeneous and any(row[stop:]):
+            homogeneous = False
     return piv
 
 

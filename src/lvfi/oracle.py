@@ -13,7 +13,11 @@ is decided in exact rational arithmetic; with symbolic coefficients the same
 expansion yields the parameter condition systems from scratch.
 
 T f/R is read off (b, A, e) in one pass (_t_components), and so is each
-curl component (_curl), with no product of GenPolys.  The same code serves
+curl component (_curl), with no product of GenPolys.  Nothing in either
+pass depends on the dimension alone: the powers of every term of every
+field component, already shifted by each skew entry's weight, are the
+table _T_TERMS, built at import per Ansatz kind, and the unit vectors that
+_curl subtracts come from poly.units.  The same code serves
 int, Fraction and SymPoly coefficients, so concrete residuals,
 derive_conditions (the 2D separable chart included) and the catalog's
 condition rows, the L5-8c sampler's among them, are one expansion.
@@ -36,7 +40,7 @@ from itertools import combinations
 from operator import add, sub
 
 from .model import LVSystem, lift_exact
-from .poly import GenPoly, SymPoly, _acc, canonical
+from .poly import GenPoly, SymPoly, _acc, canonical, units
 
 
 class AnsatzError(ValueError):
@@ -56,15 +60,6 @@ class AnsatzSpec:
 
 T1 = AnsatzSpec("3d-t1")
 T2 = AnsatzSpec("3d-t2")
-
-
-def _field_terms(nvars, b, A, e, i) -> list[tuple]:
-    """(powers, coefficient) of f_i = x_i(b_i + sum_j a_ij x_j) + e_i, with
-    zero coefficients; the powers are distinct."""
-    return [(tuple(int(k == i) for k in range(nvars)), b[i]), ((0,) * nvars, e[i])] + [
-        (tuple(int(k == i) + int(k == j) for k in range(nvars)), A[i][j])
-        for j in range(nvars)
-    ]
 
 
 def residual_2d_exponents(
@@ -111,19 +106,43 @@ T_WEIGHTS = {
 }
 
 
+def _field_powers(n: int, i: int) -> tuple:
+    """The powers of the terms b_i x_i, e_i and a_ij x_i x_j (j = 1..n) of
+    f_i = x_i(b_i + sum_j a_ij x_j) + e_i, in that order; they are
+    distinct."""
+    u = units(n)
+    return (u[i], (0,) * n, *(tuple(map(add, u[i], u[j])) for j in range(n)))
+
+
+# Per kind, one entry per skew entry (i, j) of T/R and component it feeds:
+# (index of the entry's coefficient in abg, component, field, sign, the
+# powers of that field's terms shifted by the entry's weight w), first the
+# -c x^w f_j part of component i, then the c x^w f_i part of component j.
+_T_TERMS = {
+    kind: tuple(
+        (m, gi, fj, sign, tuple(tuple(map(add, p, w)) for p in _field_powers(len(w), fj)))
+        for m, ((i, j), w) in enumerate(zip(combinations(range(len(ws[0])), 2), ws))
+        for gi, fj, sign in ((i, j, -1), (j, i, 1))
+    )
+    for kind, ws in T_WEIGHTS.items()
+}
+
+
 def _t_components(nvars, b, A, e, kind: str, abg) -> list[dict]:
     """T f/R per component as {powers: coefficient}, in one pass over the
     skew entries of T/R (T_WEIGHTS, upper entry -c x^w at (i, j) and c x^w
-    at (j, i)) and the terms b_j x_j, a_jk x_j x_k, e_j of each f_j."""
-    f = [_field_terms(nvars, b, A, e, j) for j in range(nvars)]
+    at (j, i)) and the terms b_j x_j, e_j, a_jk x_j x_k of each f_j, whose
+    shifted powers come from the table _T_TERMS."""
     g: list[dict] = [{} for _ in range(nvars)]
-    for (i, j), w, c in zip(combinations(range(nvars), 2), T_WEIGHTS[kind], abg):
+    for m, i, j, sign, powers in _T_TERMS[kind]:
+        c = abg[m]
         if not c:
             continue
-        for gi, fj, cc in ((g[i], f[j], -c), (g[j], f[i], c)):
-            for p, v in fj:
-                if v:
-                    _acc(gi, tuple(map(add, p, w)), cc * v)
+        cc = -c if sign < 0 else c
+        gi = g[i]
+        for p, v in zip(powers, (b[j], e[j], *A[j])):
+            if v:
+                _acc(gi, p, cc * v)
     return g
 
 
@@ -138,12 +157,12 @@ def _curl(g: list[dict], lm1, c=(), scale=1) -> list[GenPoly]:
     clears the separable chart's a12 a21 with a symbolic one."""
     n = len(g)
     z = (0,) * n
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    u = units(n)
     out = []
     for i, j in ((0, 1),) if n == 2 else ((1, 2), (2, 0), (0, 1)):
         comp: dict = {}
         for k, gk, sign in ((i, g[j], 1), (j, g[i], -1)):
-            lk, uk = lm1[k], units[k]
+            lk, uk = lm1[k], u[k]
             ck = sign * c[k] if c and c[k] else None
             for p, v in gk.items():
                 fac = sign * (p[k] * scale + lk)

@@ -21,12 +21,18 @@ lattice back to x (potential.from_lattice), all in canonical form; the
 residual, the field and the exact gate's potential are built with int
 powers.  Integer arithmetic then keeps whole powers int through products,
 derivatives, shifts and antiderivatives.
+
+Every derivative, antiderivative and power shift adds or subtracts a unit
+vector u_i.  ``units`` hands out the unit vectors of the dimensions the
+exact core works in (1 to 3) from a table built at import, so no call
+rebuilds them; the oracle's field terms and the Lie gate's shifts are built
+from the same table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 Mono = tuple[tuple[str, int], ...]  # sorted ((symbol, power), ...)
 
@@ -135,6 +141,19 @@ def ratio(a: dict, b: dict):
 
 
 Key = tuple[tuple, tuple[int, ...]]  # (powers p_i, log powers k_i)
+
+
+def _unit_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
+_UNITS = {n: _unit_vectors(n) for n in (1, 2, 3)}
+
+
+def units(n: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors u_1..u_n, from the table for n <= 3."""
+    found = _UNITS.get(n)
+    return found if found is not None else _unit_vectors(n)
 
 
 def canonical(p):
@@ -252,23 +271,25 @@ class GenPoly:
         return GenPoly._of(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def diff(self, i: int) -> "GenPoly":
+        u = units(self.nvars)[i]
         out: dict[Key, object] = {}
         for (p, k), c in self.terms.items():
-            if p[i] == 0 and k[i] == 0:
+            pi, ki = p[i], k[i]
+            if not pi and not ki:
                 continue
-            np = tuple(q - int(j == i) for j, q in enumerate(p))
-            if p[i] != 0:
-                _acc(out, (np, k), c * p[i])
-            if k[i] > 0:
-                nk = tuple(q - int(j == i) for j, q in enumerate(k))
-                _acc(out, (np, nk), c * k[i])
+            np = tuple(map(sub, p, u))
+            if pi:
+                _acc(out, (np, k), c * pi)
+            if ki:
+                _acc(out, (np, tuple(map(sub, k, u))), c * ki)
         return GenPoly._of(self.nvars, out)
 
     def integrate(self, i: int) -> "GenPoly":
         """Exact antiderivative in x_i (constant of integration zero)."""
+        u = units(self.nvars)[i]
         out: dict[Key, object] = {}
         for (p, k), c in self.terms.items():
-            _integrate_term(out, p, k, c, i)
+            _integrate_term(out, p, k, c, i, u)
         return GenPoly._of(self.nvars, out)
 
     def depends_on(self, i: int) -> bool:
@@ -305,19 +326,17 @@ class GenPoly:
     __repr__ = __str__
 
 
-def _integrate_term(out: dict, p, k, c, i) -> None:
+def _integrate_term(out: dict, p, k, c, i, u) -> None:
     """Accumulate the integral of c * x^p * ln^k dx_i into out, by the
-    standard reduction."""
-    np = tuple(q + int(j == i) for j, q in enumerate(p))  # p_i + 1
+    standard reduction; u is the unit vector u_i."""
+    np = tuple(map(add, p, u))  # p_i + 1
     if p[i] == -1:
         # x^-1 * ln^k -> ln^(k+1)/(k+1)
-        nk = tuple(q + int(j == i) for j, q in enumerate(k))
-        _acc(out, (np, nk), quotient(c, k[i] + 1))
+        _acc(out, (np, tuple(map(add, k, u))), quotient(c, k[i] + 1))
         return
     denom = p[i] + 1
     _acc(out, (np, k), quotient(c, denom))
     if k[i] == 0:
         return
     # by parts: subtract (k_i/denom) * integral x^p ln^(k-1)
-    nk = tuple(q - int(j == i) for j, q in enumerate(k))
-    _integrate_term(out, p, nk, quotient(-c * k[i], denom), i)
+    _integrate_term(out, p, tuple(map(sub, k, u)), quotient(-c * k[i], denom), i, u)

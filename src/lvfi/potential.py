@@ -37,19 +37,27 @@ lattice takes the Lie derivative in y, scaled by D = lcm(d); that is the
 image of the one in x times D, so its zero test is the same.  Integer
 exponents are the lattice of all ones, on which every step is the x-space
 one.
+
+Nothing that depends on the dimension alone is rebuilt per call: the unit
+vectors come from poly.units and the Lie gate's power shifts on the
+lattice of all ones from _X_SHIFTS, so lie_genpoly builds only the shifts
+of a lattice with a denominator.  Its one pass takes the log branch only
+for the coordinates in which a term carries a log power.  ``potential``
+accumulates H in place and compares each gradient with its target as term
+dicts, with no difference taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .expr import Add, Const, Expr, LnAbs, Mul, Pow, Var
 from .linalg import primitive
 from .model import LVSystem, lift_exact
 from .oracle import _t_components
-from .poly import GenPoly, _acc, canonical, quotient
+from .poly import GenPoly, _acc, canonical, quotient, units
 
 
 class ConstructionError(RuntimeError):
@@ -61,10 +69,13 @@ def potential(components: list[GenPoly]) -> GenPoly:
 
     Sequential reconstruction: integrate the first component in x1, correct
     with the next components, and verify the final gradient identically; a
-    mismatch raises ConstructionError.
+    mismatch raises ConstructionError.  H is accumulated in place, and
+    each gradient is compared with its target term for term (neither holds
+    a zero coefficient, so equal term dicts are equal functions).
     """
     n = components[0].nvars
     H = GenPoly.zero(n)
+    terms = H.terms
     for i in range(n):
         rem = components[i] - H.diff(i)
         for j in range(i):
@@ -72,9 +83,10 @@ def potential(components: list[GenPoly]) -> GenPoly:
                 raise ConstructionError(
                     f"remainder for x{i+1} still depends on x{j+1}: field not exact"
                 )
-        H = H + rem.integrate(i)
+        for k, c in rem.integrate(i).terms.items():
+            _acc(terms, k, c)
     for i in range(n):
-        if not (H.diff(i) - components[i]).is_zero():
+        if H.diff(i).terms != components[i].terms:
             raise ConstructionError("gradient mismatch after reconstruction")
     return H
 
@@ -93,10 +105,11 @@ def _times_factor(g: list[dict], l, d) -> list[GenPoly]:
     n = len(d)
     dlm1 = tuple(canonical(di * (canonical(v) - 1)) for di, v in zip(d, l))
     z = (0,) * n
+    u = units(n)
     out = []
     for i, gi in enumerate(g):
         di = d[i]
-        shift = tuple(q + (di - 1) * (k == i) for k, q in enumerate(dlm1))
+        shift = dlm1 if di == 1 else tuple(q + (di - 1) * ui for q, ui in zip(dlm1, u[i]))
         terms = {(tuple(map(add, map(mul, d, p), shift)), z): c * di for p, c in gi.items()}
         out.append(GenPoly._of(n, terms))
     return out
@@ -140,6 +153,20 @@ def from_lattice(H: GenPoly, d) -> GenPoly:
     return GenPoly._of(H.nvars, out)
 
 
+def _shift_table(n: int, d) -> tuple:
+    """Per coordinate i, the power shifts of the terms b_i, a_i1..a_in of
+    f_i/x_i on theta_i and of e_i on d/dx_i, on the lattice d: 0, d_j u_j
+    and -d_i u_i."""
+    u = units(n)
+    up = [tuple(dj * q for q in uj) for dj, uj in zip(d, u)]
+    return tuple(((0,) * n, *up, tuple(-q for q in up[i])) for i in range(n))
+
+
+# The shifts on the lattice of all ones, where the Lie derivative is the one
+# in x, for each dimension of a system.
+_X_SHIFTS = {n: _shift_table(n, (1,) * n) for n in (2, 3)}
+
+
 def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None, log=None) -> GenPoly:
     """Exact symbolic Lie derivative f . grad H in the GenPoly algebra, in
     one pass over H's terms.
@@ -149,7 +176,9 @@ def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None, log=None) -> GenPoly:
     c p_i x^p ln^k + c k_i x^p ln^(k - u_i) (u_i the i-th unit vector), and
     d/dx_i gives the same two terms times x^(-u_i); b_i keeps the powers,
     a_ij adds u_j and e_i subtracts u_i.  So the field is never built as a
-    GenPoly and no product of GenPolys is taken.
+    GenPoly and no product of GenPolys is taken.  The power shifts of each
+    dimension are a table built at import (_X_SHIFTS); only a lattice other
+    than all ones builds its own (_shift_table).
 
     On a lattice d, H is a function of y = x^(1/d) and the result is D
     times the Lie derivative in y, D = lcm(d): theta_i in x is theta_i in y
@@ -165,40 +194,41 @@ def lie_genpoly(H: GenPoly, s: LVSystem, lattice=None, log=None) -> GenPoly:
     n = H.nvars
     d = lattice or (1,) * n
     big = lcm(*d)
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    table = _X_SHIFTS.get(n) if big == 1 else None
+    if table is None:
+        table = _shift_table(n, d)
     # per coordinate i: the nonzero (power shift, coefficient) pairs of f_i/x_i
-    # on theta_i, then of e_i on d/dx_i
+    # on theta_i, then of e_i on d/dx_i, weighted by D/d_i
     shifts = []
-    for i in range(n):
-        row = [((0,) * n, sx.b[i])] + [
-            (tuple(d[j] * u for u in units[j]), sx.A[i][j]) for j in range(n)
-        ]
-        row.append((tuple(-d[i] * u for u in units[i]), sx.e[i]))
+    for i, row in enumerate(table):
         w = big // d[i]
-        shifts.append([(sh, c * w) for sh, c in row if c])
+        shifts.append([(sh, c * w) for sh, c in zip(row, (sx.b[i], *sx.A[i], sx.e[i])) if c])
+    u = units(n)
     if log is None:
-        return _lie(H, shifts, units)
+        return _lie(H, shifts, u)
     c, P = log
-    return _lie(H, shifts, units) * P + _lie(P, shifts, units).scale(c)
+    return _lie(H, shifts, u) * P + _lie(P, shifts, u).scale(c)
 
 
 def _lie(H: GenPoly, shifts, units) -> GenPoly:
-    """The one pass of lie_genpoly over H's terms."""
+    """The one pass of lie_genpoly over H's terms; only a term with a log
+    power in x_i takes the second, log branch for coordinate i."""
     out: dict = {}
     for (p, k), c in H.terms.items():
         for i, row in enumerate(shifts):
-            pi, ki = p[i], k[i]
-            if not pi and not ki:
-                continue
-            parts = []
-            if pi:
-                parts.append((k, c * pi))
-            if ki:
-                parts.append((tuple(q - u for q, u in zip(k, units[i])), c * ki))
-            for sh, fc in row:
-                np = tuple(map(add, p, sh))
-                for nk, tc in parts:
-                    _acc(out, (np, nk), tc * fc)
+            pi = p[i]
+            if k[i]:
+                nk = tuple(map(sub, k, units[i]))
+                cp, ck = c * pi, c * k[i]
+                for sh, fc in row:
+                    np = tuple(map(add, p, sh))
+                    if pi:
+                        _acc(out, (np, k), cp * fc)
+                    _acc(out, (np, nk), ck * fc)
+            elif pi:
+                cp = c * pi
+                for sh, fc in row:
+                    _acc(out, (tuple(map(add, p, sh)), k), cp * fc)
     return GenPoly._of(H.nvars, out)
 
 

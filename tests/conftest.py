@@ -8,12 +8,7 @@ from lvfi.linalg import Mat, _echelon
 from lvfi.model import FLOAT, RATIONAL, LVSystem, make_system
 from lvfi.poly import GenPoly, SymPoly, quotient, ratio
 
-
-def rand_fraction(rng, nonzero=False, num=6, den=3):
-    while True:
-        v = Fraction(rng.randint(-num, num), rng.randint(1, den))
-        if not nonzero or v != 0:
-            return v
+from digest_corpus import rand_fraction  # noqa: F401  (shared by the tests)
 
 
 def same_integral(p, q) -> bool:

@@ -351,6 +351,58 @@ def test_one_pass_lie_derivative_on_detections():
     assert checked > 20
 
 
+def _genpoly_from(rng, n, powers, logs) -> GenPoly:
+    H = GenPoly.zero(n)
+    for _ in range(rng.randint(1, 7)):
+        coeff = F(rng.randint(-5, 5), rng.randint(1, 4)) or F(1)
+        H = H + GenPoly.term(
+            n, coeff, [rng.choice(powers) for _ in range(n)], [rng.choice(logs) for _ in range(n)]
+        )
+    return H
+
+
+# (powers, log powers) drawn for the terms of H
+_LIE_CASES = {
+    "log-free": ((0, 0, 1, 2, -1, -3), (0,)),
+    "log powers": ((0, 0, 1, 2, -1, -3), (0, 1, 1, 2)),
+    "fraction powers": ((0, 1, -1, F(1, 2), F(-2, 3), F(5, 3)), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIE_CASES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_lie_gate_loop_equals_the_product_form(case, n):
+    """lie_genpoly's one loop, which takes its log branch only for the
+    coordinates where a term carries a log power, against the sum of
+    f_i * dH/dx_i: on log-free H (the plain branch alone), on H with log
+    powers and on H with proper-fraction powers, alone and as H + c ln|P|
+    with a polynomial P.  Most draws have a nonzero Lie derivative, so the
+    gate can still fail."""
+    powers, logs = _LIE_CASES[case]
+    rng = random.Random(2200 + 10 * n + sorted(_LIE_CASES).index(case))
+    nonzero = 0
+    kinds = set()
+    for _ in range(200):
+        s = _random_system(rng, n, rng.random() < 0.5)
+        H = _genpoly_from(rng, n, powers, logs)
+        log = (F(rng.randint(1, 5), rng.randint(1, 3)), _genpoly_from(rng, n, (0, 1, 2), (0,)))
+        for view in (s, detection.integer_view(s)):
+            got = potential.lie_genpoly(H, view)
+            assert got.terms == _product_lie(H, view).terms
+            want = _x_product_lie(H, view, log=log)
+            assert potential.lie_genpoly(H, view, log=log).terms == want.terms
+        nonzero += not got.is_zero()
+        for p, k in H.terms:
+            kinds.update(type(q).__name__ for q in p)
+            kinds.add("log" if any(k) else "log-free")
+    assert nonzero > 150, nonzero
+    assert kinds == {
+        "log-free": {"int", "log-free"},
+        "log powers": {"int", "log", "log-free"},
+        "fraction powers": {"int", "Fraction", "log", "log-free"},
+    }[case]
+
+
 # -- the integer exponent lattice ------------------------------------------------
 
 

@@ -308,3 +308,62 @@ def test_rref_edge_matrices():
     out = solve_constrained([[1, 1, 0], [2, 2, 0], poison + [0], [0, 0, 1]], [1, 3, 0, 5])
     assert out.status == "infeasible"
     assert infeasibility_certificate([[1, 1, 0], [2, 2, 0], [0, 0, 1]], [1, 3, 5])
+
+
+# The echelon shortcut: once homogeneous rows reach full column rank, a
+# further row reduces to zero or to (0, ..., 0 | r), with r its own
+# right-hand side times a nonzero integer, so only that entry is read.
+
+
+def _full_rank_homogeneous_then_rows(rng, ncols, extra):
+    """ncols + 0..2 homogeneous rows of full column rank (as the reference
+    finds it), then ``extra`` rows with right-hand sides of which about
+    half are zero."""
+    while True:
+        head = _sparse_matrix(rng, ncols + rng.randint(0, 2), ncols, zero_share=0.3)
+        if len(_ref_rref(as_matrix(head))[1]) == ncols:
+            break
+    tail = _sparse_matrix(rng, extra, ncols, zero_share=0.3)
+    rhs = [0] * len(head) + [
+        0 if rng.random() < 0.5 else Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        for _ in tail
+    ]
+    return head + tail, rhs
+
+
+def test_echelon_shortcut_after_homogeneous_full_rank_matches_reference():
+    """Homogeneous rows reach full column rank before the rows that carry a
+    right-hand side: a nonzero one is infeasible, zero ones are dropped,
+    against the Fraction Gauss-Jordan reference.  A later row whose
+    coefficients fail when read shows that only its right-hand side is."""
+    rng = random.Random(2201)
+    statuses = set()
+    for trial in range(200):
+        m, r = _full_rank_homogeneous_then_rows(rng, rng.randint(1, 4), rng.randint(1, 4))
+        statuses.add(_check_against_reference(m, r).status)
+    assert statuses == {"unique", "infeasible"}
+
+    poison = [_Unread()] * 2
+    assert solve_constrained([[1, 2], [3, 4], poison], [0, 0, 3]).status == "infeasible"
+    out = solve_constrained([[1, 2], [3, 4], poison, poison], [0, 0, 0, 0])
+    assert out.status == "unique" and out.solution == (0, 0)
+
+
+def test_echelon_shortcut_stays_off_with_an_inhomogeneous_pivot_row():
+    """One pivot row carries a right-hand side, so a later row with a
+    nonzero right-hand side may still be consistent: it is eliminated in
+    full, as the reference does."""
+    m = [[1, 0], [0, 1], [1, 1]]
+    assert _check_against_reference(m, [0, 1, 1]).solution == (0, 1)
+    assert _check_against_reference(m, [0, 1, 2]).status == "infeasible"
+    assert _check_against_reference([[2, 1], [0, 3], [2, 4], [4, 2]], [0, 3, 3, 0]).status == "unique"
+    with pytest.raises(AssertionError, match="after the decided answer"):
+        solve_constrained([[1, 0], [0, 1], [_Unread()] * 2], [0, 1, 1])
+    rng = random.Random(2202)
+    for trial in range(200):
+        m, r = _full_rank_homogeneous_then_rows(rng, rng.randint(1, 4), rng.randint(1, 4))
+        k = rng.randrange(len(m) - 1)  # a head row with a right-hand side
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in m[0]]
+        r = [sum(a * b for a, b in zip(row, x)) if i <= k or rng.random() < 0.7 else ri
+             for i, (row, ri) in enumerate(zip(m, r))]
+        _check_against_reference(m, r)

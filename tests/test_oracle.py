@@ -248,6 +248,40 @@ def test_one_pass_residual_matches_composed_form_on_every_sampler():
     assert checked > 900
 
 
+def test_one_pass_residual_matches_composed_form_at_each_2d_matchs_own_ansatz():
+    """Every 2D match, at its own Ansatz with its own c (R2D-E's stated
+    factor e^(c.x), c = (a21, -a12)/b2, among them), on every relabeling of
+    several draws of every sampler: on the Fraction system, and on its
+    integer view for the scale-free rules, as run_rules hands them out.
+    The test above draws c at random, so it never reaches R2D-E's."""
+    rng = random.Random(113)
+    checked = with_c = 0
+    for name, sample in SAMPLERS_2D.items():
+        for _ in range(4):
+            s = lift_exact(sample(rng))
+            for p in Permutation.all(2):
+                views = ((permute_system(s, p), True), (permute_system(integer_view(s), p), False))
+                for view, fraction in views:
+                    for rule in RULES_2D:
+                        if not (fraction or rule.scale_free):
+                            continue
+                        if not pattern_ok(rule.pattern, view):
+                            continue
+                        for m in rule.match(view):
+                            if m.ansatz is None:
+                                continue
+                            _, c, l = m.ansatz
+                            l = tuple(map(canonical, l))
+                            got = residual_2d_exponents(_coeffs(view), *l, *c)
+                            want = _ref_residual_2d(_coeffs(view), *l, *c)
+                            assert _terms(got) == _terms(want), (name, p, m.ansatz)
+                            if c:  # a stated factor: its residual vanishes
+                                assert got.is_zero(), (name, p, m.ansatz)
+                                with_c += 1
+                            checked += 1
+    assert checked > 100 and with_c >= 8, (checked, with_c)
+
+
 def test_one_pass_residual_matches_composed_form_on_random_systems():
     rng = random.Random(14)
     for _ in range(200):
