@@ -31,7 +31,7 @@ from .catalog3d import _direction_rule, _q
 from .detection import Candidate, DependentRows, Detection, Match, Rule, run_rules
 from .linalg import solve_constrained  # noqa: F401  (perfbench/spans.py wraps this name)
 from .model import LVSystem, Permutation, make_system, permute_system
-from .poly import GenPoly
+from .poly import GenPoly, quotient
 
 
 # -- R2D-A --------------------------------------------------------------------
@@ -132,7 +132,7 @@ def _match_d(s: LVSystem) -> list[Match]:
     lam = None
     for u, v in zip(c1, c2):
         if v != 0:
-            lam = u / v
+            lam = quotient(u, v)
             break
     if lam is None or lam == 0:
         return []
@@ -168,8 +168,8 @@ def _match_e(s: LVSystem) -> list[Match]:
     a12, a21, b2, e1 = A[0][1], A[1][0], b[1], e[0]
     return [
         Match(
-            params={"alpha": a12 * a21 / b2},
-            ansatz=("2d-exponents", (a21 / b2, -a12 / b2), (1, 1)),
+            params={"alpha": quotient(a12 * a21, b2)},
+            ansatz=("2d-exponents", (quotient(a21, b2), quotient(-a12, b2)), (1, 1)),
             H_gen=GenPoly.term(2, a21, (1, 0)) + GenPoly.term(2, -a12, (0, 1)),
             log=(b2, GenPoly.term(2, e1, (0, 0)) + GenPoly.term(2, a12, (1, 1))),
         )

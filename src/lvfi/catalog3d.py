@@ -310,10 +310,13 @@ class _PrintedVerdict:
 
     Each exception is (condition, note): a condition on the match, as a
     guard is, naming a subvariety where the verdict differs; the first that
-    holds wins.  A call evaluates no printed term and leaves the constructed
-    integral H2 to the audit (tests/test_printed_forms.py), which evaluates
-    the printed forms at every match of seeded sampler draws under every
-    relabeling and asserts that the outcome is the note returned there.
+    holds wins.  A call evaluates no printed term.  The relabeled Fraction
+    system s2 and the constructed integral H2 come as zero-argument
+    callables: only a verdict with exceptions builds s2, to test their
+    conditions, and none builds H2, which is left to the audit
+    (tests/test_printed_forms.py).  The audit evaluates the printed forms
+    at every match of seeded sampler draws under every relabeling and
+    asserts that the outcome is the note returned there.
     """
 
     def __init__(self, verdict: str, *exceptions: tuple[str, str]) -> None:
@@ -324,11 +327,13 @@ class _PrintedVerdict:
     def tests(self) -> list[tuple[Callable, str]]:
         return [(condition_function(condition_source(c)), note) for c, note in self.exceptions]
 
-    def __call__(self, s2: LVSystem, m: Match, H2: GenPoly) -> str:
-        _, d, l = m.ansatz
-        for holds, note in self.tests:
-            if holds(s2.b, s2.A, s2.e, d, l):
-                return note
+    def __call__(self, s2: Callable, m: Match, H2: Callable) -> str:
+        if self.exceptions:
+            s = s2()
+            _, d, l = m.ansatz
+            for holds, note in self.tests:
+                if holds(s.b, s.A, s.e, d, l):
+                    return note
         return self.verdict
 
     def notes(self) -> list[str]:

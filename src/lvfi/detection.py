@@ -29,8 +29,8 @@ DependentRows and L5-6 columns are homogeneous (tests/test_integer_view.py
 checks this), each row of a solve homogeneous of one degree, so the row space, the
 nullspace and the solution are unchanged.  run_rules therefore decides the
 scale-free steps on integer_view(s), scaled to primitive integers, and
-reads the Fraction system only where the scale shows: params, the hand
-matchers and the conditions of the printed forms' audited verdicts
+reads the Fraction system only where the scale shows: the hand matchers
+and the exception conditions of the printed forms' audited verdicts
 (Rule.compare_printed).  The integral built on the integer view is a
 nonzero multiple of the one built on the Fraction system, and
 normalize_for_output removes the multiple.  A hand matcher's stated
@@ -42,11 +42,16 @@ exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
 per factor and works on the lattice y_i = x_i^(1/d_i) (potential.lattice).
 The curl residual is scaled by D = lcm(d), so its factors D (p + l - 1) are
 ints; the gradient targets, the potential and the Lie gate are taken in y,
-where every power is an int, and H is mapped back to x once
-(potential.from_lattice).  Each step is a change of variables or a nonzero
+where every power is an int, and H is mapped back to x and to the original
+coordinates in one pass (potential.from_lattice).  A stated monomial x^v
+with proper-fraction powers is gated on the lattice of v the same way
+(_stated_on_lattice).  Each step is a change of variables or a nonzero
 scale, so every zero test is the one in x, and the H mapped back is the
 x-space potential term for term.  Whole exponents are the lattice of all
-ones, where each step is the x-space one.
+ones, where each step is the x-space one.  The coefficients stay ints
+too: the targets are scaled by the lcm of the divisors their
+antiderivatives meet (potential.integer_field), so the potential, the Lie
+gate and the output form have int coefficients.
 
 Exact work that rules and relabelings share is done once per run_rules
 call, in tables that live only for that call.  The relabelings whose integer
@@ -56,10 +61,10 @@ it.  The nullspace of each set of rows is computed once (RowNullspaces), so
 L4-3, L5-5 and L5-6 share the nullspaces of each coordinate pair, and not
 at all when a nonzero entry or 2x2 minor shows it trivial.  Each
 relabeling's integer view is permuted once, and its Fraction view only when
-a hand matcher or a gate reads it.  Each integrating factor is gated once,
-and each integral is emitted once, with the detections and candidates of
-gating every match and collapsing duplicates afterwards (the reference in
-tests/test_detection.py):
+a hand matcher or a verdict's exception condition reads it.  Each
+integrating factor is gated once, and each integral is emitted once, with
+the detections and candidates of gating every match and collapsing
+duplicates afterwards (the reference in tests/test_detection.py):
 
   * the gate's outcome, the failure reason or the integral, is kept under
     _factor_key: the factor in the original coordinates up to a scalar,
@@ -84,6 +89,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import lcm
 from typing import Callable, Optional
@@ -101,6 +107,7 @@ from .potential import (
     genpoly_to_expr,
     gradient_targets_2d,
     gradient_targets_3d,
+    integer_field,
     lattice,
     lie_genpoly,
     normalize_for_output,
@@ -132,7 +139,9 @@ class Rule:
     sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
     # (s2, Match, H2) -> str: the audited verdict on the paper's printed
     # integral (catalog3d._PrintedVerdict), a detection's
-    # paper_formula_deviation
+    # paper_formula_deviation.  s2, the relabeled Fraction system, and H2,
+    # the integral in its coordinates, are zero-argument callables, built
+    # only when called.
     compare_printed: Optional[Callable] = None
     notes: list[str] = field(default_factory=list)
     # (kind, direction template, exponent template) when the matcher is
@@ -373,17 +382,10 @@ def _permute_genpoly(H: GenPoly, sigma: tuple[int, ...]) -> GenPoly:
     """Pull a potential on the permuted system back to original coordinates.
 
     The permuted system's variable i is the original variable sigma(i), so a
-    term exponent at position i moves to position sigma(i).
+    term exponent at position i moves to position sigma(i): from_lattice on
+    the lattice of all ones.
     """
-    out = {}
-    for (p, k), c in H.terms.items():
-        np = [0] * len(p)
-        nk = [0] * len(k)
-        for i in range(len(p)):
-            np[sigma[i]] = p[i]
-            nk[sigma[i]] = k[i]
-        out[(tuple(np), tuple(nk))] = c
-    return GenPoly(H.nvars, out)
+    return from_lattice(H, (1,) * H.nvars, sigma)
 
 
 def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Candidate]]:
@@ -393,12 +395,12 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
     relabeling), which every scale-free step reads: the pattern test, the
     scale_free matchers, the curl residual, the gradient targets, the
     potential and the Lie gate.  Its Fraction view, which the hand matchers
-    and printed-form verdicts read, is permuted when first read.  The exact
-    work that rules and relabelings share is done once per call: the
-    relabelings that fit each distinct constant-term pattern
-    (pattern_ok, tested when a rule with that pattern first comes up), the
-    nullspace of each set of rows (RowNullspaces) and the gate of each
-    integrating factor (_gate_and_build).  Rules run in order, each over its
+    and the printed-form verdicts' exception conditions read, is permuted
+    when first read.  The exact work that rules and relabelings share is
+    done once per call: the relabelings that fit each distinct constant-term
+    pattern (pattern_ok, tested when a rule with that pattern first comes
+    up), the nullspace of each set of rows (RowNullspaces) and the gate of
+    each integrating factor (_gate_and_build).  Rules run in order, each over its
     fitting relabelings in Permutation.all order, as if every relabeling
     were tested for every rule.
     """
@@ -435,7 +437,9 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
                 pkey = None if fkey is None else (rule.family, fkey)
                 if pkey in passed:
                     continue
-                det, cand = _gate_and_build(rule, fraction_view(p), s2i, p, m, seen, gates, fkey)
+                det, cand = _gate_and_build(
+                    rule, partial(fraction_view, p), s2i, p, m, seen, gates, fkey
+                )
                 if cand is not None:
                     candidates.append(cand)
                     continue
@@ -533,10 +537,12 @@ def _construct(s2i, p: Permutation, m: Match) -> _Gate:
     the Fraction system; the zero tests are unchanged, and
     normalize_for_output removes the scale.  T f/R is built once and read
     by the residual and the targets; the targets and the potential work on
-    the match's exponent lattice (module docstring).  A match that states
-    its integral is not reconstructed: its integral, taken in x, is the one
-    gated.  H mapped back to x and to the original coordinates is what the
-    key and the output read.
+    the match's exponent lattice (module docstring), the targets scaled by
+    potential.integer_field so the potential has int coefficients.  A match
+    that states its integral is not reconstructed: its integral is the one
+    gated, a monomial with proper-fraction powers on their lattice
+    (_stated_on_lattice).  H mapped back to x and to the original
+    coordinates, in one pass, is what the key and the output read.
     """
     n = s2i.dim
     if m.ansatz is not None:
@@ -550,20 +556,20 @@ def _construct(s2i, p: Permutation, m: Match) -> _Gate:
         if not all(c.is_zero() for c in comps):
             return _Gate("curl residual not identically zero")
     if m.H_gen is not None:
-        Hy, d = m.H_gen, (1,) * n
+        Hy, d = _stated_on_lattice(m.H_gen)
     else:
         try:
             if n == 2:
                 targets = gradient_targets_2d(s2i, l, t=t, lattice=d)
             else:
                 targets = gradient_targets_3d(s2i, kind, abg, l, t=t, lattice=d)
-            Hy = potential(targets)
+            Hy = potential(integer_field(targets))
         except ConstructionError as exc:
             return _Gate(f"construction: {exc}")
     log = m.log
     if log is not None:
         log = (log[0], _permute_genpoly(log[1], p.sigma))
-    H, log = normalize_for_output(_permute_genpoly(from_lattice(Hy, d), p.sigma), log)
+    H, log = normalize_for_output(from_lattice(Hy, d, p.sigma), log)
     if H.is_zero() and log is None:
         # H is constant, so its Lie derivative is zero
         return _Gate("constant integral")
@@ -571,13 +577,30 @@ def _construct(s2i, p: Permutation, m: Match) -> _Gate:
     return _Gate(H=H, Hn=Hn, log=log, lie=(Hy, s2i, d, m.log))
 
 
+def _stated_on_lattice(H: GenPoly) -> tuple[GenPoly, tuple]:
+    """A stated integral and the exponent lattice its gate works on.  A
+    monomial c x^v with proper-fraction powers is c y^(d v) on the lattice
+    d = lattice(v), where every power is an int, as an Ansatz integral is;
+    every other stated integral (whole powers, logs) is taken in x, the
+    lattice of all ones."""
+    n = H.nvars
+    if len(H.terms) == 1:
+        ((p, k), c), = H.terms.items()
+        d = lattice(p)
+        if not any(k) and any(di != 1 for di in d):
+            powers = tuple(q.numerator * (di // q.denominator) for q, di in zip(p, d))
+            return GenPoly._of(n, {(powers, k): c}), d
+    return H, (1,) * n
+
+
 def _gate_and_build(
     rule: Rule, s2, s2i, p: Permutation, m: Match, seen: set,
     gates: Optional[dict] = None, fkey: Optional[tuple] = None,
 ):
-    """Gate one match on the relabeled system s2 (Fractions) and its integer
-    view s2i.  Returns (None, None) for an integral already in seen
-    (_integral_key), and adds the key of one that passes.
+    """Gate one match on relabeling p: s2i is its integer view, and s2 a
+    zero-argument callable that builds its Fraction view.  Returns
+    (None, None) for an integral already in seen (_integral_key), and adds
+    the key of one that passes.
 
     A match's gate outcome (_Gate) is looked up in gates under its
     integrating factor fkey (_factor_key), and built (_construct) and stored
@@ -590,8 +613,10 @@ def _gate_and_build(
     view the integral was built on, the original system's integer view with
     the coordinates renamed, so its zero test is the one in the original
     coordinates.  A detection's paper_formula_deviation is its rule's
-    audited verdict on the printed integral (Rule.compare_printed), which
-    reads s2 and H pulled back to the coordinates of s2.
+    audited verdict on the printed integral (Rule.compare_printed).  It is
+    handed s2 and a callable that pulls H back to the coordinates of s2,
+    and calls them only where it reads them: a verdict reads s2 to test its
+    exception conditions, and no verdict reads H.
     """
     gate = None if gates is None else gates.get(fkey)
     if gate is None:
@@ -613,8 +638,8 @@ def _gate_and_build(
     seen.add(key)
     deviation = None
     if rule.compare_printed is not None:
-        H2 = _permute_genpoly(gate.H, p.inverse().sigma)
-        deviation = rule.compare_printed(s2, m, H2)
+        H = gate.H
+        deviation = rule.compare_printed(s2, m, lambda: _permute_genpoly(H, p.inverse().sigma))
     if gate.expr is None:
         gate.expr = genpoly_to_expr(gate.Hn, gate.log)
     return Detection(

@@ -22,7 +22,10 @@ coefficients and only the antiderivative divides (poly.quotient, exact).
 Scaling (b, A, e) by c > 0 only rescales time: T f, H and the Lie
 derivative are scaled by a positive constant, every zero test is unchanged,
 and normalize_for_output, which every emitted integral passes through,
-removes the constant.
+removes the constant.  ``integer_field`` scales T f once more, by the lcm
+of the divisors the antiderivatives meet, so the potential of an exact
+field has int coefficients too, and the Lie gate and normalize_for_output
+run on ints.
 
 The gate also keeps the powers whole.  With d_i the denominator of the
 exponent l_i (1 when l_i is whole), it works in y_i = x_i^(1/d_i), the
@@ -30,9 +33,10 @@ integer exponent lattice of the match (``lattice``).  There a term
 c x^(q+l-1) of (T f)_i is the term c d_i y^(d(q+l-1) + (d_i-1) u_i) of
 dH/dy_i (u_i the i-th unit vector), with int powers, so ``potential`` runs
 unchanged on int keys.  ``from_lattice`` maps H back to x once: y^P is
-x^(P/d) and ln|y_i|^k is ln|x_i|^k / d_i^k.  Distinct GenPoly terms are
-independent functions and the map is one-to-one on terms, so the H mapped
-back is the potential built in x, term for term.  ``lie_genpoly`` with the
+x^(P/d) and ln|y_i|^k is ln|x_i|^k / d_i^k, and given a relabeling it pulls
+H back to the original coordinates in the same pass.  Distinct GenPoly
+terms are independent functions and the map is one-to-one on terms, so the
+H mapped back is the potential built in x, term for term.  ``lie_genpoly`` with the
 lattice takes the Lie derivative in y, scaled by D = lcm(d); that is the
 image of the one in x times D, so its zero test is the same.  Integer
 exponents are the lattice of all ones, on which every step is the x-space
@@ -134,22 +138,55 @@ def gradient_targets_2d(s: LVSystem, l, *, t=None, lattice=None) -> list[GenPoly
     return _times_factor(t, l, lattice or (1, 1))
 
 
-def from_lattice(H: GenPoly, d) -> GenPoly:
+def integer_field(components: list[GenPoly]) -> list[GenPoly]:
+    """Log-free gradient targets times D, the lcm of the divisors that
+    ``potential`` meets on them: it integrates a term c x^p of component i
+    to c x^(p + u_i) / (p_i + 1), or to c ln|x_i| where p_i = -1, with no
+    division (a proper-fraction p_i + 1 divides by its numerator).  For an
+    exact field each remainder it integrates is made of terms of the
+    targets, so targets with int coefficients, times D, have a potential
+    with int coefficients: D times the potential of the targets."""
+    big = 1
+    for i, g in enumerate(components):
+        for p, _ in g.terms:
+            q = p[i] + 1
+            if q:
+                big = lcm(big, q.numerator)
+    return components if big == 1 else [g.scale(big) for g in components]
+
+
+def from_lattice(H: GenPoly, d, sigma=None) -> GenPoly:
     """H, a function of y = x^(1/d), as a function of x: y^P ln|y|^k is
-    x^(P/d) ln|x|^k / d^k."""
-    if all(di == 1 for di in d):
+    x^(P/d) ln|x|^k / d^k.  With sigma, H is also pulled back from
+    relabeled coordinates in the same pass: the relabeled variable i is the
+    original variable sigma(i), so position i moves to sigma(i)."""
+    whole = all(di == 1 for di in d)
+    if sigma is not None and all(i == si for i, si in enumerate(sigma)):
+        sigma = None
+    if whole and sigma is None:
         return H
+    if sigma is not None:
+        # position j of the result reads position src[j] of H
+        src = [0] * len(sigma)
+        for i, si in enumerate(sigma):
+            src[si] = i
     out = {}
     for (p, k), c in H.terms.items():
-        den = 1
-        for di, ki in zip(d, k):
-            if ki:
-                den *= di**ki
-        powers = tuple(
-            q if di == 1 else (q // di if q % di == 0 else Fraction(q, di))
-            for q, di in zip(p, d)
-        )
-        out[(powers, k)] = quotient(c, den) if den != 1 else c
+        if not whole:
+            den = 1
+            for di, ki in zip(d, k):
+                if ki:
+                    den *= di**ki
+            p = tuple(
+                q if di == 1 else (q // di if q % di == 0 else Fraction(q, di))
+                for q, di in zip(p, d)
+            )
+            if den != 1:
+                c = quotient(c, den)
+        if sigma is not None:
+            p = tuple(map(p.__getitem__, src))
+            k = tuple(map(k.__getitem__, src))
+        out[(p, k)] = c
     return GenPoly._of(H.nvars, out)
 
 
@@ -239,7 +276,7 @@ def genpoly_to_expr(H: GenPoly, log=None) -> Expr:
     for (p, k), c in H.items_sorted():
         factors: list[Expr] = []
         if c != 1 or (all(q == 0 for q in p) and all(q == 0 for q in k)):
-            factors.append(Const(c))
+            factors.append(_const(c))
         for i, q in enumerate(p):
             if q == 0:
                 continue
@@ -251,10 +288,16 @@ def genpoly_to_expr(H: GenPoly, log=None) -> Expr:
     if log is not None:
         c, P = log
         ln = LnAbs(genpoly_to_expr(P))
-        terms.append(ln if c == 1 else Mul((Const(c), ln)))
+        terms.append(ln if c == 1 else Mul((_const(c), ln)))
     if not terms:
         return Const(Fraction(0))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
+
+
+def _const(c) -> Const:
+    """The constant of an exact coefficient: an int becomes a Fraction, as
+    every constant of a rendered integral is."""
+    return Const(Fraction(c) if type(c) is int else c)
 
 
 def normalize_for_output(H: GenPoly, log=None) -> tuple:
@@ -264,7 +307,8 @@ def normalize_for_output(H: GenPoly, log=None) -> tuple:
     of an integral built on a system's integer view.  For the integral
     H + c ln|P| (log = (c, P)), H and c are scaled together, and P is made
     primitive on its own: ln|lambda P| is ln|P| plus a constant.  The
-    coefficients of the result are Fractions."""
+    coefficients of the result, and c, are ints (genpoly_to_expr renders
+    them as Fractions)."""
     H = H.drop_constant()
     if log is None:
         return _primitive_form(H)[0], None
@@ -275,12 +319,12 @@ def normalize_for_output(H: GenPoly, log=None) -> tuple:
 
 def _primitive_form(G: GenPoly, *tail) -> tuple:
     """G and the numbers tail scaled by one nonzero rational to primitive
-    integers, as Fractions, with G's leading term positive (tail's first
-    number where G is zero): (G, *tail) scaled."""
+    integers, as ints, with G's leading term positive (tail's first number
+    where G is zero): (G, *tail) scaled."""
     values = [*G.terms.values(), *tail]
     if not any(values):
         return (G, *tail)
     lead = G.terms[min(G.terms)] if G.terms else tail[0]
     sign = -1 if lead < 0 else 1
-    coefs = [Fraction(sign * v) for v in primitive(values)]
+    coefs = [sign * v for v in primitive(values)]
     return (GenPoly._of(G.nvars, dict(zip(G.terms, coefs))), *coefs[len(G.terms):])

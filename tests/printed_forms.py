@@ -324,13 +324,15 @@ PRINTED = {
 def printed_calls(systems) -> list[tuple]:
     """(rule id, s2, Match, H2, note) of every Rule.compare_printed call while
     detect3d runs on each system: the relabeled system, the match and the
-    constructed integral that the gate passed, and the note returned."""
+    constructed integral that the gate passed, and the note returned.  The
+    gate hands s2 and H2 over as zero-argument callables, which the verdict
+    reads only where it needs them; the spy builds both after the call."""
     calls: list[tuple] = []
 
     def spy(rule, note_of):
         def call(s2, m, H2):
             note = note_of(s2, m, H2)
-            calls.append((rule.id, s2, m, H2, note))
+            calls.append((rule.id, s2(), m, H2(), note))
             return note
 
         return call

@@ -291,7 +291,10 @@ def test_printed_forms_compile_and_evaluate_at_their_matches():
                 assert all(len(t) == 3 for t in triples), rule.id
 
 
-def test_run_rules_permutes_once_per_relabeling(monkeypatch):
+def _count_views(monkeypatch, s) -> tuple[list, list, list, list]:
+    """detect3d(s) with the integer views, the permuted systems and the
+    gated relabelings recorded: (detections, integer views, (permuted the
+    integer view, sigma) per permute_system call, sigma per gate call)."""
     integer_views, permuted, gated = [], [], []
     integer_view, gate = detection.integer_view, detection._gate_and_build
 
@@ -310,15 +313,41 @@ def test_run_rules_permutes_once_per_relabeling(monkeypatch):
     monkeypatch.setattr(detection, "integer_view", viewed)
     monkeypatch.setattr(detection, "permute_system", counting)
     monkeypatch.setattr(detection, "_gate_and_build", gating)
+    return detect3d(s), integer_views, permuted, gated
+
+
+def _reads_fraction_view(d) -> bool:
+    """Whether the verdict of d's rule has exception conditions to test."""
+    verdict = next(r for r in RULES_3D if r.id == d.rule_id.split("/")[0]).compare_printed
+    return verdict is not None and bool(verdict.exceptions)
+
+
+def test_run_rules_permutes_once_per_relabeling(monkeypatch):
     s = SAMPLERS_3D["L2-iii"](random.Random(5))
-    assert detect3d(s)
+    dets, integer_views, permuted, gated = _count_views(monkeypatch, s)
+    assert dets
     # the integer view (detection.integer_view) once per relabeling, never
     # once per rule
     assert len(integer_views) == 1
     relabelings = [p.sigma for p in Permutation.all(3)]
     assert sorted(sigma for is_int, sigma in permuted if is_int) == relabelings
-    # the Fraction view once for each relabeling whose match reached a gate,
-    # and for no other: T1 with direction (1, 1, 1) is one factor under all
-    # six relabelings, gated under the first
-    fractions = sorted(sigma for is_int, sigma in permuted if not is_int)
-    assert fractions == sorted(set(gated)) == [(0, 1, 2)]
+    # no Fraction view: every 3D matcher reads the integer view, and no
+    # verdict of the rules detected here has an exception to test on it.
+    # T1 with direction (1, 1, 1) is one factor under all six relabelings,
+    # gated under the first.
+    assert not any(_reads_fraction_view(d) for d in dets)
+    assert [sigma for is_int, sigma in permuted if not is_int] == []
+    assert sorted(set(gated)) == [(0, 1, 2)]
+
+
+def test_a_verdict_with_an_exception_builds_the_fraction_view(monkeypatch):
+    """L5-7d's verdict has an exception, whose condition reads the Fraction
+    view of the relabeling that matched: that view is built, once, and the
+    exception's note is reported as before."""
+    s = SAMPLERS_3D["L5-7d"](random.Random(2))
+    dets, _, permuted, _ = _count_views(monkeypatch, s)
+    reading = sorted({d.sigma for d in dets if _reads_fraction_view(d)})
+    assert reading == [(0, 1, 2)]
+    assert [sigma for is_int, sigma in permuted if not is_int] == reading
+    l5_7d = [d.paper_formula_deviation for d in dets if d.rule_id == "L5-7d"]
+    assert l5_7d == ["agrees: printed l2 formula matches exact solve"]

@@ -11,8 +11,10 @@ in x with Fraction powers, and the Lie derivative as the product sum
 f_i dH/dx_i) as the reference and require equal output, and a time rescale
 of the digest corpus's draws must print the same detections.  The last ones
 check the integer exponent lattice: the gate in y = x^(1/d) against the gate
-forced to the lattice of all ones, and the lattice Lie derivative against
-the one in x.
+forced to the lattice of all ones, for Ansatz integrals and stated
+monomials, the lattice Lie derivative against the one in x, and the
+potential of the targets scaled by D (potential.integer_field), whose
+coefficients are ints.
 """
 
 import ast
@@ -29,9 +31,18 @@ from lvfi import catalog3d, detection, potential
 from lvfi import expr as ex
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _ConstantDirection
-from lvfi.detection import DependentRows, condition_function
-from lvfi.model import LVSystem, lift_exact, make_system
-from lvfi.potential import from_lattice, lie_genpoly
+from lvfi.detection import DependentRows, Match, Rule, condition_function, pattern_ok
+from lvfi.linalg import primitive
+from lvfi.model import LVSystem, Permutation, lift_exact, make_system, permute_system
+from lvfi.potential import (
+    ConstructionError,
+    from_lattice,
+    gradient_targets_2d,
+    gradient_targets_3d,
+    integer_field,
+    lie_genpoly,
+    normalize_for_output,
+)
 from lvfi.oracle import _symbolic_system
 from lvfi.poly import GenPoly, SymPoly
 
@@ -409,7 +420,9 @@ def test_lie_gate_loop_equals_the_product_form(case, n):
 def test_exponent_lattice_gives_the_x_space_output(monkeypatch):
     """The gate on each match's exponent lattice (y = x^(1/d), the residual
     scaled by lcm(d)) against the gate forced to the lattice of all ones,
-    which is the x-space computation with Fraction powers."""
+    which is the x-space computation with Fraction powers.  A stated
+    monomial with proper-fraction powers takes its lattice from
+    detection.lattice too (detection._stated_on_lattice)."""
     rng = random.Random(31)
     samplers = sorted(SAMPLERS_2D.items()) + sorted(SAMPLERS_3D.items())
     drawn = [sampler(rng) for _, sampler in samplers for _ in range(4)]
@@ -419,14 +432,21 @@ def test_exponent_lattice_gives_the_x_space_output(monkeypatch):
             _sparse_integer_systems(3, 500),
         )
     )
-    lattices = []
+    lattices, stated = [], []
+    on_lattice = detection._stated_on_lattice
 
     def recorded(l):
         d = potential.lattice(l)
         lattices.append(d)
         return d
 
+    def stated_recorded(H):
+        Hy, d = on_lattice(H)
+        stated.append(d)
+        return Hy, d
+
     monkeypatch.setattr(detection, "lattice", recorded)
+    monkeypatch.setattr(detection, "_stated_on_lattice", stated_recorded)
     got = [_outcome(s) for s in systems]
     monkeypatch.setattr(detection, "lattice", _x_lattice)
     want = [_outcome(s) for s in systems]
@@ -435,6 +455,74 @@ def test_exponent_lattice_gives_the_x_space_output(monkeypatch):
     fractional = sum(any(di > 1 for di in d) for d in lattices)
     found = sum(bool(w[0]) for w in want)
     assert fractional > 500 and found > 1500, (fractional, found)
+    # stated monomials with proper-fraction powers (R2D-D, DependentRows,
+    # L5-6) were gated on their lattice, through detection.lattice
+    assert sum(any(di > 1 for di in d) for d in stated) > 300, stated
+
+
+def _moved_monomials(rule: Rule, shift) -> Rule:
+    """rule with each stated monomial x^v of its matches replaced by
+    x^(v + shift): an integral no longer, with proper-fraction powers."""
+
+    def match(s, *args):
+        out = []
+        for m in rule.match(s, *args):
+            ((p, k), c), = m.H_gen.terms.items()
+            moved = GenPoly.term(s.dim, c, [q + t for q, t in zip(p, shift)], k)
+            out.append(Match(params=m.params, H_gen=moved))
+        return out
+
+    return Rule(rule.id, rule.citation, rule.dim, rule.pattern, match, scale_free=rule.scale_free)
+
+
+def test_stated_fractional_monomials_on_the_lattice_and_in_x(monkeypatch):
+    """A stated monomial x^v with proper-fraction v is gated on
+    detection.lattice(v), in y = x^(1/d) with int powers; forced to the
+    lattice of all ones it is gated in x with Fraction powers.  On draws of
+    R2D-D and L5-6 under every relabeling both give the same detections,
+    and the same monomials with one exponent moved by 1/7 fail the exact
+    Lie gate on both."""
+    rules = {r.id: r for r in RULES_2D + RULES_3D}
+    samplers = {**SAMPLERS_2D, **SAMPLERS_3D}
+    rng = random.Random(57)
+    cases = []
+    for rid, shift in (("R2D-D", (0, F(1, 7))), ("L5-6", (F(1, 7), 0, 0))):
+        rule = rules[rid]
+        for _ in range(6):
+            drawn = samplers[rid](rng)
+            for s in (permute_system(drawn, p) for p in Permutation.all(drawn.dim)):
+                cases += [(s, [rule], True), (s, [_moved_monomials(rule, shift)], False)]
+    lattices = []
+
+    def recorded(l):
+        d = potential.lattice(l)
+        lattices.append(d)
+        return d
+
+    def outcome(s, rules):
+        dets, cands = detection.run_rules(s, rules)
+        return (
+            [(json.dumps(d.to_json_obj(), sort_keys=True), d.H_gen) for d in dets],
+            [(c.rule_id, c.sigma, repr(c.params), c.reason) for c in cands],
+        )
+
+    monkeypatch.setattr(detection, "lattice", recorded)
+    got = [outcome(s, rules) for s, rules, _ in cases]
+    monkeypatch.setattr(detection, "lattice", _x_lattice)
+    want = [outcome(s, rules) for s, rules, _ in cases]
+    fractional = sum(any(di > 1 for di in d) for d in lattices)
+    detected = failed = 0
+    for (s, _, integral), g, w in zip(cases, got, want):
+        assert g == w, s
+        dets, cands = w
+        if integral:
+            assert dets and not cands, s
+            detected += 1
+        else:
+            assert not dets and cands, s
+            assert {c[3] for c in cands} == {"exact Lie derivative nonzero on original system"}
+            failed += 1
+    assert detected == failed == 6 * (2 + 6) and fractional > 300, (detected, failed, fractional)
 
 
 def _to_lattice(H: GenPoly, d) -> GenPoly:
@@ -516,3 +604,100 @@ def test_lattice_lie_derivative_on_detected_integrals():
                 assert got.is_zero() == lie_genpoly(off, s).is_zero()
                 moved += not got.is_zero()
     assert zero > 40 and moved > 120, (zero, moved)
+
+
+def _ansatz_matches(s2i, rules):
+    """(kind, abg, l) of every Ansatz match of the scale-free rules on the
+    relabeled integer view s2i, as the gate reads them: l canonical and a
+    3D direction primitive."""
+    out = []
+    for rule in rules:
+        if rule.scale_free and pattern_ok(rule.pattern, s2i):
+            for m in rule.match(s2i):
+                if m.ansatz is not None:
+                    kind, abg, l = m.ansatz
+                    out.append((kind, primitive(abg) if s2i.dim == 3 else abg, l))
+    return out
+
+
+def test_integer_field_potential_has_int_coefficients():
+    """On 4 draws of every sampler under every relabeling, at each Ansatz
+    match on the integer view: the targets on the match's lattice, scaled by
+    D (potential.integer_field), have a potential with int coefficients
+    only, whose output form is that of the potential of the unscaled
+    targets, which has Fraction coefficients where the antiderivative
+    divided.  The targets bent off exactness (y2 added to the first
+    component) fail the reconstruction, scaled or not."""
+    rng = random.Random(61)
+    samplers = sorted(SAMPLERS_2D.items()) + sorted(SAMPLERS_3D.items())
+    built = divided = 0
+    for _, sampler in samplers:
+        for _ in range(4):
+            si = detection.integer_view(sampler(rng))
+            n = si.dim
+            rules = RULES_2D if n == 2 else RULES_3D
+            y2 = GenPoly.term(n, 1, [0, 1] + [0] * (n - 2))
+            for p in Permutation.all(n):
+                s2i = permute_system(si, p)
+                for kind, abg, l in _ansatz_matches(s2i, rules):
+                    d = potential.lattice(l)
+                    if n == 2:
+                        targets = gradient_targets_2d(s2i, l, lattice=d)
+                    else:
+                        targets = gradient_targets_3d(s2i, kind, abg, l, lattice=d)
+                    H = potential.potential(targets)
+                    Hi = potential.potential(integer_field(targets))
+                    assert all(type(c) is int for c in Hi.terms.values()), (s2i, l)
+                    assert normalize_for_output(from_lattice(Hi, d)) == normalize_for_output(
+                        from_lattice(H, d)
+                    )
+                    built += 1
+                    divided += any(type(c) is F for c in H.terms.values())
+                    bent = [targets[0] + y2, *targets[1:]]
+                    for field in (bent, integer_field(bent)):
+                        with pytest.raises(ConstructionError):
+                            potential.potential(field)
+    assert built > 250 and divided > 50, (built, divided)
+
+
+def _scale_of(si, s) -> F:
+    """k with si = k s, for the integer view si of s."""
+    return next(F(a) / b for a, b in zip(si.entries(), s.entries()) if b)
+
+
+def test_hand_matchers_give_exact_numbers_on_the_integer_view():
+    """R2D-D, R2D-E and L5-6 divide with poly.quotient, so on the integer
+    view of 6 draws of their samplers, under every relabeling, every param
+    and Ansatz entry is an int or a Fraction, never a float.  run_rules
+    hands R2D-D and R2D-E the Fraction view, where they match as on the
+    integer view: the same lambda, direction c and L5-6 params (ratios),
+    and R2D-E's alpha, of degree one in (b, A, e), scaled by the view's
+    factor."""
+    rules = {r.id: r for r in RULES_2D + RULES_3D}
+    samplers = {**SAMPLERS_2D, **SAMPLERS_3D}
+    rng = random.Random(23)
+    matched = dict.fromkeys(("R2D-D", "R2D-E", "L5-6"), 0)
+    for rid in matched:
+        rule = rules[rid]
+        for _ in range(6):
+            s = lift_exact(samplers[rid](rng))
+            si = detection.integer_view(s)
+            k = _scale_of(si, s)
+            for p in Permutation.all(s.dim):
+                on_int = rule.match(permute_system(si, p))
+                on_fraction = rule.match(permute_system(s, p))
+                assert len(on_int) == len(on_fraction), (rid, s, p)
+                for mi, mf in zip(on_int, on_fraction):
+                    values = [*mi.params.values()]
+                    if mi.ansatz is not None:
+                        _, c, l = mi.ansatz
+                        values += [*c, *l]
+                    assert all(type(v) in (int, F) for v in values), (rid, s, p, mi)
+                    assert all(type(v) is F for v in mf.params.values()), (rid, s, p, mf)
+                    if rid == "R2D-E":
+                        assert mi.ansatz == mf.ansatz
+                        assert mi.params["alpha"] == k * mf.params["alpha"]
+                    else:
+                        assert mi.params == mf.params
+                    matched[rid] += 1
+    assert all(n >= 6 for n in matched.values()), matched

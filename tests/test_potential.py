@@ -8,7 +8,7 @@ from lvfi.catalog2d import SAMPLERS_2D
 from lvfi.catalog3d import SAMPLERS_3D
 from lvfi.detection import integer_view
 from lvfi.model import lift_exact, make_system, parse_system
-from lvfi.poly import canonical
+from lvfi.poly import canonical, quotient
 from lvfi.potential import (
     ConstructionError,
     GenPoly,
@@ -84,6 +84,7 @@ def test_l2_iii_construction_is_integral():
     H = potential(gradient_targets_3d(s, "3d-t1", (1, -1, 1), (F(1), F(1), F(1))))
     assert lie_genpoly(H, s).is_zero()
     Hn, _ = normalize_for_output(H)
+    assert all(type(c) is int for c in Hn.terms.values())  # primitive ints
     # with unit diagonal the integral is x1^2 x2 - x1^2 x3 - x1 x2^2 + x1 x3^2
     # + x2^2 x3 - x2 x3^2, all linear coefficients vanishing for e = (1,1,1)
     expect = {
@@ -96,7 +97,7 @@ def test_l2_iii_construction_is_integral():
     }
     terms = normalized(Hn).terms
     scale = terms[((F(2), F(1), F(0)), (0, 0, 0))]
-    assert {k: v / scale for k, v in terms.items()} == expect
+    assert {k: quotient(v, scale) for k, v in terms.items()} == expect
 
 
 def test_genpoly_to_expr_eval_agreement():

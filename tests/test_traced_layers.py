@@ -41,6 +41,33 @@ def test_manifold_reaches_every_expected_layer():
     assert tracer.calls["catalog.compare_printed"] <= tracer.calls["potential.lie_gate"]
 
 
+def test_negatives_reaches_every_expected_layer():
+    # the control: generic systems reach the pattern filter and the
+    # matchers, and the gate's layers only through a coincidental detection
+    spans, workloads = _load("spans"), _load("workloads")
+    layers = json.loads((BENCH / "layers.json").read_text())
+    expected = layers["expect_calls"]["negatives"]
+    unexpected = layers["expect_no_calls"]["negatives"]
+    negatives = workloads.WORKLOADS["negatives"]
+    items = list(itertools.islice(negatives.stream(11), 300))
+    tracer = spans.Tracer()
+    stray = []
+    with spans.traced(tracer):
+        for n, item in enumerate(items):
+            before = {layer: tracer.calls.get(layer, 0) for layer in unexpected}
+            with tracer.system_span(n, keep=False):
+                result = negatives.process(item)
+            outcome = negatives.check(item, result)
+            assert outcome.ok, outcome.reason
+            called = [layer for layer in unexpected if tracer.calls.get(layer, 0) > before[layer]]
+            if called and not outcome.coincidental:
+                stray.append((n, called))
+    silent = [layer for layer in expected if not tracer.calls.get(layer)]
+    assert not silent, f"layers expected on negatives recorded no calls: {silent}"
+    assert not stray, f"layers negatives should leave alone were called: {stray[:5]}"
+    assert tracer.calls["system"] == 300
+
+
 def test_verify_reaches_every_expected_layer(tmp_path, monkeypatch):
     # `lvfi detect` in-process on the verify corpus: the cached parser and
     # the generated RK4 kernel must still run behind the traced names
