@@ -12,7 +12,8 @@ Rule map (e-pattern -> applicability conditions -> integral):
   R2D-D      e1 = e2 = 0, coefficient rows proportional: monomial integral
              x1 * x2^(-lambda).
   R2D-E      a11 = a22 = 0, e2 a12 = e1 a21, b1+b2 = 0 (exponential Ansatz
-             factor): linear-plus-log integral around e1 + a12 x1 x2.
+             factor e^(c.x), params c = (a21, -a12)/b2): linear-plus-log
+             integral around e1 + a12 x1 x2.
 
 R2D-A, R2D-B and R2D-C are data for the 3D Ansatz rules' matcher
 (catalog3d._ConstantDirection): the factor x1^(l1-1) x2^(l2-1), with
@@ -27,11 +28,14 @@ hand-written twin rules.
 
 from __future__ import annotations
 
-from .catalog3d import _direction_rule, _q
+from fractions import Fraction
+from typing import Callable, Optional
+
+from .catalog3d import _ROWS_12, _direction_rule, _q
 from .detection import Candidate, DependentRows, Detection, Match, Rule, run_rules
 from .linalg import solve_constrained  # noqa: F401  (perfbench/spans.py wraps this name)
 from .model import LVSystem, Permutation, make_system, permute_system
-from .poly import GenPoly, quotient
+from .poly import GenPoly
 
 
 # -- R2D-A --------------------------------------------------------------------
@@ -123,24 +127,16 @@ def _mirrored(sampler):
 # -- R2D-D --------------------------------------------------------------------
 
 
-def _match_d(s: LVSystem) -> list[Match]:
-    b, A = s.b, s.A
-    c1 = (A[0][0], A[0][1], b[0])
-    c2 = (A[1][0], A[1][1], b[1])
-    if all(v == 0 for v in c1) or all(v == 0 for v in c2):
-        return []  # trivial rows handled separately
-    lam = None
-    for u, v in zip(c1, c2):
-        if v != 0:
-            lam = quotient(u, v)
-            break
-    if lam is None or lam == 0:
+def _match_d(s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
+    """Rows (b1, a11, a12) = lambda (b2, a21, a22), both nonzero and
+    lambda != 0, exactly when the rows' nullspace is one candidate
+    (1, -lambda) with no zero entry (a zero row gives a unit vector);
+    H = x1 x2^(-lambda) is its monomial, as in DependentRows."""
+    found = _ROWS_12.nullspace(s, nullspaces)
+    if len(found) != 1 or not all(found[0]):
         return []
-    if any(u != lam * v for u, v in zip(c1, c2)):
-        return []
-    return [
-        Match(params={"lambda": lam}, H_gen=GenPoly.term(2, 1, (1, -lam)))
-    ]
+    v = found[0]
+    return [Match(params={"lambda": -v[1]}, H_gen=GenPoly.term(2, 1, v))]
 
 
 def _sample_d(rng) -> LVSystem:
@@ -153,11 +149,13 @@ def _sample_d(rng) -> LVSystem:
 # -- R2D-E --------------------------------------------------------------------
 
 
-def _match_e(s: LVSystem) -> list[Match]:
+def _match_e(s: LVSystem, nullspaces: Optional[Callable] = None) -> list[Match]:
     """H = G + b2 ln|P|, G = a21 x1 - a12 x2 and P = e1 + a12 x1 x2, from
     the factor e^(c.x) with unit exponents and c = (a21, -a12)/b2, in the
-    exponent chart of oracle.residual_2d_exponents.  c is unchanged when
-    (b, A, e) is scaled, so the gate's residual reads the integer view."""
+    exponent chart of oracle.residual_2d_exponents.  The conditions are
+    homogeneous in (b, A, e) and c is a ratio, so scaling (b, A, e) changes
+    neither; the params are c.  G, b2 and P scale with (b, A, e), and
+    normalize_for_output removes the scale."""
     b, A, e = s.b, s.A, s.e
     if A[0][0] != 0 or A[1][1] != 0:
         return []
@@ -166,10 +164,11 @@ def _match_e(s: LVSystem) -> list[Match]:
     if A[0][1] == 0 or A[1][0] == 0 or b[1] == 0:
         return []
     a12, a21, b2, e1 = A[0][1], A[1][0], b[1], e[0]
+    c = (Fraction(a21, b2), Fraction(-a12, b2))
     return [
         Match(
-            params={"alpha": quotient(a12 * a21, b2)},
-            ansatz=("2d-exponents", (quotient(a21, b2), quotient(-a12, b2)), (1, 1)),
+            params={"c1": c[0], "c2": c[1]},
+            ansatz=("2d-exponents", c, (1, 1)),
             H_gen=GenPoly.term(2, a21, (1, 0)) + GenPoly.term(2, -a12, (0, 1)),
             log=(b2, GenPoly.term(2, e1, (0, 0)) + GenPoly.term(2, a12, (1, 1))),
         )
@@ -213,7 +212,6 @@ RULES_2D: list[Rule] = [
         dim=2,
         pattern=(None, False),
         match=DependentRows((1,)),
-        scale_free=True,
         residuals=["b2", "a21", "a22"],
         guards=["e2 = 0"],
         sample=_sample_b_rank0,
@@ -256,7 +254,9 @@ RULES_2D: list[Rule] = [
         sample=_sample_e,
         notes=[
             "with b2 = 0 the exponential form degenerates (the derivation "
-            "divides by b2), so the rule is inapplicable there"
+            "divides by b2), so the rule is inapplicable there",
+            "params c1, c2: the factor's exponent c = (a21/b2, -a12/b2); the "
+            "separable chart of `lvfi oracle --ansatz 2d` takes --alpha = a12*c1",
         ],
     ),
 ]

@@ -178,13 +178,13 @@ class _ConstantDirection:
     must hold at the match's direction and exponents, and the first of the
     rule's subcases (Rule.subcases) that holds there labels it.
 
-    The matcher is scale-free (Rule.scale_free): run_rules calls it on the
-    system's primitive-integer view, and the direction solves read its
-    table of row nullspaces (detection.RowNullspaces).  Every residual,
-    guard and row is homogeneous in (b, A, e), each row of a solve of one
-    degree, so the precheck, the nullspaces and the solutions equal those
-    on the Fraction system, and the params (Fractions from the solves and
-    the templates) are the same.  The later rows and the guards are linear in a solved
+    run_rules calls the matcher on the system's primitive-integer view, as
+    it calls every matcher, and the direction solves read its table of row
+    nullspaces (detection.RowNullspaces).  Every residual, guard and row is
+    homogeneous in (b, A, e), each row of a solve of one degree, so the
+    precheck, the nullspaces and the solutions equal those on the Fraction
+    system, and the params (Fractions from the solves and the templates)
+    are the same.  The later rows and the guards are linear in a solved
     direction, so they read it scaled to primitive integers, and the
     arithmetic stays in ints.
     """
@@ -311,12 +311,11 @@ class _PrintedVerdict:
     Each exception is (condition, note): a condition on the match, as a
     guard is, naming a subvariety where the verdict differs; the first that
     holds wins.  A call evaluates no printed term.  The relabeled Fraction
-    system s2 and the constructed integral H2 come as zero-argument
-    callables: only a verdict with exceptions builds s2, to test their
-    conditions, and none builds H2, which is left to the audit
-    (tests/test_printed_forms.py).  The audit evaluates the printed forms
-    at every match of seeded sampler draws under every relabeling and
-    asserts that the outcome is the note returned there.
+    system s2 comes as a zero-argument callable: only a verdict with
+    exceptions builds it, to test their conditions.  The audit
+    (tests/test_printed_forms.py) evaluates the printed forms at every
+    match of seeded sampler draws under every relabeling and asserts that
+    the outcome is the note returned there.
     """
 
     def __init__(self, verdict: str, *exceptions: tuple[str, str]) -> None:
@@ -327,7 +326,7 @@ class _PrintedVerdict:
     def tests(self) -> list[tuple[Callable, str]]:
         return [(condition_function(condition_source(c)), note) for c, note in self.exceptions]
 
-    def __call__(self, s2: Callable, m: Match, H2: Callable) -> str:
+    def __call__(self, s2: Callable, m: Match) -> str:
         if self.exceptions:
             s = s2()
             _, d, l = m.ansatz
@@ -844,7 +843,7 @@ def _direction_rule(*, printed: Optional[_PrintedVerdict] = None, notes=(), **fi
     """A rule whose matcher is derived from its Ansatz template, with the
     audited verdict on its printed integral when the paper prints one."""
     notes = [*notes, *(printed.notes() if printed else ())]
-    rule = Rule(match=None, scale_free=True, compare_printed=printed, notes=notes, **fields)
+    rule = Rule(match=None, compare_printed=printed, notes=notes, **fields)
     rule.match = _ConstantDirection(rule)
     return rule
 
@@ -994,7 +993,6 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(True, False, False),
         match=DependentRows((1, 2), ("alpha", "beta"), log=True),
-        scale_free=True,
         residuals=["(b2,a21,a22,a23) proportional to (b3,a31,a32,a33)"],
         guards=[],
         sample=_sample_l4_3,
@@ -1153,7 +1151,6 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(False, False, False),
         match=DependentRows((0, 1), ("beta", "gamma")),
-        scale_free=True,
         residuals=["(b1,a11,a12,a13) proportional to (b2,a21,a22,a23)"],
         guards=[],
         sample=_sample_l5_5,
@@ -1164,7 +1161,6 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(False, False, False),
         match=_match_l5_6,
-        scale_free=True,
         residuals=["rows 1,2 proportional", "rows 2,3 proportional"],
         guards=["beta != 0 in both solves"],
         sample=_sample_l5_6,
@@ -1315,7 +1311,6 @@ RULES_3D: list[Rule] = [
         dim=3,
         pattern=(None, None, False),
         match=DependentRows((2,)),
-        scale_free=True,
         residuals=["b3", "a31", "a32", "a33"],
         guards=["e3 = 0"],
         sample=_sample_triv3,

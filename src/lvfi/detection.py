@@ -24,18 +24,18 @@ The decisions run on integers.  For c > 0, the system with (b, A, e)
 scaled by c is the same flow with time t' = c t, so it has the same first
 integrals, and a condition polynomial homogeneous in (b, A, e) of degree k
 takes c^k times its value, so it has the same zero set.  Every printed
-residual, guard and solve row, every oracle condition row and the
-DependentRows and L5-6 columns are homogeneous (tests/test_integer_view.py
-checks this), each row of a solve homogeneous of one degree, so the row space, the
-nullspace and the solution are unchanged.  run_rules therefore decides the
-scale-free steps on integer_view(s), scaled to primitive integers, and
-reads the Fraction system only where the scale shows: the hand matchers
-and the exception conditions of the printed forms' audited verdicts
-(Rule.compare_printed).  The integral built on the integer view is a
-nonzero multiple of the one built on the Fraction system, and
-normalize_for_output removes the multiple.  A hand matcher's stated
-integral is gated on the integer view too, whose field, and so the Lie
-derivative, is a positive multiple of the Fraction system's.
+residual, guard and solve row, every oracle condition row, the
+DependentRows and L5-6 columns and R2D-E's conditions are homogeneous
+(tests/test_integer_view.py checks this), each row of a solve homogeneous
+of one degree, so the row space, the nullspace and the solution are
+unchanged, and every param is a ratio of such numbers.  run_rules
+therefore hands every matcher integer_view(s), scaled to primitive
+integers, and reads the Fraction system only where a printed form's
+audited verdict tests an exception condition (Rule.compare_printed).  The
+integral built on the integer view is a nonzero multiple of the one built
+on the Fraction system, and normalize_for_output removes the multiple.  A
+stated integral is gated on the integer view too, whose field, and so the
+Lie derivative, is a positive multiple of the Fraction system's.
 
 The exponents stay on integers too.  An Ansatz factor x^(l-1) has rational
 exponents l_i; with d_i the denominator of l_i, the gate builds T f/R once
@@ -61,10 +61,10 @@ it.  The nullspace of each set of rows is computed once (RowNullspaces), so
 L4-3, L5-5 and L5-6 share the nullspaces of each coordinate pair, and not
 at all when a nonzero entry or 2x2 minor shows it trivial.  Each
 relabeling's integer view is permuted once, and its Fraction view only when
-a hand matcher or a verdict's exception condition reads it.  Each
-integrating factor is gated once, and each integral is emitted once, with
-the detections and candidates of gating every match and collapsing
-duplicates afterwards (the reference in tests/test_detection.py):
+a verdict's exception condition reads it.  Each integrating factor is
+gated once, and each integral is emitted once, with the detections and
+candidates of gating every match and collapsing duplicates afterwards (the
+reference in tests/test_detection.py):
 
   * the gate's outcome, the failure reason or the integral, is kept under
     _factor_key: the factor in the original coordinates up to a scalar,
@@ -133,15 +133,18 @@ class Rule:
     citation: str
     dim: int
     pattern: Optional[tuple]  # per-coordinate: True nonzero, False zero, None any
-    match: Callable[[LVSystem], list[Match]]
+    # (s, nullspaces) -> matches on s, the relabeled primitive-integer view;
+    # nullspaces is run_rules' table of row nullspaces (RowNullspaces), and
+    # a matcher called without it computes its own
+    match: Callable[..., list[Match]]
     residuals: list[str] = field(default_factory=list)
     guards: list[str] = field(default_factory=list)
     sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
-    # (s2, Match, H2) -> str: the audited verdict on the paper's printed
+    # (s2, Match) -> str: the audited verdict on the paper's printed
     # integral (catalog3d._PrintedVerdict), a detection's
-    # paper_formula_deviation.  s2, the relabeled Fraction system, and H2,
-    # the integral in its coordinates, are zero-argument callables, built
-    # only when called.
+    # paper_formula_deviation.  s2 is a zero-argument callable that builds
+    # the relabeled Fraction system, called only where a verdict tests an
+    # exception condition.
     compare_printed: Optional[Callable] = None
     notes: list[str] = field(default_factory=list)
     # (kind, direction template, exponent template) when the matcher is
@@ -150,11 +153,6 @@ class Rule:
     # (condition on the match, label) for a derived matcher: the first that
     # holds labels a match (Match.subid), and a match none fits is dropped
     subcases: list[tuple[str, str]] = field(default_factory=list)
-    # The matcher gives the same matches when (b, A, e) is scaled by a
-    # positive constant, so run_rules hands it the primitive-integer view
-    # and its table of row nullspaces, as match(s, nullspaces)
-    # (RowNullspaces; DependentRows, L5-6, catalog3d._ConstantDirection).
-    scale_free: bool = False
 
     @property
     def family(self) -> str:
@@ -281,9 +279,9 @@ def _independent_columns(rows) -> bool:
 
 class RowNullspaces:
     """nullspace_candidates of each set of rows, computed once per run_rules
-    call and read by the scale-free matchers.  The candidates depend on the
-    row space alone (the reduced row echelon form is unique, linalg), so the
-    rows are keyed as a set: two relabelings list the columns of one pair of
+    call and read by the matchers.  The candidates depend on the row space
+    alone (the reduced row echelon form is unique, linalg), so the rows are
+    keyed as a set: two relabelings list the columns of one pair of
     coordinates in different orders (L5-6, and L5-5's DependentRows).  Rows
     of one or two columns are first tested for independence
     (_independent_columns), and where an entry or a 2x2 minor shows it the
@@ -392,17 +390,17 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
     """Apply every rule under every pattern-compatible relabeling.
 
     Each relabeling has an integer view (integer_view, permuted once per
-    relabeling), which every scale-free step reads: the pattern test, the
-    scale_free matchers, the curl residual, the gradient targets, the
-    potential and the Lie gate.  Its Fraction view, which the hand matchers
-    and the printed-form verdicts' exception conditions read, is permuted
-    when first read.  The exact work that rules and relabelings share is
-    done once per call: the relabelings that fit each distinct constant-term
-    pattern (pattern_ok, tested when a rule with that pattern first comes
-    up), the nullspace of each set of rows (RowNullspaces) and the gate of
-    each integrating factor (_gate_and_build).  Rules run in order, each over its
-    fitting relabelings in Permutation.all order, as if every relabeling
-    were tested for every rule.
+    relabeling), which every decision reads: the pattern test, the
+    matchers, the curl residual, the gradient targets, the potential and
+    the Lie gate.  Its Fraction view, which only the printed-form verdicts'
+    exception conditions read, is permuted when first read.  The exact
+    work that rules and relabelings share is done once per call: the
+    relabelings that fit each distinct constant-term pattern (pattern_ok,
+    tested when a rule with that pattern first comes up), the nullspace of
+    each set of rows (RowNullspaces) and the gate of each integrating
+    factor (_gate_and_build).  Rules run in order, each over its fitting
+    relabelings in Permutation.all order, as if every relabeling were
+    tested for every rule.
     """
     sx = lift_exact(s)
     sxi = integer_view(sx)
@@ -428,11 +426,7 @@ def run_rules(s: LVSystem, rules: list[Rule]) -> tuple[list[Detection], list[Can
                 (p, s2i) for p, s2i in relabeled if pattern_ok(rule.pattern, s2i)
             ]
         for p, s2i in fits:
-            if rule.scale_free:
-                matches = rule.match(s2i, nullspaces)
-            else:
-                matches = rule.match(fraction_view(p))
-            for m in matches:
+            for m in rule.match(s2i, nullspaces):
                 fkey = _factor_key(m, p.sigma)
                 pkey = None if fkey is None else (rule.family, fkey)
                 if pkey in passed:
@@ -510,15 +504,14 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[
 @dataclass
 class _Gate:
     """The gate's outcome for one integrating factor, or for one stated
-    integral: why it failed, or the integral.  H and log are
-    normalize_for_output of the integral in the original coordinates, Hn
-    the output form of H (_canonical_monomial where there is no log).  lie
-    holds (H on the lattice, the integer view it was built on, the lattice,
+    integral: why it failed, or the integral.  Hn and log are the output
+    form of the integral in the original coordinates (normalize_for_output,
+    then _canonical_monomial where there is no log).  lie holds (the
+    integral on the lattice, the integer view it was built on, the lattice,
     the match's log) until the Lie gate has run or is known to pass; expr
     is genpoly_to_expr(Hn, log), built for the first detection."""
 
     reason: Optional[str] = None
-    H: Optional[GenPoly] = None
     Hn: Optional[GenPoly] = None
     log: Optional[tuple] = None
     lie: Optional[tuple] = None
@@ -574,7 +567,7 @@ def _construct(s2i, p: Permutation, m: Match) -> _Gate:
         # H is constant, so its Lie derivative is zero
         return _Gate("constant integral")
     Hn = H if log is not None else _canonical_monomial(H)
-    return _Gate(H=H, Hn=Hn, log=log, lie=(Hy, s2i, d, m.log))
+    return _Gate(Hn=Hn, log=log, lie=(Hy, s2i, d, m.log))
 
 
 def _stated_on_lattice(H: GenPoly) -> tuple[GenPoly, tuple]:
@@ -613,10 +606,8 @@ def _gate_and_build(
     view the integral was built on, the original system's integer view with
     the coordinates renamed, so its zero test is the one in the original
     coordinates.  A detection's paper_formula_deviation is its rule's
-    audited verdict on the printed integral (Rule.compare_printed).  It is
-    handed s2 and a callable that pulls H back to the coordinates of s2,
-    and calls them only where it reads them: a verdict reads s2 to test its
-    exception conditions, and no verdict reads H.
+    audited verdict on the printed integral (Rule.compare_printed), which
+    calls s2 only to test its exception conditions.
     """
     gate = None if gates is None else gates.get(fkey)
     if gate is None:
@@ -638,8 +629,7 @@ def _gate_and_build(
     seen.add(key)
     deviation = None
     if rule.compare_printed is not None:
-        H = gate.H
-        deviation = rule.compare_printed(s2, m, lambda: _permute_genpoly(H, p.inverse().sigma))
+        deviation = rule.compare_printed(s2, m)
     if gate.expr is None:
         gate.expr = genpoly_to_expr(gate.Hn, gate.log)
     return Detection(

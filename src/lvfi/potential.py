@@ -306,10 +306,20 @@ def normalize_for_output(H: GenPoly, log=None) -> tuple:
     It is the same for every nonzero multiple of H, so it removes the scale
     of an integral built on a system's integer view.  For the integral
     H + c ln|P| (log = (c, P)), H and c are scaled together, and P is made
-    primitive on its own: ln|lambda P| is ln|P| plus a constant.  The
-    coefficients of the result, and c, are ints (genpoly_to_expr renders
-    them as Fractions)."""
+    primitive on its own: ln|lambda P| is ln|P| plus a constant.  Where P
+    is a monomial k x^p, c ln|P| is c sum_i p_i ln|x_i| plus a constant, so
+    it is folded into H's log terms and the log is dropped: one integral
+    has one output form, whichever rule states it.  The coefficients of
+    the result, and c, are ints (genpoly_to_expr renders them as
+    Fractions)."""
     H = H.drop_constant()
+    if log is not None and len(log[1].terms) == 1:
+        c, P = log
+        ((p, k),) = P.terms
+        if not any(k):
+            z = (0,) * H.nvars
+            H = H + GenPoly._of(H.nvars, {(z, u): c * q for q, u in zip(p, units(H.nvars)) if q})
+            log = None
     if log is None:
         return _primitive_form(H)[0], None
     c, P = log

@@ -31,7 +31,7 @@ from lvfi.catalog3d import RULES_3D, detect3d, term_table
 from lvfi.detection import condition_function, condition_source, integer_view
 from lvfi.linalg import nullspace
 from lvfi.poly import GenPoly, _acc, canonical
-from lvfi.potential import lie_genpoly
+from lvfi.potential import gradient_targets_3d, lie_genpoly, potential
 
 from conftest import same_integral
 
@@ -323,16 +323,18 @@ PRINTED = {
 
 def printed_calls(systems) -> list[tuple]:
     """(rule id, s2, Match, H2, note) of every Rule.compare_printed call while
-    detect3d runs on each system: the relabeled system, the match and the
-    constructed integral that the gate passed, and the note returned.  The
-    gate hands s2 and H2 over as zero-argument callables, which the verdict
-    reads only where it needs them; the spy builds both after the call."""
+    detect3d runs on each system: the relabeled system, the match that the
+    gate passed, the integral constructed from its Ansatz on s2, and the
+    note returned.  The gate hands s2 over as a zero-argument callable,
+    which the verdict reads only where it needs it; the spy builds it after
+    the call, and H2 from it."""
     calls: list[tuple] = []
 
     def spy(rule, note_of):
-        def call(s2, m, H2):
-            note = note_of(s2, m, H2)
-            calls.append((rule.id, s2(), m, H2(), note))
+        def call(s2, m):
+            note = note_of(s2, m)
+            s = s2()
+            calls.append((rule.id, s, m, potential(gradient_targets_3d(s, *m.ansatz)), note))
             return note
 
         return call

@@ -54,6 +54,11 @@ def test_volterra_detects_double_log_integral():
         + GenPoly.term(2, -1, (1, 0))
     )
     assert same_integral(printed, dets[0].H_gen)
+    # R2D-E states the same integral, -x1 - x2 - ln|-x1 x2|; its P is a
+    # monomial, so its log is folded into log terms and both print one form
+    (e,) = [d for d in detect2d(s) if d.rule_id == "R2D-E"]
+    assert e.log is None
+    assert ex.pretty(e.integral) == ex.pretty(dets[0].integral)
 
 
 def test_r2de_spec_instance():
@@ -413,7 +418,7 @@ def test_failed_oracle_match_is_demoted_not_dropped():
         citation="synthetic",
         dim=2,
         pattern=None,
-        match=lambda s: [
+        match=lambda s, nullspaces: [
             Match(params={}, ansatz=("2d-exponents", (), (F(2), F(3))))
         ],
     )

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lvfi.catalog2d import SAMPLERS_2D, detect2d
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _l5_8c_rows, detect3d, term_table
 from lvfi import detection
 from lvfi.detection import (
@@ -291,8 +292,8 @@ def test_printed_forms_compile_and_evaluate_at_their_matches():
                 assert all(len(t) == 3 for t in triples), rule.id
 
 
-def _count_views(monkeypatch, s) -> tuple[list, list, list, list]:
-    """detect3d(s) with the integer views, the permuted systems and the
+def _count_views(monkeypatch, s, detect=detect3d) -> tuple[list, list, list, list]:
+    """detect(s) with the integer views, the permuted systems and the
     gated relabelings recorded: (detections, integer views, (permuted the
     integer view, sigma) per permute_system call, sigma per gate call)."""
     integer_views, permuted, gated = [], [], []
@@ -313,7 +314,7 @@ def _count_views(monkeypatch, s) -> tuple[list, list, list, list]:
     monkeypatch.setattr(detection, "integer_view", viewed)
     monkeypatch.setattr(detection, "permute_system", counting)
     monkeypatch.setattr(detection, "_gate_and_build", gating)
-    return detect3d(s), integer_views, permuted, gated
+    return detect(s), integer_views, permuted, gated
 
 
 def _reads_fraction_view(d) -> bool:
@@ -338,6 +339,23 @@ def test_run_rules_permutes_once_per_relabeling(monkeypatch):
     assert not any(_reads_fraction_view(d) for d in dets)
     assert [sigma for is_int, sigma in permuted if not is_int] == []
     assert sorted(set(gated)) == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("name", ["R2D-D", "R2D-E", "generic"])
+def test_2d_detection_permutes_no_fraction_view(monkeypatch, name):
+    """Every 2D matcher, R2D-D's and R2D-E's too, reads the integer view,
+    and no 2D rule has a printed-form verdict: detect2d permutes the
+    integer view once per relabeling and never the Fraction system, on
+    draws of R2D-D and R2D-E and on a generic 2D system."""
+    if name == "generic":
+        s = make_system(b=(1, F(2, 3)), A=((3, 1), (F(4, 5), 5)), e=(1, 3))
+    else:
+        s = SAMPLERS_2D[name](random.Random(3))
+    dets, integer_views, permuted, _ = _count_views(monkeypatch, s, detect2d)
+    assert _families(dets) == (set() if name == "generic" else {name})
+    assert len(integer_views) == 1
+    assert sorted(sigma for is_int, sigma in permuted if is_int) == [(0, 1), (1, 0)]
+    assert [sigma for is_int, sigma in permuted if not is_int] == []
 
 
 def test_a_verdict_with_an_exception_builds_the_fraction_view(monkeypatch):

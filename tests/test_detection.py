@@ -44,7 +44,7 @@ def _ref_run_rules(s, rules):
         for p, s2, s2i in relabeled:
             if not detection.pattern_ok(rule.pattern, s2i):
                 continue
-            for m in rule.match(s2i if rule.scale_free else s2):
+            for m in rule.match(s2i):
                 det, cand = detection._gate_and_build(rule, lambda s2=s2: s2, s2i, p, m, set())
                 if cand is not None:
                     candidates.append(cand)

@@ -41,7 +41,7 @@ from digest_corpus import SAMPLES_PER_RULE, detection_digest  # noqa: F401
 from digest_corpus import corpus as _corpus
 
 PINNED = "6776fa33e9b16e10a61695db90a6998650bc9bdaa19d2160818bb271acc75032"
-PINNED_JSON = "0e3411a6aa8bb56896e3b97ebd99943b3cc52c2b746485a1df11c0ecfb61df3a"
+PINNED_JSON = "00b0ac5b7cf8ea3677cc4bddbc3edc81581a4a88e639fa54a5438d6d20db698d"
 
 
 def test_detection_digest_is_pinned():

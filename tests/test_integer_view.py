@@ -1,15 +1,15 @@
 """The primitive-integer view of a system, and the one-pass Lie derivative.
 
-run_rules decides the scale-free steps on a copy of the system scaled to
-primitive integers (detection.integer_view): the pattern test, the matchers
-marked scale_free, the curl residual, the gradient targets, the potential and
-the Lie gate.  Scaling (b, A, e) by a positive constant rescales time, so
-this is exact as long as every condition those steps test is homogeneous in
-(b, A, e).  The first tests check that invariant on everything the derived
-matchers compile; the next ones keep the Fraction path (no scaling, the gate
-in x with Fraction powers, and the Lie derivative as the product sum
-f_i dH/dx_i) as the reference and require equal output, and a time rescale
-of the digest corpus's draws must print the same detections.  The last ones
+run_rules decides on a copy of the system scaled to primitive integers
+(detection.integer_view): the pattern test, every matcher, the curl
+residual, the gradient targets, the potential and the Lie gate.  Scaling
+(b, A, e) by a positive constant rescales time, so this is exact as long as
+every condition those steps test is homogeneous in (b, A, e).  The first
+tests check that invariant on everything the derived matchers compile; the
+next ones keep the Fraction path (no scaling, the gate in x with Fraction
+powers, and the Lie derivative as the product sum f_i dH/dx_i) as the
+reference and require equal output, and a time rescale of the digest
+corpus's draws must give the same detections and candidates.  The last ones
 check the integer exponent lattice: the gate in y = x^(1/d) against the gate
 forced to the lattice of all ones, for Ansatz integrals and stated
 monomials, the lattice Lie derivative against the one in x, and the
@@ -28,7 +28,6 @@ from fractions import Fraction
 import pytest
 
 from lvfi import catalog3d, detection, potential
-from lvfi import expr as ex
 from lvfi.catalog2d import RULES_2D, SAMPLERS_2D
 from lvfi.catalog3d import RULES_3D, SAMPLERS_3D, _ConstantDirection
 from lvfi.detection import DependentRows, Match, Rule, condition_function, pattern_ok
@@ -160,14 +159,15 @@ def test_solve_and_stage_rows_are_homogeneous_row_by_row():
 
 
 def test_dependent_rows_columns_are_homogeneous(monkeypatch):
-    """The columns of DependentRows and of L5-6's two pairs, whose params
-    are ratios within the pairs' nullspaces, so L5-6 is scale-free too."""
+    """The columns of DependentRows and of the pairs that R2D-D and L5-6
+    read, whose params are ratios within the pairs' nullspaces, so they are
+    scale-free too."""
     b, A, e, _, _ = _symbols()
     seen = []
     monkeypatch.setattr(detection, "nullspace_candidates", lambda rows: seen.append(rows) or [])
     rules = [r for r in RULES_2D + RULES_3D if isinstance(r.match, DependentRows)]
     assert len(rules) == 4
-    rules.append(next(r for r in RULES_3D if r.id == "L5-6"))
+    rules += [r for r in RULES_2D + RULES_3D if r.id in ("R2D-D", "L5-6")]
     for rule in rules:
         n = rule.dim
         s = LVSystem(n, b[:n], tuple(row[:n] for row in A[:n]), e[:n], "symbolic")
@@ -176,12 +176,6 @@ def test_dependent_rows_columns_are_homogeneous(monkeypatch):
         while seen:
             for row in seen.pop():
                 assert _homogeneous(row, _coefficient)
-
-
-def test_the_scale_free_rules_are_the_derived_and_dependent_rows_matchers():
-    for rule in RULES_2D + RULES_3D:
-        derived = isinstance(rule.match, (DependentRows, _ConstantDirection))
-        assert rule.scale_free == (derived or rule.id == "L5-6"), rule.id
 
 
 def test_integer_view_scales_by_a_positive_constant():
@@ -280,27 +274,49 @@ def test_integer_view_gives_the_fraction_path_output(monkeypatch):
     assert all("Fraction(" in p or p == "{}" for g in got for _, p, _, _, _ in g[0])
 
 
-def _printed(s) -> list:
+def _printed(s, verdicts=True) -> tuple[list, list]:
+    """The JSON form of each detection (verification excluded, and the
+    printed-form verdict too unless verdicts) and each failed candidate's
+    (rule, sigma, params, reason), as PINNED_JSON hashes them."""
     rules = RULES_2D if s.dim == 2 else RULES_3D
-    return [(d.rule_id, d.sigma, ex.pretty(d.integral)) for d in detection.run_rules(s, rules)[0]]
+    dets, cands = detection.run_rules(s, rules)
+    objs = [d.to_json_obj() for d in dets]
+    for obj in objs:
+        del obj["verification"]
+        if not verdicts:
+            del obj["paper_formula_deviation"]
+    return (
+        [json.dumps(obj, sort_keys=True) for obj in objs],
+        [(c.rule_id, c.sigma, repr(c.params), c.reason) for c in cands],
+    )
 
 
 def test_time_rescale_prints_the_same_detections():
     """(b, A, e) scaled by c > 0 is the same flow with time t' = c t, so it
-    has the same first integrals: on the digest corpus's sampler draws,
-    every rule, relabeling and printed integral is unchanged."""
+    has the same first integrals: on the digest corpus's sampler draws
+    every detection's JSON form (rule, relabeling, params, printed integral,
+    verdict) is unchanged, and on the degenerate systems, whose matches
+    fail the gate (the draws give no candidate), every failed candidate
+    too.  A verdict's exception condition reads the Fraction system, and
+    L5-7d's is not homogeneous (the printed l2 = -(a33-a13)(a13+a23), of
+    degree 2, equals the exact l2): on the second degenerate system it
+    holds only at scale 1, so there the verdicts are left out."""
     draws = (len(SAMPLERS_2D) + len(SAMPLERS_3D)) * SAMPLES_PER_RULE
-    checked = found = 0
-    for s in itertools.islice(_digest_corpus(), draws):
-        want = _printed(s)
-        found += bool(want)
+    systems = [(s, True) for s in itertools.islice(_digest_corpus(), draws)]
+    systems += [(s, False) for s in DEGENERATE]
+    checked = found = failed = 0
+    for s, verdicts in systems:
+        want = _printed(s, verdicts)
+        found += bool(want[0])
+        failed += bool(want[1])
         for c in (F(3, 2), F(1, 7), F(5)):
             scaled = make_system(
                 b=[c * v for v in s.b], A=[[c * v for v in row] for row in s.A], e=[c * v for v in s.e]
             )
-            assert _printed(scaled) == want, (s, c)
+            assert _printed(scaled, verdicts) == want, (s, c)
             checked += 1
-    assert checked == 378 and found == draws
+    assert checked == 3 * len(systems) == 387
+    assert found == len(systems) and failed == len(DEGENERATE), (found, failed)
 
 
 # -- the one-pass Lie derivative -------------------------------------------------
@@ -472,7 +488,7 @@ def _moved_monomials(rule: Rule, shift) -> Rule:
             out.append(Match(params=m.params, H_gen=moved))
         return out
 
-    return Rule(rule.id, rule.citation, rule.dim, rule.pattern, match, scale_free=rule.scale_free)
+    return Rule(rule.id, rule.citation, rule.dim, rule.pattern, match)
 
 
 def test_stated_fractional_monomials_on_the_lattice_and_in_x(monkeypatch):
@@ -607,14 +623,14 @@ def test_lattice_lie_derivative_on_detected_integrals():
 
 
 def _ansatz_matches(s2i, rules):
-    """(kind, abg, l) of every Ansatz match of the scale-free rules on the
-    relabeled integer view s2i, as the gate reads them: l canonical and a
-    3D direction primitive."""
+    """(kind, abg, l) of every Ansatz match on the relabeled integer view
+    s2i whose integral the gate reconstructs (no stated integral), as the
+    gate reads them: l canonical and a 3D direction primitive."""
     out = []
     for rule in rules:
-        if rule.scale_free and pattern_ok(rule.pattern, s2i):
+        if pattern_ok(rule.pattern, s2i):
             for m in rule.match(s2i):
-                if m.ansatz is not None:
+                if m.ansatz is not None and m.H_gen is None:
                     kind, abg, l = m.ansatz
                     out.append((kind, primitive(abg) if s2i.dim == 3 else abg, l))
     return out
@@ -660,19 +676,12 @@ def test_integer_field_potential_has_int_coefficients():
     assert built > 250 and divided > 50, (built, divided)
 
 
-def _scale_of(si, s) -> F:
-    """k with si = k s, for the integer view si of s."""
-    return next(F(a) / b for a, b in zip(si.entries(), s.entries()) if b)
-
-
 def test_hand_matchers_give_exact_numbers_on_the_integer_view():
-    """R2D-D, R2D-E and L5-6 divide with poly.quotient, so on the integer
-    view of 6 draws of their samplers, under every relabeling, every param
-    and Ansatz entry is an int or a Fraction, never a float.  run_rules
-    hands R2D-D and R2D-E the Fraction view, where they match as on the
-    integer view: the same lambda, direction c and L5-6 params (ratios),
-    and R2D-E's alpha, of degree one in (b, A, e), scaled by the view's
-    factor."""
+    """On the integer view of 6 draws of the samplers of R2D-D, R2D-E and
+    L5-6, under every relabeling, every param and Ansatz entry is an int or
+    a Fraction, never a float, and the matches equal those on the Fraction
+    view: every param (R2D-D's lambda, R2D-E's c, L5-6's nullspace entries)
+    is a ratio of numbers homogeneous in (b, A, e)."""
     rules = {r.id: r for r in RULES_2D + RULES_3D}
     samplers = {**SAMPLERS_2D, **SAMPLERS_3D}
     rng = random.Random(23)
@@ -682,7 +691,6 @@ def test_hand_matchers_give_exact_numbers_on_the_integer_view():
         for _ in range(6):
             s = lift_exact(samplers[rid](rng))
             si = detection.integer_view(s)
-            k = _scale_of(si, s)
             for p in Permutation.all(s.dim):
                 on_int = rule.match(permute_system(si, p))
                 on_fraction = rule.match(permute_system(s, p))
@@ -694,10 +702,6 @@ def test_hand_matchers_give_exact_numbers_on_the_integer_view():
                         values += [*c, *l]
                     assert all(type(v) in (int, F) for v in values), (rid, s, p, mi)
                     assert all(type(v) is F for v in mf.params.values()), (rid, s, p, mf)
-                    if rid == "R2D-E":
-                        assert mi.ansatz == mf.ansatz
-                        assert mi.params["alpha"] == k * mf.params["alpha"]
-                    else:
-                        assert mi.params == mf.params
+                    assert mi.params == mf.params and mi.ansatz == mf.ansatz, (rid, s, p)
                     matched[rid] += 1
     assert all(n >= 6 for n in matched.values()), matched

@@ -217,19 +217,19 @@ def _coeffs(s):
 def test_one_pass_residual_matches_composed_form_on_every_sampler():
     """Every sampler, every relabeling, on the Fraction system and its
     integer view: at each match's Ansatz (mostly zero residuals) and at
-    random parameters with proper-fraction exponents.  The integer view is
-    handed only to the scale-free rules, as run_rules hands it out."""
+    random parameters with proper-fraction exponents.  Every rule matches
+    on both views; run_rules hands out the integer view."""
     rng = random.Random(13)
     checked = 0
     for samplers, rules in ((SAMPLERS_2D, RULES_2D), (SAMPLERS_3D, RULES_3D)):
         for name, sample in samplers.items():
             s = lift_exact(sample(random.Random(name)))
             for p in Permutation.all(s.dim):
-                views = ((permute_system(s, p), True), (permute_system(integer_view(s), p), False))
-                for view, fraction in views:
+                views = (permute_system(s, p), permute_system(integer_view(s), p))
+                for view in views:
                     params = []
                     for rule in rules:
-                        if (fraction or rule.scale_free) and pattern_ok(rule.pattern, view):
+                        if pattern_ok(rule.pattern, view):
                             params += [m.ansatz for m in rule.match(view) if m.ansatz]
                     for _ in range(2):
                         kind = rng.choice(("3d-t1", "3d-t2")) if s.dim == 3 else "2d-exponents"
@@ -254,19 +254,17 @@ def test_one_pass_residual_matches_composed_form_at_each_2d_matchs_own_ansatz():
     """Every 2D match, at its own Ansatz with its own c (R2D-E's stated
     factor e^(c.x), c = (a21, -a12)/b2, among them), on every relabeling of
     several draws of every sampler: on the Fraction system, and on its
-    integer view for the scale-free rules, as run_rules hands them out.
-    The test above draws c at random, so it never reaches R2D-E's."""
+    integer view, which run_rules hands to every rule.  The test above
+    draws c at random, so it never reaches R2D-E's."""
     rng = random.Random(113)
     checked = with_c = 0
     for name, sample in SAMPLERS_2D.items():
         for _ in range(4):
             s = lift_exact(sample(rng))
             for p in Permutation.all(2):
-                views = ((permute_system(s, p), True), (permute_system(integer_view(s), p), False))
-                for view, fraction in views:
+                views = (permute_system(s, p), permute_system(integer_view(s), p))
+                for view in views:
                     for rule in RULES_2D:
-                        if not (fraction or rule.scale_free):
-                            continue
                         if not pattern_ok(rule.pattern, view):
                             continue
                         for m in rule.match(view):
