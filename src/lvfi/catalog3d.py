@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Optional
@@ -53,6 +52,7 @@ from .model import LVSystem, make_system
 from .oracle import _curl, _symbolic_system, _t_components, residual_3d_generic
 from .poly import GenPoly, SymPoly, ratio
 from .potential import ConstructionError, gradient_targets_3d, potential
+from .record import Frozen
 
 F = Fraction
 _D_NAMES = ("alpha", "beta", "gamma")
@@ -62,12 +62,15 @@ _L_NAMES = ("l1", "l2", "l3")
 # -- term table and parameter solves (public operations) ----------------------
 
 
-@dataclass(frozen=True)
-class TermTable:
+class TermTable(Frozen):
     """The bilinear combinations entering every T2 condition row."""
 
-    B: tuple[Fraction, Fraction, Fraction]
-    A: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    __slots__ = ("B", "A")
+
+    def __init__(self, B: tuple[Fraction, Fraction, Fraction],
+                 A: tuple[tuple[Fraction, Fraction, Fraction], ...]):
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "A", A)
 
 
 def term_table(abg, s: LVSystem) -> TermTable:

@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_NEGATIVE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 
 def _read_text(path: str) -> str:
@@ -492,7 +493,14 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
             "catalog": cmd_catalog,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the exit flush of what is left cannot
+        # raise again; print nothing, as a process SIGPIPE ended would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (DomainViolation, ex.EvalDomainError, AnsatzError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -18,7 +18,9 @@ test (potential.lie_genpoly), one key (_integral_key) and one output form
 (normalize_for_output, genpoly_to_expr) serve every rule.
 
 A match whose exact gate fails is demoted to a diagnostic candidate, never
-silently dropped.
+silently dropped.  Match, Rule, Detection, Candidate and _Gate are mutable
+records (record.Record): slotted, compared by class and fields, unhashable;
+Rule's list fields default to a new empty list per instance.
 
 The decisions run on integers.  For c > 0, the system with (b, A, e)
 scaled by c is the same flow with time t' = c t, so it has the same first
@@ -87,7 +89,6 @@ reference in tests/test_detection.py):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -113,46 +114,61 @@ from .potential import (
     normalize_for_output,
     potential,
 )
+from .record import Record
 
 
-@dataclass
-class Match:
+class Match(Record):
     """One successful rule instantiation on a (possibly permuted) system."""
 
-    params: dict[str, Fraction]
-    # (kind, abg, l); in 2D abg is c of the factor e^(c.x) x^(l-1), () for c = 0
-    ansatz: Optional[tuple[str, tuple, tuple]] = None
-    H_gen: Optional[GenPoly] = None  # directly stated integral
-    log: Optional[tuple] = None  # (c, P): the stated integral is H_gen + c ln|P|
-    subid: str = ""  # branch label appended to the rule id
+    __slots__ = ("params", "ansatz", "H_gen", "log", "subid")
+
+    def __init__(self, params: dict[str, Fraction], ansatz: Optional[tuple] = None,
+                 H_gen: Optional[GenPoly] = None, log: Optional[tuple] = None, subid: str = ""):
+        self.params = params
+        # (kind, abg, l); in 2D abg is c of the factor e^(c.x) x^(l-1), () for c = 0
+        self.ansatz = ansatz
+        self.H_gen = H_gen  # directly stated integral
+        self.log = log  # (c, P): the stated integral is H_gen + c ln|P|
+        self.subid = subid  # branch label appended to the rule id
 
 
-@dataclass
-class Rule:
-    id: str
-    citation: str
-    dim: int
-    pattern: Optional[tuple]  # per-coordinate: True nonzero, False zero, None any
-    # (s, nullspaces) -> matches on s, the relabeled primitive-integer view;
-    # nullspaces is run_rules' table of row nullspaces (RowNullspaces), and
-    # a matcher called without it computes its own
-    match: Callable[..., list[Match]]
-    residuals: list[str] = field(default_factory=list)
-    guards: list[str] = field(default_factory=list)
-    sample: Optional[Callable] = None  # rng -> on-manifold LVSystem
-    # (s2, Match) -> str: the audited verdict on the paper's printed
-    # integral (catalog3d._PrintedVerdict), a detection's
-    # paper_formula_deviation.  s2 is a zero-argument callable that builds
-    # the relabeled Fraction system, called only where a verdict tests an
-    # exception condition.
-    compare_printed: Optional[Callable] = None
-    notes: list[str] = field(default_factory=list)
-    # (kind, direction template, exponent template) when the matcher is
-    # derived from the Ansatz (catalog3d._ConstantDirection)
-    ansatz: Optional[tuple] = None
-    # (condition on the match, label) for a derived matcher: the first that
-    # holds labels a match (Match.subid), and a match none fits is dropped
-    subcases: list[tuple[str, str]] = field(default_factory=list)
+class Rule(Record):
+    """One catalog rule; residuals, guards, notes and subcases default to a
+    new empty list."""
+
+    __slots__ = ("id", "citation", "dim", "pattern", "match", "residuals", "guards",
+                 "sample", "compare_printed", "notes", "ansatz", "subcases")
+
+    def __init__(self, id: str, citation: str, dim: int, pattern: Optional[tuple],
+                 match: Callable[..., list[Match]], residuals: Optional[list[str]] = None,
+                 guards: Optional[list[str]] = None, sample: Optional[Callable] = None,
+                 compare_printed: Optional[Callable] = None, notes: Optional[list[str]] = None,
+                 ansatz: Optional[tuple] = None, subcases: Optional[list[tuple]] = None):
+        self.id = id
+        self.citation = citation
+        self.dim = dim
+        self.pattern = pattern  # per-coordinate: True nonzero, False zero, None any
+        # (s, nullspaces) -> matches on s, the relabeled primitive-integer
+        # view; nullspaces is run_rules' table of row nullspaces
+        # (RowNullspaces), and a matcher called without it computes its own
+        self.match = match
+        self.residuals = [] if residuals is None else residuals
+        self.guards = [] if guards is None else guards
+        self.sample = sample  # rng -> on-manifold LVSystem
+        # (s2, Match) -> str: the audited verdict on the paper's printed
+        # integral (catalog3d._PrintedVerdict), a detection's
+        # paper_formula_deviation.  s2 is a zero-argument callable that
+        # builds the relabeled Fraction system, called only where a verdict
+        # tests an exception condition.
+        self.compare_printed = compare_printed
+        self.notes = [] if notes is None else notes
+        # (kind, direction template, exponent template) when the matcher is
+        # derived from the Ansatz (catalog3d._ConstantDirection)
+        self.ansatz = ansatz
+        # (condition on the match, label) for a derived matcher: the first
+        # that holds labels a match (Match.subid), and a match none fits is
+        # dropped
+        self.subcases = [] if subcases is None else subcases
 
     @property
     def family(self) -> str:
@@ -303,21 +319,28 @@ class RowNullspaces:
         return found
 
 
-@dataclass
-class Detection:
+class Detection(Record):
     """A matched rule with its instantiated first integral."""
 
-    rule_id: str
-    citation: str
-    sigma: tuple[int, ...]
-    params: dict[str, Fraction]
-    integral: ex.Expr
-    oracle_kind: str  # "curl-residual-zero" | "exact-lie-zero"
-    paper_formula_deviation: Optional[str] = None
-    verification: Optional[dict] = None
-    H_gen: Optional[GenPoly] = None
-    log: Optional[tuple] = None  # (c, P) when the integral is H_gen + c ln|P|
-    ansatz: Optional[tuple] = None  # (kind, abg, l) when Ansatz-realized
+    __slots__ = ("rule_id", "citation", "sigma", "params", "integral", "oracle_kind",
+                 "paper_formula_deviation", "verification", "H_gen", "log", "ansatz")
+
+    def __init__(self, rule_id: str, citation: str, sigma: tuple[int, ...],
+                 params: dict[str, Fraction], integral: ex.Expr, oracle_kind: str,
+                 paper_formula_deviation: Optional[str] = None, verification: Optional[dict] = None,
+                 H_gen: Optional[GenPoly] = None, log: Optional[tuple] = None,
+                 ansatz: Optional[tuple] = None):
+        self.rule_id = rule_id
+        self.citation = citation
+        self.sigma = sigma
+        self.params = params
+        self.integral = integral
+        self.oracle_kind = oracle_kind  # "curl-residual-zero" | "exact-lie-zero"
+        self.paper_formula_deviation = paper_formula_deviation
+        self.verification = verification
+        self.H_gen = H_gen
+        self.log = log  # (c, P) when the integral is H_gen + c ln|P|
+        self.ansatz = ansatz  # (kind, abg, l) when Ansatz-realized
 
     def to_json_obj(self) -> dict:
         def num(v):
@@ -338,14 +361,17 @@ class Detection:
         }
 
 
-@dataclass
-class Candidate:
+class Candidate(Record):
     """A rule match that failed its exact gate (diagnostic, not a result)."""
 
-    rule_id: str
-    sigma: tuple[int, ...]
-    params: dict[str, Fraction]
-    reason: str
+    __slots__ = ("rule_id", "sigma", "params", "reason")
+
+    def __init__(self, rule_id: str, sigma: tuple[int, ...], params: dict[str, Fraction],
+                 reason: str):
+        self.rule_id = rule_id
+        self.sigma = sigma
+        self.params = params
+        self.reason = reason
 
 
 def integer_view(s: LVSystem) -> LVSystem:
@@ -501,8 +527,7 @@ def ansatz_residual(s: LVSystem, kind: str, abg, l, *, t=None, scale=1) -> list[
     return residual_3d(s, oracle.T1 if kind == "3d-t1" else oracle.T2, abg, l, t=t, scale=scale)
 
 
-@dataclass
-class _Gate:
+class _Gate(Record):
     """The gate's outcome for one integrating factor, or for one stated
     integral: why it failed, or the integral.  Hn and log are the output
     form of the integral in the original coordinates (normalize_for_output,
@@ -511,11 +536,16 @@ class _Gate:
     the match's log) until the Lie gate has run or is known to pass; expr
     is genpoly_to_expr(Hn, log), built for the first detection."""
 
-    reason: Optional[str] = None
-    Hn: Optional[GenPoly] = None
-    log: Optional[tuple] = None
-    lie: Optional[tuple] = None
-    expr: Optional[ex.Expr] = None
+    __slots__ = ("reason", "Hn", "log", "lie", "expr")
+
+    def __init__(self, reason: Optional[str] = None, Hn: Optional[GenPoly] = None,
+                 log: Optional[tuple] = None, lie: Optional[tuple] = None,
+                 expr: Optional[ex.Expr] = None):
+        self.reason = reason
+        self.Hn = Hn
+        self.log = log
+        self.lie = lie
+        self.expr = expr
 
 
 def _construct(s2i, p: Permutation, m: Match) -> _Gate:

@@ -1,6 +1,8 @@
 """Expression AST for first integrals and residuals.
 
-Nodes: Const, Var, Add, Mul, Pow (real exponent), LnAbs, Exp.  ln is ln|.|
+Nodes: Const, Var, Add, Mul, Pow (real exponent), LnAbs, Exp, each a frozen
+record (record.Frozen): slotted, immutable, equal to a node of the same class
+with equal fields, and hashed by its field tuple.  ln is ln|.|
 throughout, matching the integrals' log terms, so expressions are defined off
 the positive orthant except on the axes.  Simplification is deliberately
 shallow: constant folding, dropping zero addends and unit factors, flattening.
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .record import Frozen
 
 
 Number = Union[Fraction, int, float]
@@ -28,52 +31,62 @@ class EvalDomainError(ValueError):
         self.point = tuple(point)
 
 
-class Expr:
+class Expr(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: Number
+    __slots__ = ("value",)
+
+    def __init__(self, value: Number):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int  # 0-based
+    __slots__ = ("index",)  # 0-based
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    args: tuple[Expr, ...]
+    __slots__ = ("args",)
 
-    def __post_init__(self):
-        if not self.args:
+    def __init__(self, args: tuple[Expr, ...]):
+        if not args:
             raise ValueError("Add needs at least one argument")
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    args: tuple[Expr, ...]
+    __slots__ = ("args",)
 
-    def __post_init__(self):
-        if not self.args:
+    def __init__(self, args: tuple[Expr, ...]):
+        if not args:
             raise ValueError("Mul needs at least one argument")
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Number
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Number):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class LnAbs(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
 
 ZERO = Const(Fraction(0))

@@ -24,10 +24,11 @@ that of Gauss-Jordan elimination over Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
+
+from .record import Record
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -157,13 +158,16 @@ def _basis(red, ncols: int) -> list[Vec]:
     return basis
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(Record):
     """Result of an exact constrained solve of m @ l = r."""
 
-    status: str  # "unique" | "underdetermined" | "infeasible"
-    solution: Optional[Vec] = None
-    basis: list[Vec] = field(default_factory=list)
+    __slots__ = ("status", "solution", "basis")
+
+    def __init__(self, status: str, solution: Optional[Vec] = None,
+                 basis: Optional[list[Vec]] = None):
+        self.status = status  # "unique" | "underdetermined" | "infeasible"
+        self.solution = solution
+        self.basis = [] if basis is None else basis
 
 
 def solve_constrained(m: Mat, r) -> SolveOutcome:

@@ -8,6 +8,9 @@ with coefficients either all exact rationals or all binary64 floats.  Exactness
 matters: every detection decision downstream is an equality test on rationals,
 so float systems are lifted to exact rationals (every float is one) before any
 rule matching.
+
+LVSystem and Permutation are frozen records (record.Frozen): immutable,
+compared by class and fields, and hashed by their field tuple.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
+
+from .record import Frozen
 
 Coef = Union[Fraction, float]
 
@@ -68,15 +72,18 @@ def _parse_entry(v) -> tuple[str, Coef]:
     raise ModelError(f"unsupported number {v!r}")
 
 
-@dataclass(frozen=True)
-class LVSystem:
+class LVSystem(Frozen):
     """Immutable LV system; b, e are tuples and A a tuple of row tuples."""
 
-    dim: int
-    b: tuple[Coef, ...]
-    A: tuple[tuple[Coef, ...], ...]
-    e: tuple[Coef, ...]
-    kind: str
+    __slots__ = ("dim", "b", "A", "e", "kind")
+
+    def __init__(self, dim: int, b: tuple[Coef, ...], A: tuple[tuple[Coef, ...], ...],
+                 e: tuple[Coef, ...], kind: str):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "kind", kind)
 
     def row(self, i: int) -> tuple[Coef, ...]:
         return self.A[i]
@@ -88,15 +95,15 @@ class LVSystem:
         yield from self.e
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection on coordinate indices 0..dim-1 stored as an image tuple."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ("sigma",)
 
-    def __post_init__(self):
-        if sorted(self.sigma) != list(range(len(self.sigma))):
-            raise ModelError(f"not a bijection: {self.sigma}")
+    def __init__(self, sigma: tuple[int, ...]):
+        if sorted(sigma) != list(range(len(sigma))):
+            raise ModelError(f"not a bijection: {sigma}")
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def dim(self) -> int:

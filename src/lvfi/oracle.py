@@ -34,28 +34,28 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
 
 from .model import LVSystem, lift_exact
 from .poly import GenPoly, SymPoly, _acc, canonical, units
+from .record import Frozen
 
 
 class AnsatzError(ValueError):
     """The requested Ansatz chart is undefined for this system."""
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
+class AnsatzSpec(Frozen):
     """Which Ansatz family a residual refers to."""
 
-    kind: str  # "2d-separable" | "3d-t1" | "3d-t2"
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("2d-separable", "3d-t1", "3d-t2"):
-            raise ValueError(f"unknown ansatz kind {self.kind!r}")
+    def __init__(self, kind: str):
+        if kind not in ("2d-separable", "3d-t1", "3d-t2"):
+            raise ValueError(f"unknown ansatz kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
 
 T1 = AnsatzSpec("3d-t1")
@@ -194,13 +194,16 @@ def residual_3d_generic(s_coeffs, kind: str, abg, l) -> list[GenPoly]:
 # -- symbolic condition derivation -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(Frozen):
     """One coefficient-vanishing equation of the expanded curl residual."""
 
-    component: int  # residual component index (0 for the 2D scalar)
-    exponents: tuple[int, ...]
-    poly: SymPoly
+    __slots__ = ("component", "exponents", "poly")
+
+    def __init__(self, component: int, exponents: tuple[int, ...], poly: SymPoly):
+        # component: the residual component index (0 for the 2D scalar)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "poly", poly)
 
 
 def _symbolic_system(dim: int):

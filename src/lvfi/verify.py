@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Any
@@ -76,6 +75,7 @@ from .model import (
     rhs_floats,
     zero_pattern,
 )
+from .record import Record
 
 BLOWUP_LIMIT = 1e8
 
@@ -84,24 +84,41 @@ class DomainViolation(ValueError):
     pass
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
+    __slots__ = ("times", "states", "method", "step", "steps", "blew_up")
     times: Any  # numpy array, (steps + 1,)
     states: Any  # numpy array, (steps + 1, dim)
     method: str
     step: float
     steps: int
-    blew_up: bool = False
+    blew_up: bool
+
+    def __init__(self, times, states, method, step, steps, blew_up=False):
+        self.times = times
+        self.states = states
+        self.method = method
+        self.step = step
+        self.steps = steps
+        self.blew_up = blew_up
 
 
-@dataclass
-class ConservationReport:
+class ConservationReport(Record):
+    __slots__ = ("H0", "max_abs_drift", "max_rel_drift", "lie_max", "sample_count", "blew_up")
     H0: float
     max_abs_drift: float
     max_rel_drift: float
-    lie_max: float | None = None
-    sample_count: int = 0
-    blew_up: bool = False
+    lie_max: float | None
+    sample_count: int
+    blew_up: bool
+
+    def __init__(self, H0, max_abs_drift, max_rel_drift, lie_max=None, sample_count=0,
+                 blew_up=False):
+        self.H0 = H0
+        self.max_abs_drift = max_abs_drift
+        self.max_rel_drift = max_rel_drift
+        self.lie_max = lie_max
+        self.sample_count = sample_count
+        self.blew_up = blew_up
 
     def to_json_obj(self) -> dict:
         return {

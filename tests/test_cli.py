@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -397,6 +398,26 @@ def test_detect_prints_no_numpy_warnings(tmp_path):
     )
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["detect", "--input", "-"], ["catalog", "--format", "json"]])
+def test_a_closed_stdout_pipe_exits_141_and_prints_nothing(argv, unbuffered):
+    """`lvfi detect ... | true`: the reader is gone before lvfi writes.  The
+    process ends as SIGPIPE would end it, exit 128 + 13, whether the write
+    fails at a print or at the flush before exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lvfi", *argv], input=VOLTERRA, stdout=w,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_detect_drift_skips_an_equilibrium_start_point(volterra_path, capsys):
