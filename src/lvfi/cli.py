@@ -100,7 +100,10 @@ def _point(text: str) -> tuple[float, ...]:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: LVFI_SEED or 42)")
     p.add_argument("--points", type=_count, default=50, help="Lie-check sample count")
-    p.add_argument("--region", type=_region, default="0.1,10", help="sampling box lo,hi per axis")
+    p.add_argument(
+        "--region", type=_region, default="0.1,10",
+        help="sampling box lo,hi per axis (a negative lo as --region=-1,1)",
+    )
     p.add_argument("--t-end", type=_positive, default=10.0, dest="t_end")
     p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
@@ -116,18 +119,20 @@ def _seed_of(args) -> int:
     return int(env) if env else 42
 
 
+# argparse reads "--x0 -1,0.5" as a flag with no value; "--x0=-1,0.5" works
+_X0_HELP = "initial point for conservation, comma separated (a negative first one as --x0=-1,0.5)"
+
+
 def _detect_arguments(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True, help="system JSON path or - for stdin")
     p.add_argument("--no-verify", action="store_true", help="skip numerical verification")
-    p.add_argument(
-        "--x0", type=_point, default=None, help="initial point for conservation, comma separated"
-    )
+    p.add_argument("--x0", type=_point, default=None, help=_X0_HELP)
 
 
 def _verify_arguments(p: argparse.ArgumentParser):
     p.add_argument("--input", required=True)
     p.add_argument("--integral", required=True, help="integral AST JSON path or - for stdin")
-    p.add_argument("--x0", type=_point, default=None)
+    p.add_argument("--x0", type=_point, default=None, help=_X0_HELP)
 
 
 def _oracle_arguments(p: argparse.ArgumentParser):

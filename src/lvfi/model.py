@@ -267,7 +267,7 @@ def field_coefficients(s: LVSystem) -> list[float]:
     return [*b, *e, *A[0], *A[1], *A[2]]
 
 
-def field_row(i: int, pattern, x) -> str:
+def field_row(i: int, pattern, x, zero_b: bool = False, zero_e: bool = False) -> str:
     """Source of field component i at the state whose components are named
     x[0], x[1], ...:  x_i * (b_i + (a_ij * x_j + ...)) + e_i, read off the
     row pattern[i] of zero_pattern.
@@ -287,14 +287,24 @@ def field_row(i: int, pattern, x) -> str:
       row keeps the 0.0 exactly when b_i is -0.0.
     - e_i stays whatever its value: with e_i = 0.0 the last addition still
       turns a -0.0 product into +0.0.
+
+    zero_b and zero_e, for a b_i and an e_i that are +0.0, leave them out
+    too: x_i * (a_ij * x_j + ...) and no trailing + e_i (a row without
+    a-terms keeps x_i * b_i).  That row can differ from the full one in the
+    sign of a zero, so only a caller that proves the sign unobservable may
+    ask for it (verify._rk4); rhs_floats never does.
     """
     negative_zero_b, *nonzero = pattern[i]
     terms = [f"a{i}{j} * {x[j]}" for j in range(3) if nonzero[j]]
     if negative_zero_b:
         terms.insert(0, "0.0")
     if not terms:
-        return f"{x[i]} * b{i} + e{i}"
-    return f"{x[i]} * (b{i} + ({' + '.join(terms)})) + e{i}"
+        row = f"{x[i]} * b{i}"
+    elif zero_b:
+        row = f"{x[i]} * ({' + '.join(terms)})"
+    else:
+        row = f"{x[i]} * (b{i} + ({' + '.join(terms)}))"
+    return row if zero_e else f"{row} + e{i}"
 
 
 def zero_pattern(arguments) -> tuple[tuple[bool, ...], ...]:

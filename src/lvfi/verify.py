@@ -12,34 +12,42 @@ The RK4 kernel is a generated step loop: the field rows are written inline
 from ``model.field_row``, the template ``rhs_floats`` is built from.  A row
 keeps only the a_ij*x_j terms whose float coefficient is nonzero, and its
 sum starts with the 0.0 of the full row's sum only where b_i is -0.0, the
-one b_i whose sum with it the 0.0 can change.  The source depends only on
-the dimension and ``model.zero_pattern`` (which a_ij are nonzero and which
-b_i are -0.0), so it is compiled once per (dim, pattern) and kept
-(``_rk4_kernel``, at most 2^6 + 2^12 kernels); a compile costs 0.5-0.8 ms,
-more than a short trajectory.  The field of ``rhs_floats`` is likewise
-compiled once per pattern.  The coefficients are arguments.  State
-components are locals, a 2D system has no third coordinate, and states go
-to one preallocated buffer.  The blow-up test is one chained comparison per
-component, low <= x_i <= limit with low = -limit: it holds exactly where
-abs(x_i) <= limit does, NaN failing both, without a call to abs.  Its
-arithmetic, and so every drift it reports, is bit-identical to the
-list-based loop on the full rows; ``_rk4`` gives the argument and
-``tests/test_verify.py`` keeps that loop as the reference.  Over one
-trajectory of each of the 42 sampler systems from all-ones (h = 1e-3,
-t_end = 10, compilation included) a step costs 1.5-2.5 us (CPython 3.11,
-2-core Xeon; the range spans the host's speed between runs).  Leaving out
-the leading 0.0 and the calls to abs took about a tenth off the step: the
-median ratio of the old loop's time to this one's was 1.10 and 1.14 in two
-sets of 20 and 16 passes alternated in one process.  Before those two
-changes the loop took 1.5-1.7x less time than the unrolled loop that called
-the field closure.  It is not a numpy batch: a ``detect`` call integrates
-one to five start points, and a numpy RK4 step costs about 35 us for any
-batch up to 128 rows, so numpy pays only from about 13 rows.  The
-update doubles with the float 2.0, which CPython 3.11 multiplies on its
-float-only fast path (2 * k converts 2 to the same 2.0; from all-ones over
-the benchmark's verify corpus, 5.80 against 6.26 ms of RK4 per system), and
-the state buffer is a repeated one-element array (6-7 us a call, against
-120-160 us to fill it from a zeroed bytes object).
+one b_i whose sum with it the 0.0 can change.  Unless the start point has a
+-0.0 component, a b_i or an e_i that is +0.0 is left out as well (the e = 0
+cases R2D-C and L3-L5 are half of the benchmark's verify corpus, and 37 of
+its 42 systems have some e_i = 0): that changes a row at most in the sign
+of a zero, which no stage value and no state can show (``_rk4`` gives the
+argument).  The source depends only on the key of ``_rk4_key``: the
+dimension, ``model.zero_pattern`` (which a_ij are nonzero and which b_i are
+-0.0) and which b_i and e_i are +0.0.  It is compiled once per key and kept
+(``_rk4_kernel``, at most 24^2 + 48^3 kernels); a compile costs 0.5-0.8 ms,
+more than a short trajectory.  The field of ``rhs_floats`` keeps every
+b_i and e_i and is compiled once per zero_pattern.  The coefficients are
+arguments.  State components are locals, a 2D system has no third
+coordinate, and states go to one preallocated buffer.  The blow-up test is
+one chained comparison per component, low <= x_i <= limit with low =
+-limit: it holds exactly where abs(x_i) <= limit does, NaN failing both,
+without a call to abs.  Its arithmetic, and so every drift it reports, is
+bit-identical to the list-based loop on the full rows; ``_rk4`` gives the
+argument and ``tests/test_verify.py`` keeps that loop as the reference.
+Over one trajectory of each of the 42 systems of the benchmark's verify
+corpus from all-ones (h = 1e-3, t_end = 10, compilation included) a step
+costs 1.8-2.2 us (CPython 3.11, 2-core Xeon; the range spans the host's
+speed between runs).  Leaving out the +0.0 b_i and e_i took about a tenth
+off the step: with the full-row and the specialised kernel of each system
+alternated in one process (best of 9 runs each, compilation excluded), a
+step took 1110 against 999 ns and 1218 against 1115 ns in two passes,
+median ratios over the 42 systems 1.10 and 1.12.  Leaving out the leading
+0.0 and the calls to abs had taken about a tenth off before that (median
+ratios 1.10 and 1.14), and those two changes made the loop 1.5-1.7x faster
+than the unrolled loop that called the field closure.  It is not a numpy
+batch: a ``detect`` call integrates one to five start points, and a numpy
+RK4 step costs about 35 us for any batch up to 128 rows, so numpy pays only
+from about 13 rows.  The update doubles with the float 2.0, which CPython
+3.11 multiplies on its float-only fast path (2 * k converts 2 to the same
+2.0; from all-ones over the benchmark's verify corpus, 5.80 against 6.26 ms
+of RK4 per system), and the state buffer is a repeated one-element array
+(6-7 us a call, against 120-160 us to fill it from a zeroed bytes object).
 
 The Lie check runs built code as well, but closures and not generated
 source: ``expr.compile_floats`` turns the gradient of H into one closure
@@ -192,9 +200,11 @@ def lie_check(
     return worst
 
 
-def _rk4_source(dim: int, pattern) -> str:
+def _rk4_source(dim: int, pattern, zero_b, zero_e) -> str:
     """Source of the RK4 step loop for a dim-component field whose padded
-    coefficients have the given model.zero_pattern.
+    coefficients have the given model.zero_pattern, and whose b_i and e_i
+    are +0.0 where zero_b[i] and zero_e[i] hold (those terms are left out;
+    see _rk4 for when that is allowed).
 
     The loop is rk4(buf, n, h, limit, x0, .., *FIELD_PARAMETERS) -> (steps,
     blew_up).  Each stage writes the field rows inline (model.field_row) on
@@ -207,10 +217,14 @@ def _rk4_source(dim: int, pattern) -> str:
     c = range(dim)
     x = [f"x{i}" for i in c]
     u = [f"u{i}" for i in c]
-    body = [f"k1_{i} = {field_row(i, pattern, x)}" for i in c]
+
+    def rows(stage, at):
+        return [f"k{stage}_{i} = {field_row(i, pattern, at, zero_b[i], zero_e[i])}" for i in c]
+
+    body = rows(1, x)
     for stage, step in ((2, "half"), (3, "half"), (4, "h")):
         body += [f"u{i} = x{i} + {step} * k{stage - 1}_{i}" for i in c]
-        body += [f"k{stage}_{i} = {field_row(i, pattern, u)}" for i in c]
+        body += rows(stage, u)
     body += [f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in c]
     body.append("j += 3")
     body += [f"buf[j + {i}] = x{i}" if i else "buf[j] = x0" for i in c]
@@ -232,13 +246,31 @@ def _rk4_source(dim: int, pattern) -> str:
 
 
 @lru_cache(maxsize=None)
-def _rk4_kernel(dim: int, pattern: tuple[tuple[bool, ...], ...]):
-    """The RK4 step loop of _rk4_source, compiled once per dimension and
-    zero_pattern of the padded coefficients (at most 2^6 + 2^12 of them)."""
+def _rk4_kernel(dim: int, pattern: tuple[tuple[bool, ...], ...], zero_b: tuple[bool, ...],
+                zero_e: tuple[bool, ...]):
+    """The RK4 step loop of _rk4_source, compiled once per dimension,
+    zero_pattern of the padded coefficients and +0.0 masks of b and e (at
+    most 24^2 + 48^3 of them: per row, b_i is -0.0, +0.0 or neither, e_i is
+    +0.0 or not, and dim bits say which a_ij are nonzero)."""
     namespace = {"DomainViolation": DomainViolation, "isfinite": math.isfinite}
-    exec(compile(_rk4_source(dim, pattern), "<rk4>", "exec"), namespace)
+    exec(compile(_rk4_source(dim, pattern, zero_b, zero_e), "<rk4>", "exec"), namespace)
     # popped, so that the loop and its globals form no reference cycle
     return namespace.pop("rk4")
+
+
+def _rk4_key(dim: int, arguments, x0) -> tuple:
+    """The _rk4_kernel key of the field with these coefficients (in
+    FIELD_PARAMETERS order) from x0: the dimension, the zero_pattern, and
+    which b_i and which e_i are +0.0, both masks all false when x0 has a
+    -0.0 component."""
+    if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in x0):
+        zero_b = zero_e = (False,) * dim
+    else:
+        zero_b, zero_e = (
+            tuple(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in values)
+            for values in (arguments[:dim], arguments[3 : 3 + dim])
+        )
+    return dim, zero_pattern(arguments), zero_b, zero_e
 
 
 def _rk4(s, x0, t_end, h):
@@ -246,9 +278,9 @@ def _rk4(s, x0, t_end, h):
 
     Returns (times, states, steps, blew_up), states a (steps + 1, dim) view
     of the buffer.  The step loop is generated for the zero_pattern of the
-    system's coefficients (_rk4_source) and compiled once per pattern
-    (_rk4_kernel); the coefficients are its arguments.  Its arithmetic is
-    that of classical RK4 on the full field row
+    system's coefficients and for which b_i and e_i are +0.0 (_rk4_source),
+    and compiled once per such key (_rk4_kernel); the coefficients are its
+    arguments.  Its arithmetic is that of classical RK4 on the full field row
     x_i*(b_i + (0.0 + a_i0*x0 + a_i1*x1 + a_i2*x2)) + e_i, bit for bit,
     although terms with a zero coefficient, and the 0.0 unless b_i is -0.0,
     are left out:
@@ -261,6 +293,31 @@ def _rk4(s, x0, t_end, h):
       value of x_j and its update.  Both forms then raise the same
       DomainViolation at the same step, and what differs (the other
       components of that step) is never returned.
+
+    Unless x0 has a -0.0 component, a b_i or e_i that is +0.0 is left out
+    as well (model.field_row's zero_b and zero_e); from such a start the
+    masks are all false and the rows are the ones above.  Leaving them out
+    changes no bit of a returned state:
+
+    - Round-to-nearest never yields -0.0 from x + y unless both are -0.0.
+      Every stage value u_i = x_i + c*k_i and every state x_i + c*(...) is
+      such a sum, so from a start with no -0.0 no stage value and no state
+      is ever -0.0.
+    - On the same stage values, leaving out + e_i for e_i = +0.0 changes a
+      row only where the rest of it is -0.0, to -0.0 from +0.0.  Leaving
+      out b_i = +0.0 changes the sum b_i + S only where S is -0.0, and then
+      x_i times it only in the sign of a zero (for a non-finite x_i both
+      products are NaN).  So a row k_i changes, if at all, only in the
+      sign of a zero.
+    - k_i enters only u_i = x_i + c*k_i (c = h/2 or h) and x_i's update
+      x_i + (h/6)*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i).  Sums and products
+      of values that change at most in the sign of a zero change at most
+      in the sign of a zero, and adding +0.0 or -0.0 to x_i, which is not
+      -0.0, gives the same value.  So u_i and the new x_i are unchanged,
+      and so is every other row: rows read u_i, never k_i.
+    - Non-finite values propagate as before: leaving out a +0.0 neither
+      makes a non-finite row finite nor a finite row non-finite, so the
+      same step raises the same DomainViolation or stops with blew_up.
     """
     import numpy as np
 
@@ -269,7 +326,7 @@ def _rk4(s, x0, t_end, h):
     arguments = field_coefficients(s)
     buf = array("d", [0.0]) * (3 * (n + 1))  # (n + 1, 3) states, row-major
     buf[:dim] = array("d", x0)
-    rk4 = _rk4_kernel(dim, zero_pattern(arguments))
+    rk4 = _rk4_kernel(*_rk4_key(dim, arguments, x0))
     steps, blew_up = rk4(buf, n, h, BLOWUP_LIMIT, *x0, *arguments)
     times = np.arange(steps + 1) * h
     states = np.frombuffer(buf).reshape(n + 1, 3)[: steps + 1, :dim]

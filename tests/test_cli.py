@@ -480,6 +480,21 @@ def test_detect_drift_error_prints_the_point_as_plain_floats(volterra_path, caps
         assert err.endswith(", 0.0)") and "at point (-738.95" in err
 
 
+def test_verify_takes_a_negative_start_point_after_an_equals_sign(volterra_path, tmp_path, capsys):
+    main(["detect", "--input", volterra_path, "--format", "json"])
+    ip = tmp_path / "h.json"
+    ip.write_text(json.dumps(json.loads(capsys.readouterr().out)["detections"][0]["integral_ast"]))
+    argv = ["verify", "--input", volterra_path, "--integral", str(ip), "--t-end", "1"]
+    assert main([*argv, "--x0=-0.5,1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["x0"] == [-0.5, 1.0] and doc["pass"] is True
+    # with a space, argparse reads the value as an option: the help says to use "="
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--x0", "-0.5,1"])
+    assert exc.value.code == 2
+    assert "argument --x0: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["detect", "verify"])
 def test_x0_of_the_wrong_length_is_an_input_error_before_any_work(
     command, volterra_path, tmp_path, monkeypatch, capsys

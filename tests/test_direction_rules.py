@@ -638,3 +638,27 @@ def test_l5_1_gap_integral_is_detected():
         d.H_gen is not None and same_integral(GAP_H, d.H_gen)
         for d in detect3d(GAP)
     )
+
+
+# An L5-7a draw (b = 0, e = 0) whose direction stage has a 2-dimensional
+# nullspace in (beta, gamma).  The sampler's own direction (1, -lambda) passes
+# the guards, but the three points tried do not.
+L5_7A_FAMILY = make_system(
+    b=(0, 0, 0),
+    A=((0, 0, Fraction(5, 3)), (0, 0, -1), (0, 6, Fraction(-5, 3))),
+    e=(0, 0, 0),
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="linalg.nullspace_candidates tries only a 2-dimensional nullspace's basis "
+    "vectors (1, 0), (0, 1) and their sum (1, 1), and each fails an L5-7a guard; "
+    "the members that pass are never tried (ROADMAP: positive-dimensional "
+    "solution sets are decided, not sampled)",
+)
+def test_l5_7a_is_detected_on_a_two_dimensional_direction_family():
+    rules = {d.rule_id for d in detect3d(L5_7A_FAMILY)}
+    assert {"L5-5", "L5-7d", "L5-8b", "L5-8c"} <= rules
+    assert "L5-7a" in rules

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -321,29 +323,43 @@ def test_rk45_and_lie_check_match_reference_field(monkeypatch):
          "negative-zero-b-3d", "positive-zero-b-2d"],
 )
 def test_rk4_kernel_is_bit_identical_to_reference_on_float_edge_cases(b, A, e, x0, t_end, h):
-    from array import array
-
     s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
     assert _rk4_run(s, x0, t_end, h)[0] == _ref_run(s, x0, t_end, h)[0]
     field = array("d", model.rhs_floats(s)(*x0)[: s.dim]).tobytes()
     assert field == array("d", _ref_rhs_floats(s)(x0)).tobytes()
 
 
-def test_rk4_source_depends_only_on_the_zero_pattern():
-    def source(b, A, e):
-        s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
-        return verify._rk4_source(s.dim, model.zero_pattern(model.field_coefficients(s)))
+def _source(b, A, e, x0=None):
+    s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
+    x0 = (1.0,) * s.dim if x0 is None else x0
+    return verify._rk4_source(*verify._rk4_key(s.dim, model.field_coefficients(s), x0))
 
-    one = source((1.5, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
-    two = source((-4.0, 0.0, 0.5), ((-0.0, 9.0, 0.0), (-2.0, 0.0, 1e-300), (0.0, -0.0, 3.0)), (2.0, 0.0, 0.0))
+
+def test_rk4_source_depends_only_on_the_zero_pattern():
+    # the kernel key: which a_ij are nonzero, which b_i are -0.0, and which
+    # b_i and e_i are +0.0
+    A = ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0))
+    one = _source((1.5, 0.0, 3.0), A, (0.0, 1.0, -0.0))
+    two = _source(
+        (-4.0, 0.0, 0.5), ((-0.0, 9.0, 0.0), (-2.0, 0.0, 1e-300), (0.0, -0.0, 3.0)), (0.0, -2.0, 7.0)
+    )
     assert one == two
-    assert "2.5" not in one and "1.5" not in one
-    other = source((1.5, 2.0, 3.0), ((1.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
-    assert other != one
-    # whether a zero b_i is -0.0 decides whether its rows keep a leading 0.0
-    plus = source((0.0, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
-    minus = source((-0.0, 2.0, 3.0), ((0.0, 2.5, 0.0), (1.0, 0.0, -3.0), (0.0, 0.0, 7.0)), (0.0, 1.0, 0.0))
-    assert plus == one and minus != plus
+    for value in ("2.5", "1.5", "3.0", "7.0", "1e-300"):
+        assert value not in one
+    assert _source((1.5, 0.0, 3.0), ((1.0, 2.5, 0.0), *A[1:]), (0.0, 1.0, -0.0)) != one
+    # a +0.0 e_i leaves out its row's + e_i; a -0.0 or nonzero one keeps it
+    assert _source((1.5, 0.0, 3.0), A, (0.5, 1.0, -0.0)) != one
+    assert _source((1.5, 0.0, 3.0), A, (0.0, 1.0, 0.0)) != one
+    # a zero b_i: +0.0 is left out, -0.0 keeps b_i and the sum's leading 0.0
+    plus = _source((0.0, 2.0, 3.0), A, (0.0, 1.0, 0.0))
+    minus = _source((-0.0, 2.0, 3.0), A, (0.0, 1.0, 0.0))
+    nonzero = _source((5.0, 2.0, 3.0), A, (0.0, 1.0, 0.0))
+    assert len({plus, minus, nonzero}) == 3
+    assert "k1_0 = x0 * (a01 * x1)\n" in plus
+    assert "k1_0 = x0 * (b0 + (0.0 + a01 * x1))\n" in minus
+    assert "k1_0 = x0 * (b0 + (a01 * x1))\n" in nonzero
+    # a row without a-terms keeps x_i * b_i, whatever b_i is
+    assert "k1_1 = x1 * b1\n" in _source((1.0, 0.0), ((0.0, 1.0), (0.0, 0.0)), (0.0, 0.0))
 
 
 def test_systems_with_one_zero_pattern_share_one_compiled_kernel(monkeypatch):
@@ -359,17 +375,79 @@ def test_systems_with_one_zero_pattern_share_one_compiled_kernel(monkeypatch):
     verify._rk4_kernel.cache_clear()
     model._field_maker.cache_clear()
     one = make_system(b=(1, -1, 2), A=((0, 3, 0), (-1, 0, 2), (0, 1, 0)), e=(0, 1, 0))
-    two = make_system(b=(-2, 5, 1), A=((0, -7, 0), (4, 0, 1), (0, 9, 0)), e=(3, 0, 0))
+    two = make_system(b=(-2, 5, 1), A=((0, -7, 0), (4, 0, 1), (0, 9, 0)), e=(0, 3, 0))
     other = make_system(b=(1, -1, 2), A=((1, 3, 0), (-1, 0, 2), (0, 1, 0)), e=(0, 1, 0))
-    x0 = (0.5, 0.5, 0.5)
-    for s in (one, two, other):
+    # one's zero_pattern with another +0.0 e mask: a kernel of its own, the
+    # field of rhs_floats shared
+    other_e = make_system(b=(1, -1, 2), A=((0, 3, 0), (-1, 0, 2), (0, 1, 0)), e=(2, 1, 0))
+    start, negative_zero_start = (0.5, 0.5, 0.5), (0.5, -0.0, 0.5)
+    for s, x0 in ((one, start), (two, start), (other, start), (other_e, start),
+                  (one, negative_zero_start), (two, negative_zero_start)):
         # the shared kernel reads each system's own coefficients
         assert _rk4_run(s, x0, 0.5, 1e-2)[0] == _ref_run(s, x0, 0.5, 1e-2)[0]
         assert model.rhs_floats(s)(*x0) == tuple(_ref_rhs_floats(s)(x0))
-    # one and two share a zero pattern, other has its own
-    assert compiled == ["<rk4>", "<rhs_floats>", "<rk4>", "<rhs_floats>"]
-    kernel = verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(one)))
-    assert kernel is verify._rk4_kernel(3, model.zero_pattern(model.field_coefficients(two)))
+    assert compiled == ["<rk4>", "<rhs_floats>", "<rk4>", "<rhs_floats>", "<rk4>", "<rk4>"]
+
+    def kernel(s, x0):
+        return verify._rk4_kernel(*verify._rk4_key(3, model.field_coefficients(s), x0))
+
+    assert kernel(one, start) is kernel(two, start)
+    assert kernel(one, negative_zero_start) is kernel(two, negative_zero_start)
+    assert kernel(one, start) is not kernel(one, negative_zero_start)
+    assert len(compiled) == 6
+
+
+def test_negative_zero_start_keeps_every_row_full():
+    b, A, e = (0.0, 1.0), ((0.0, 1.0), (-1.0, 0.0)), (0.0, 0.0)
+    for x0 in ((-0.0, 1.0), (1.0, -0.0)):
+        source = _source(b, A, e, x0)
+        # the source of a system without a +0.0 b_i or e_i
+        assert source == _source((0.5, 1.0), A, (0.5, 0.5))
+        for i in range(2):
+            assert f"k1_{i} = x{i} * (b{i} + (a{i}{1 - i} * x{1 - i})) + e{i}\n" in source
+    assert "+ e" not in _source(b, A, e, (0.0, 1.0))
+    # the masks matter: the specialised kernel from a -0.0 start is not the
+    # reference, so the key must not give it there
+    s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
+    arguments = model.field_coefficients(s)
+    x0 = (-0.0, 1.0)
+    rk4 = verify._rk4_kernel(*verify._rk4_key(2, arguments, (0.0, 1.0)))
+    buf = array("d", [0.0]) * (3 * 101)
+    buf[:2] = array("d", x0)
+    assert rk4(buf, 100, 1e-2, verify.BLOWUP_LIMIT, *x0, *arguments) == (100, False)
+    states = array("d", [v for k in range(101) for v in buf[3 * k : 3 * k + 2]]).tobytes()
+    _, ref_states, _, _ = _ref_rk4(_ref_rhs_floats(s), list(x0), 1.0, 1e-2)
+    assert states != ref_states.tobytes()
+    assert _rk4_run(s, x0, 1.0, 1e-2)[0] == _ref_run(s, x0, 1.0, 1e-2)[0]
+
+
+_ZERO_MIXES = [(b, e) for b in (0.0, -0.0, 1.5) for e in (0.0, -0.0, -0.75)]
+_MIX_STARTS = {
+    2: [(0.5, 1.25), (-0.0, 1.25), (0.0, -0.75), (4e7, -6e7), (1e200, -3e200)],
+    3: [(0.5, 1.25, 0.75), (0.75, -0.0, -0.0), (0.0, -0.5, 1.0), (4e7, -6e7, 5e7),
+        (1e200, 2.0, -3e200)],
+}
+_MIX_MATRICES = {
+    2: [((0.0, -1.0), (0.5, -0.0)), ((-0.0, 0.0), (0.5, -1.0))],
+    # the second row has no a-terms
+    3: [((0.0, -1.0, 0.5), (-0.0, 0.0, 0.0), (1.0, -0.0, -2.0))],
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rk4_kernel_is_bit_identical_to_reference_on_every_zero_mix_of_b_and_e(dim):
+    outcomes = {"finite": 0, "blew_up": 0, "non-finite": 0}
+    for A in _MIX_MATRICES[dim]:
+        for rows in itertools.product(_ZERO_MIXES, repeat=dim):
+            b, e = zip(*rows)
+            s = make_system(b=b, A=A, e=e, kind=model.FLOAT)
+            for x0 in _MIX_STARTS[dim]:
+                new = _rk4_run(s, x0, 0.1, 1e-2)[0]
+                assert new == _ref_run(s, x0, 0.1, 1e-2)[0], (b, A, e, x0)
+                kind = "non-finite" if isinstance(new, str) else "blew_up" if new[-1] else "finite"
+                outcomes[kind] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_trajectory_annotations_resolve():
